@@ -11,7 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import CoreConfig
-from .isa import OpClass
+from .isa import CLASS_LAT, OpClass
+
+
+class CyclicGraphError(Exception):
+    pass
 
 
 @dataclass
@@ -28,19 +32,31 @@ class DataflowKernel:
             counts[cls] = counts.get(cls, 0) + 1
         return counts
 
-
-class CyclicGraphError(Exception):
-    pass
+    def topological_order(self) -> list[str]:
+        """Node ids in a dependency order (Kahn); rejects cyclic graphs."""
+        succs: dict[str, list[str]] = {nid: [] for nid, _ in self.nodes}
+        indeg: dict[str, int] = {nid: 0 for nid, _ in self.nodes}
+        for src, dst in self.edges:
+            succs[src].append(dst)
+            indeg[dst] += 1
+        ready = [nid for nid, d in indeg.items() if d == 0]
+        order = []
+        while ready:
+            nid = ready.pop()
+            order.append(nid)
+            for nxt in succs[nid]:
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    ready.append(nxt)
+        if len(order) != len(self.nodes):
+            raise CyclicGraphError("dataflow graph contains a cycle")
+        return order
 
 
 def _node_latency(cls: OpClass, cfg: CoreConfig) -> int:
-    if cls is OpClass.ADD_CLASS:
-        return cfg.lat_add
-    if cls is OpClass.MUL_CLASS:
-        return cfg.lat_mul
-    if cls is OpClass.DIV_CLASS:
-        return cfg.lat_div
-    raise ValueError(f"dataflow nodes must be arithmetic, got {cls}")
+    if cls not in CLASS_LAT:
+        raise ValueError(f"dataflow nodes must be arithmetic, got {cls}")
+    return getattr(cfg, CLASS_LAT[cls])
 
 
 def tiled_latency(k: DataflowKernel, cfg: CoreConfig, barrier_cost: int = 1) -> int:
@@ -50,28 +66,14 @@ def tiled_latency(k: DataflowKernel, cfg: CoreConfig, barrier_cost: int = 1) -> 
     circuit has no controller, so no per-instruction issue cost is charged.
     """
     weight = {nid: _node_latency(cls, cfg) for nid, cls in k.nodes}
-    succs: dict[str, list[str]] = {nid: [] for nid, _ in k.nodes}
-    indeg: dict[str, int] = {nid: 0 for nid, _ in k.nodes}
+    preds: dict[str, list[str]] = {nid: [] for nid, _ in k.nodes}
     for src, dst in k.edges:
-        succs[src].append(dst)
-        indeg[dst] += 1
-
-    # Kahn topological order with longest-path DP.
-    ready = [nid for nid, d in indeg.items() if d == 0]
-    finish = {nid: weight[nid] for nid in ready}
-    order = 0
-    while ready:
-        nid = ready.pop()
-        order += 1
-        for nxt in succs[nid]:
-            cand = finish[nid] + weight[nxt]
-            if cand > finish.get(nxt, 0):
-                finish[nxt] = cand
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if order != len(k.nodes):
-        raise CyclicGraphError("dataflow graph contains a cycle")
+        preds[dst].append(src)
+    # Longest-path finish time of each node, in dependency order.
+    finish: dict[str, int] = {}
+    for nid in k.topological_order():
+        finish[nid] = weight[nid] + max((finish[p] for p in preds[nid]),
+                                        default=0)
     return max(finish.values()) + barrier_cost
 
 

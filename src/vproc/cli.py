@@ -137,6 +137,17 @@ def _write_out(path: str | None, text: str) -> None:
             f.write(text if text.endswith("\n") else text + "\n")
 
 
+def _data_initializers(path: str | None, cfg: CoreConfig):
+    """Memory initializers from a data file whose lane count matches cfg."""
+    if not path:
+        return None
+    inputs = read_data_csv(path)
+    if inputs.vec_len != cfg.vec_len:
+        raise CliError(f"data file has {inputs.vec_len} lanes, "
+                       f"config expects {cfg.vec_len}")
+    return kernel.data_initializers(inputs)
+
+
 def _parse_observe(spec: str | None, cfg: CoreConfig) -> tuple[int, int]:
     if spec is None:
         base = kernel.default_layout(cfg.vec_len)["out"]
@@ -153,12 +164,10 @@ def parse_mix_spec(spec: str) -> list[tuple[int, int, int]]:
     if not spec:
         raise CliError("empty mix spec")
     if spec.startswith("sym:"):
-        try:
-            return [(n, n, n) for n in
-                    [int(t) for t in spec[len("sym:"):].split(",") if t.strip()]] \
-                or _raise_mix(spec)
-        except ValueError:
+        sizes = [t.strip() for t in spec[len("sym:"):].split(",") if t.strip()]
+        if not sizes or not all(t.isdecimal() for t in sizes):
             raise CliError(f"bad mix spec '{spec}'")
+        return [(int(t),) * 3 for t in sizes]
     mixes = []
     for item in spec.split(","):
         parts = item.strip().split("-")
@@ -169,10 +178,6 @@ def parse_mix_spec(spec: str) -> list[tuple[int, int, int]]:
         except ValueError:
             raise CliError(f"bad mix '{item.strip()}', expected A-M-D")
     return mixes
-
-
-def _raise_mix(spec: str):
-    raise CliError(f"bad mix spec '{spec}'")
 
 
 # ---------------------------------------------------------------- commands
@@ -197,13 +202,7 @@ def cmd_asm(args) -> int:
 def cmd_run(args) -> int:
     cfg, _ = load_config(args.config)
     program = isa.assemble(_read(args.program))
-    inits = None
-    if args.data:
-        inputs = read_data_csv(args.data)
-        if inputs.vec_len != cfg.vec_len:
-            raise CliError(f"data file has {inputs.vec_len} lanes, "
-                           f"config expects {cfg.vec_len}")
-        inits = kernel.data_initializers(inputs)
+    inits = _data_initializers(args.data, cfg)
     observe = _parse_observe(args.observe, cfg)
     try:
         report = core.run(program, cfg, inputs=inits, observe=observe,
@@ -228,9 +227,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg, cal = load_config(args.config)
     program = isa.assemble(_read(args.program))
-    inits = None
-    if args.data:
-        inits = kernel.data_initializers(read_data_csv(args.data))
+    inits = _data_initializers(args.data, cfg)
     configs = [cfg.with_mix(*mix) for mix in parse_mix_spec(args.mixes)]
     points = dse.sweep(program, configs, cal, inputs=inits)
     frontier = {id(p) for p in dse.pareto(points)}
@@ -341,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--data")
     p.add_argument("--observe", help="memory range START:LENGTH to report")
-    p.add_argument("--max-cycles", type=int, default=10_000_000)
+    p.add_argument("--max-cycles", type=int, default=core.MAX_CYCLES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_run)
 
@@ -386,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (CliError, isa.AssemblyError, kernel.LayoutError,
-            resources.CalibrationError) as exc:
+            resources.CalibrationError, core.ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (core.SimulationFault, core.SimulationTimeout) as exc:

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field, replace
 from . import fixedpoint as fx
 from .fixedpoint import ArithFlags, Fixed64
 from . import isa
-from .isa import Instruction, OpClass, Program
+from .isa import CLASS_LAT, CLASS_UNITS, Instruction, OpClass, Program
+
+MAX_CYCLES = 10_000_000     # default cycle budget of one run
 
 
 @dataclass
@@ -44,6 +46,10 @@ class CoreConfig:
             self.mem_port_width = self.vec_len
         if self.mem_port_width < 1:
             raise ValueError("mem_port_width must be >= 1")
+        for name in ("n_add", "n_mul", "n_div", "lat_add", "lat_mul",
+                     "lat_div", "issue_cost", "lat_convert"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     def with_mix(self, n_add: int, n_mul: int, n_div: int) -> "CoreConfig":
         return replace(self, n_add=n_add, n_mul=n_mul, n_div=n_div)
@@ -72,6 +78,7 @@ class ExecReport:
     flags: ArithFlags
     memory: list[Fixed64]
     halted: bool
+    retired: list[int]      # times each instruction retired, by PC; not reported
 
 
 class SimulationFault(Exception):
@@ -103,30 +110,53 @@ def waves(v: int, k: int) -> int:
     return -(-v // k)
 
 
-_CLASS_LAT = {OpClass.ADD_CLASS: "lat_add",
-              OpClass.MUL_CLASS: "lat_mul",
-              OpClass.DIV_CLASS: "lat_div"}
-_CLASS_UNITS = {OpClass.ADD_CLASS: "n_add",
-                OpClass.MUL_CLASS: "n_mul",
-                OpClass.DIV_CLASS: "n_div"}
+def cost_table(cfg: CoreConfig, ops) -> dict[str, tuple[OpClass, int, int]]:
+    """(class, cycles, busy unit-cycles) of each opcode in `ops` under cfg:
+    the one analytic cost model of the simulator, the sweep and instr_cost."""
+    table = {}
+    for op in ops:
+        cls = isa.opclass(op)
+        vector = isa.is_vector(op)
+        if cls is OpClass.CONTROL:
+            work = busy = 0
+        elif cls is OpClass.CONVERT:
+            work = busy = cfg.lat_convert
+        elif cls is OpClass.MEM:
+            work = busy = waves(cfg.vec_len, cfg.mem_port_width) if vector else 1
+        else:
+            lat = getattr(cfg, CLASS_LAT[cls])
+            if vector:
+                units = getattr(cfg, CLASS_UNITS[cls])
+                work, busy = waves(cfg.vec_len, units) * lat, cfg.vec_len * lat
+            else:
+                work = busy = lat
+        table[op] = (cls, cfg.issue_cost + work, busy)
+    return table
 
 
 def instr_cost(i: Instruction, cfg: CoreConfig) -> int:
     """Analytic cycle cost of one instruction under a configuration."""
-    cls = isa.opclass(i.op)
-    if cls is OpClass.CONTROL:
-        return cfg.issue_cost
-    if cls is OpClass.CONVERT:
-        return cfg.issue_cost + cfg.lat_convert
-    if cls is OpClass.MEM:
-        if isa.is_vector(i.op):
-            return cfg.issue_cost + waves(cfg.vec_len, cfg.mem_port_width)
-        return cfg.issue_cost + 1
-    lat = getattr(cfg, _CLASS_LAT[cls])
-    if isa.is_vector(i.op):
-        units = getattr(cfg, _CLASS_UNITS[cls])
-        return cfg.issue_cost + waves(cfg.vec_len, units) * lat
-    return cfg.issue_cost + lat
+    return cost_table(cfg, (i.op,))[i.op][1]
+
+
+def opcode_counts(p: Program, retired: list[int]) -> dict[str, int]:
+    """Retire counts by PC, summed by opcode."""
+    counts: dict[str, int] = {}
+    for i, n in zip(p.instructions, retired):
+        counts[i.op] = counts.get(i.op, 0) + n
+    return counts
+
+
+def price(counts: dict[str, int], table) -> tuple[int, dict[OpClass, int]]:
+    """Total cycles and per-class busy unit-cycles of retiring counts[op]
+    instructions of each opcode, priced from a cost table."""
+    total = 0
+    busy = dict.fromkeys(OpClass, 0)
+    for op, n in counts.items():
+        cls, cycles, work = table[op]
+        total += n * cycles
+        busy[cls] += n * work
+    return total, busy
 
 
 def reset(cfg: CoreConfig) -> MachineState:
@@ -142,23 +172,6 @@ _SCALAR_ALU = {"SADD": fx.fx_add, "SSUB": fx.fx_sub, "SMUL": fx.fx_mul,
 _VECTOR_ALU = {"VADD": fx.fx_add, "VSUB": fx.fx_sub, "VMUL": fx.fx_mul,
                "VDIV": fx.fx_div, "VADDS": fx.fx_add, "VSUBS": fx.fx_sub,
                "VMULS": fx.fx_mul, "VDIVS": fx.fx_div}
-
-
-def _busy_increment(i: Instruction, cfg: CoreConfig) -> tuple[OpClass, int]:
-    """Unit-cycles of work an instruction contributes to its class."""
-    cls = isa.opclass(i.op)
-    if cls is OpClass.CONTROL:
-        return cls, 0
-    if cls is OpClass.CONVERT:
-        return cls, cfg.lat_convert
-    if cls is OpClass.MEM:
-        if isa.is_vector(i.op):
-            return cls, waves(cfg.vec_len, cfg.mem_port_width)
-        return cls, 1
-    lat = getattr(cfg, _CLASS_LAT[cls])
-    if isa.is_vector(i.op):
-        return cls, cfg.vec_len * lat
-    return cls, lat
 
 
 def _read_s(state: MachineState, idx: int) -> Fixed64:
@@ -189,7 +202,7 @@ def _convert_x2f(word: Fixed64) -> Fixed64:
 def run(p: Program, cfg: CoreConfig,
         inputs: list[tuple[int, list[Fixed64]]] | None = None,
         observe: tuple[int, int] | None = None,
-        max_cycles: int = 10_000_000) -> ExecReport:
+        max_cycles: int = MAX_CYCLES) -> ExecReport:
     """Execute a program to HALT and report cycles, utilization and memory."""
     diags = isa.validate(p, cfg)
     if diags:
@@ -201,24 +214,25 @@ def run(p: Program, cfg: CoreConfig,
             raise ValidationError([f"initializer at {addr} outside data memory"])
         state.mem[addr:addr + len(values)] = values
 
-    busy: dict[OpClass, int] = {cls: 0 for cls in OpClass}
-    instr_count = 0
+    table = cost_table(cfg, {i.op for i in p.instructions})
+    pc_cycles = [table[i.op][1] for i in p.instructions]
+    retired = [0] * len(p.instructions)
     halted = False
     W = cfg.vec_len
 
     def report() -> ExecReport:
-        units = {OpClass.ADD_CLASS: cfg.n_add, OpClass.MUL_CLASS: cfg.n_mul,
-                 OpClass.DIV_CLASS: cfg.n_div, OpClass.CONVERT: 1,
-                 OpClass.MEM: 1, OpClass.CONTROL: 1}
+        _, busy = price(opcode_counts(p, retired), table)
         util = {}
         for cls in OpClass:
-            denom = state.cycles * max(units[cls], 1)
+            units = getattr(cfg, CLASS_UNITS[cls]) if cls in CLASS_UNITS else 1
+            denom = state.cycles * max(units, 1)
             util[cls] = min(1.0, busy[cls] / denom) if denom else 0.0
         lo, length = observe if observe is not None else (0, 0)
-        return ExecReport(total_cycles=state.cycles, instr_count=instr_count,
-                          busy_cycles=dict(busy), utilization=util,
+        return ExecReport(total_cycles=state.cycles, instr_count=sum(retired),
+                          busy_cycles=busy, utilization=util,
                           flags=state.flags.copy(),
-                          memory=list(state.mem[lo:lo + length]), halted=halted)
+                          memory=list(state.mem[lo:lo + length]), halted=halted,
+                          retired=retired)
 
     while True:
         if not (0 <= state.pc < len(p.instructions)):
@@ -226,10 +240,8 @@ def run(p: Program, cfg: CoreConfig,
                                             "(missing HALT?)")
         i = p.instructions[state.pc]
         idx = state.pc
-        state.cycles += instr_cost(i, cfg)
-        cls, work = _busy_increment(i, cfg)
-        busy[cls] += work
-        instr_count += 1
+        state.cycles += pc_cycles[idx]
+        retired[idx] += 1
         if state.cycles > max_cycles:
             raise SimulationTimeout(report())
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
-from . import core, resources
+from . import core, isa, resources
 from .core import CoreConfig
 from .fixedpoint import Fixed64
 from .isa import Program
@@ -36,19 +37,35 @@ def sweep(p: Program, configs: list[CoreConfig],
           cal: Calibration = DEFAULT_CALIBRATION,
           inputs: list[tuple[int, list[Fixed64]]] | None = None
           ) -> list[DesignPoint]:
-    """One design point per configuration, in input order."""
+    """One design point per configuration, in input order.
+
+    Values and control flow do not depend on the unit mix, so each run of
+    consecutive configurations that differ only in their mix is simulated
+    once and every mix is priced as sum(count[op] * cost(op, cfg)) (one
+    pass, many configurations: Mattson et al., IBM Syst. J., 1970).  The
+    first failing configuration raises the error its own run would.
+    """
+    classes = isa.unit_classes(p)
     points = []
-    for cfg in configs:
-        try:
-            report = core.run(p, cfg, inputs=inputs)
-        except core.ValidationError as exc:
-            raise core.ValidationError(
-                [f"config {cfg.mix_label}: {d}" for d in exc.diagnostics])
-        est = resources.estimate_vector(cfg, cal)
-        points.append(DesignPoint(label=cfg.mix_label, n_add=cfg.n_add,
-                                  n_mul=cfg.n_mul, n_div=cfg.n_div,
-                                  latency_cycles=report.total_cycles,
-                                  slices=est.slices))
+    for _, group in groupby(configs, key=lambda c: c.with_mix(0, 0, 0)):
+        counts = None
+        for cfg in group:
+            try:
+                if counts is None:
+                    report = core.run(p, cfg, inputs=inputs)
+                    counts = core.opcode_counts(p, report.retired)
+                elif diags := isa.validate_units(classes, cfg):
+                    raise core.ValidationError(diags)
+                total, _ = core.price(counts, core.cost_table(cfg, counts))
+                if total > core.MAX_CYCLES:   # for this mix's own timeout
+                    total = core.run(p, cfg, inputs=inputs).total_cycles
+            except core.ValidationError as exc:
+                raise core.ValidationError(
+                    [f"config {cfg.mix_label}: {d}" for d in exc.diagnostics])
+            est = resources.estimate_vector(cfg, cal)
+            points.append(DesignPoint(label=cfg.mix_label, n_add=cfg.n_add,
+                                      n_mul=cfg.n_mul, n_div=cfg.n_div,
+                                      latency_cycles=total, slices=est.slices))
     return points
 
 

@@ -59,6 +59,13 @@ OPCODES: dict[str, tuple[OpClass, tuple[str, ...]]] = {
     "VINV": (OpClass.DIV_CLASS, ("vd", "va")),
 }
 
+# Configuration fields holding each arithmetic class's unit count and latency;
+# read by the validator, the cost model and the analytic architecture models.
+CLASS_UNITS = {OpClass.ADD_CLASS: "n_add", OpClass.MUL_CLASS: "n_mul",
+               OpClass.DIV_CLASS: "n_div"}
+CLASS_LAT = {OpClass.ADD_CLASS: "lat_add", OpClass.MUL_CLASS: "lat_mul",
+             OpClass.DIV_CLASS: "lat_div"}
+
 VECTOR_OPS = frozenset(m for m, (_, sig) in OPCODES.items()
                        if any(k.startswith("v") for k in sig))
 
@@ -184,7 +191,7 @@ def assemble(source_text: str) -> Program:
                     want = kind[0]
                     if len(token) < 2 or token[0].lower() != want or not token[1:].isdigit():
                         raise ValueError
-                    fields[{"d": "d", "a": "a", "b": "b"}[kind[1]]] = int(token[1:])
+                    fields[kind[1]] = int(token[1:])
                 elif kind == "imm":
                     fields["imm"] = _parse_value(token)
                 elif kind == "addr":
@@ -228,7 +235,7 @@ def disassemble(p: Program) -> str:
         operands = []
         for kind in signature:
             if kind in ("sd", "sa", "sb", "vd", "va", "vb"):
-                reg = getattr(instr, {"d": "d", "a": "a", "b": "b"}[kind[1]])
+                reg = getattr(instr, kind[1])
                 operands.append(f"{kind[0]}{reg}")
             elif kind == "imm":
                 operands.append(_format_value(instr.imm))
@@ -246,16 +253,18 @@ def disassemble(p: Program) -> str:
 
 def validate(p: Program, cfg) -> list[str]:
     """Static checks against a core configuration; empty list means valid."""
+    return validate_structure(p, cfg) + validate_units(unit_classes(p), cfg)
+
+
+def validate_structure(p: Program, cfg) -> list[str]:
+    """The checks that do not depend on the unit mix."""
     diags: list[str] = []
     n = len(p.instructions)
-    used_classes: set[OpClass] = set()
     for idx, instr in enumerate(p.instructions):
         cls, signature = OPCODES[instr.op]
-        if cls in (OpClass.ADD_CLASS, OpClass.MUL_CLASS, OpClass.DIV_CLASS):
-            used_classes.add(cls)
         for kind in signature:
             if kind in ("sd", "sa", "sb", "vd", "va", "vb"):
-                reg = getattr(instr, {"d": "d", "a": "a", "b": "b"}[kind[1]])
+                reg = getattr(instr, kind[1])
                 if kind[0] == "s" and reg >= cfg.n_sregs:
                     diags.append(
                         f"instr {idx} ({instr.op}): scalar register index "
@@ -279,14 +288,24 @@ def validate(p: Program, cfg) -> list[str]:
         if addr < 0 or addr + len(values) > cfg.dmem_words:
             diags.append(f".data at {addr} (+{len(values)} words) outside "
                          f"data memory of {cfg.dmem_words}")
-    units = {OpClass.ADD_CLASS: cfg.n_add,
-             OpClass.MUL_CLASS: cfg.n_mul,
-             OpClass.DIV_CLASS: cfg.n_div}
-    for cls in sorted(used_classes, key=lambda c: c.value):
-        if units[cls] == 0:
+    return diags
+
+
+def unit_classes(p: Program) -> list[OpClass]:
+    """The arithmetic classes a program uses, in diagnostic order."""
+    used = {OPCODES[i.op][0] for i in p.instructions} & CLASS_UNITS.keys()
+    return sorted(used, key=lambda c: c.value)
+
+
+def validate_units(classes: list[OpClass], cfg) -> list[str]:
+    """The unit-count checks: each class in use needs 1..vec_len units."""
+    diags: list[str] = []
+    for cls in classes:
+        units = getattr(cfg, CLASS_UNITS[cls])
+        if units == 0:
             diags.append(f"program uses {cls.name} but the configuration "
                          f"instantiates no units of that class")
-        elif units[cls] > cfg.vec_len:
-            diags.append(f"{cls.name} unit count {units[cls]} exceeds vector "
+        elif units > cfg.vec_len:
+            diags.append(f"{cls.name} unit count {units} exceeds vector "
                          f"length {cfg.vec_len}")
     return diags

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .archmodels import CyclicGraphError, DataflowKernel
+from .archmodels import DataflowKernel
 from .core import CoreConfig
 from .isa import OpClass
 
@@ -72,32 +72,13 @@ def estimate_sequential(cal: Calibration = DEFAULT_CALIBRATION) -> ResourceEstim
 
 
 def estimate_tiled(k: DataflowKernel, cal: Calibration = DEFAULT_CALIBRATION) -> ResourceEstimate:
-    _check_acyclic(k)   # contract: estimates are defined only for DAG kernels
+    k.topological_order()   # contract: estimates are defined only for DAG kernels
     cost = {OpClass.ADD_CLASS: cal.c_add, OpClass.MUL_CLASS: cal.c_mul,
             OpClass.DIV_CLASS: cal.c_div}
     breakdown: dict[str, float] = {"barrier": cal.c_tiled_barrier}
     for cls, count in k.op_counts().items():
         breakdown[cls.value + "_units"] = k.replication * count * cost[cls]
     return _estimate(breakdown)
-
-
-def _check_acyclic(k: DataflowKernel) -> None:
-    indeg = {nid: 0 for nid, _ in k.nodes}
-    succs: dict[str, list[str]] = {nid: [] for nid, _ in k.nodes}
-    for src, dst in k.edges:
-        succs[src].append(dst)
-        indeg[dst] += 1
-    ready = [n for n, d in indeg.items() if d == 0]
-    seen = 0
-    while ready:
-        nid = ready.pop()
-        seen += 1
-        for nxt in succs[nid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if seen != len(k.nodes):
-        raise CyclicGraphError("dataflow graph contains a cycle")
 
 
 class CalibrationError(Exception):

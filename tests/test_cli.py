@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,16 @@ from vproc import cli, kernel
 from vproc.cli import main, parse_config_text, parse_mix_spec, CliError
 
 KERNEL_ASM = None
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+
+def one_line_error(capsys, *fragments):
+    """stderr is a single `error:` line naming every fragment."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    for fragment in fragments:
+        assert fragment in err
 
 
 @pytest.fixture
@@ -56,6 +67,11 @@ class TestMixSpec:
     def test_malformed_rejected(self):
         with pytest.raises(CliError):
             parse_mix_spec("8-8")
+
+    @pytest.mark.parametrize("spec", ["sym:", "sym:8,x", "sym:-1"])
+    def test_malformed_sym_rejected(self, spec):
+        with pytest.raises(CliError, match="bad mix spec"):
+            parse_mix_spec(spec)
 
 
 class TestAsm:
@@ -121,6 +137,13 @@ class TestRun:
         prog.write_text("VLD v99, [0]\nHALT\n")
         assert main(["run", str(prog)]) == 1
 
+    def test_negative_unit_count_rejected(self, workdir, capsys):
+        cfg = workdir / "neg.cfg"
+        cfg.write_text("n_add = -1\n")
+        assert main(["run", str(workdir / "kern.asm"), "--config", str(cfg),
+                     "--data", str(workdir / "kern_data.csv")]) == 1
+        one_line_error(capsys, "invalid configuration", "n_add")
+
 
 class TestSweep:
     def test_rows_and_pareto_column(self, workdir):
@@ -148,6 +171,25 @@ class TestSweep:
     def test_empty_spec_rejected(self, workdir, capsys):
         assert main(["sweep", str(workdir / "kern.asm"), "--mixes", "",
                      "--out", str(workdir / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("mixes,fragment", [
+        ("0-8-8", "config 0-8-8: program uses ADD_CLASS"),
+        ("sym:32", "config 32-32-32: ADD_CLASS unit count 32 exceeds"),
+    ])
+    def test_invalid_mix_exit_1(self, workdir, capsys, mixes, fragment):
+        assert main(["sweep", str(workdir / "kern.asm"),
+                     "--config", str(workdir / "core.cfg"),
+                     "--mixes", mixes, "--out", str(workdir / "x.csv")]) == 1
+        one_line_error(capsys, fragment)
+
+    def test_data_lane_count_checked(self, workdir, capsys):
+        assert main(["kernel-gen", "--veclen", "16", "--seed", "1",
+                     "--out-prefix", str(workdir / "k16")]) == 0
+        assert main(["sweep", str(workdir / "kern.asm"),
+                     "--config", str(workdir / "core.cfg"),
+                     "--data", str(workdir / "k16_data.csv"),
+                     "--mixes", "8-8-8", "--out", str(workdir / "x.csv")]) == 1
+        one_line_error(capsys, "data file has 16 lanes, config expects 24")
 
 
 class TestCompare:
@@ -210,3 +252,19 @@ class TestKernelGen:
     def test_data_csv_roundtrip(self, workdir):
         inputs = cli.read_data_csv(str(workdir / "kern_data.csv"))
         assert inputs == kernel.generate_inputs(24, 42)
+
+
+class TestGolden:
+    """The committed example outputs are reproduced byte for byte."""
+
+    @pytest.mark.parametrize("name,args", [
+        ("example_report.json", ["run"]),
+        ("example_sweep.csv", ["sweep", "--mixes", "sym:1,2,4,8,16,24"]),
+    ])
+    def test_bytes(self, tmp_path, name, args):
+        out = tmp_path / name
+        assert main(args[:1] + [str(DOCS / "kernel24.asm"),
+                                "--config", str(DOCS / "default.cfg"),
+                                "--data", str(DOCS / "kernel24_data.csv"),
+                                *args[1:], "--out", str(out)]) == 0
+        assert out.read_bytes() == (DOCS / name).read_bytes()

@@ -26,6 +26,21 @@ class TestWaves:
             waves(0, 1)
 
 
+class TestCoreConfig:
+    @pytest.mark.parametrize("name", ["n_add", "n_mul", "n_div", "lat_add",
+                                      "lat_mul", "lat_div", "issue_cost",
+                                      "lat_convert"])
+    def test_negative_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            CoreConfig(**{name: -1})
+
+    def test_zero_units_rejected_only_when_used(self):
+        cfg = CoreConfig(n_div=0)
+        assert run(isa.assemble("VADD v1, v1, v1\nHALT"), cfg).halted
+        with pytest.raises(ValidationError, match="no units"):
+            run(isa.assemble("VINV v1, v1\nHALT"), cfg)
+
+
 class TestInstrCost:
     cfg = CoreConfig()   # W=24, 8-8-8, issue 2, lat_div 64
 

@@ -1,11 +1,22 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vproc import kernel
-from vproc.core import CoreConfig, ValidationError
+import vproc.fixedpoint as fx
+from vproc import core, isa, kernel
+from vproc.core import (CoreConfig, SimulationFault, SimulationTimeout,
+                        ValidationError, cost_table, opcode_counts, price, run)
 from vproc.dse import DesignPoint, amdahl, pareto, sweep, throughput_projection
+from vproc.isa import Instruction, Program
+from vproc.resources import estimate_vector
+
+from conftest import random_program
+
+SIZES = (1, 2, 4, 8, 16, 24)
 
 
 def brute_force_pareto(points):
@@ -57,6 +68,133 @@ class TestSweep:
         program, inits = bench
         with pytest.raises(ValidationError, match="8-8-0"):
             sweep(program, [self.base.with_mix(8, 8, 0)], inputs=inits)
+
+
+def per_config_sweep(p, configs, inputs=None):
+    """Reference: the sweep simulated once per configuration."""
+    points = []
+    for cfg in configs:
+        try:
+            report = run(p, cfg, inputs=inputs)
+        except ValidationError as exc:
+            raise ValidationError(
+                [f"config {cfg.mix_label}: {d}" for d in exc.diagnostics])
+        points.append(DesignPoint(cfg.mix_label, cfg.n_add, cfg.n_mul, cfg.n_div,
+                                  report.total_cycles,
+                                  estimate_vector(cfg).slices))
+    return points
+
+
+def outcome(fn, *args, **kwargs):
+    """The points a sweep returns, or the type and message of its error."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValidationError, SimulationFault, SimulationTimeout) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def count_runs(monkeypatch):
+    """A list that grows by one on every core.run call."""
+    calls = []
+    real = core.run
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(core, "run", counted)
+    return calls
+
+
+class TestOnePassSweep:
+    base = CoreConfig(enable_converter=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           mixes=st.lists(st.tuples(*[st.sampled_from(SIZES)] * 3),
+                          min_size=1, max_size=6),
+           lat=st.tuples(*[st.integers(0, 70)] * 3),
+           issue_cost=st.integers(0, 4))
+    def test_prices_equal_runs(self, seed, mixes, lat, issue_cost):
+        base = replace(self.base, lat_add=lat[0], lat_mul=lat[1],
+                       lat_div=lat[2], issue_cost=issue_cost)
+        p = random_program(random.Random(seed), base)
+        configs = [base.with_mix(*m) for m in mixes]
+        for cfg, point in zip(configs, sweep(p, configs)):
+            report = run(p, cfg)
+            assert point.latency_cycles == report.total_cycles
+            counts = opcode_counts(p, report.retired)
+            assert price(counts, cost_table(cfg, counts)) \
+                == (report.total_cycles, report.busy_cycles)
+
+    def test_one_run_for_216_mixes(self, bench, count_runs):
+        program, inits = bench
+        configs = [self.base.with_mix(a, m, d)
+                   for a in SIZES for m in SIZES for d in SIZES]
+        points = sweep(program, configs, inputs=inits)
+        assert len(count_runs) == 1
+        assert points == per_config_sweep(program, configs, inputs=inits)
+
+    def test_each_non_mix_change_gets_its_own_run(self, rng, count_runs):
+        narrow = replace(self.base, vec_len=16)
+        slow = replace(self.base, lat_div=3)
+        p = random_program(rng, narrow)
+        configs = [self.base.with_mix(8, 8, 8), self.base.with_mix(1, 2, 4),
+                   narrow.with_mix(8, 8, 8), narrow.with_mix(16, 1, 2),
+                   slow.with_mix(8, 8, 8), self.base.with_mix(24, 24, 24)]
+        points = sweep(p, configs)
+        assert len(count_runs) == 4
+        assert points == per_config_sweep(p, configs)
+
+    @pytest.mark.parametrize("mixes", [
+        [(8, 8, 8), (8, 8, 0), (0, 8, 8)],
+        [(8, 8, 8), (32, 8, 8), (8, 8, 0)],
+        [(0, 0, 0), (8, 8, 8)],
+    ])
+    def test_unit_count_errors_in_input_order(self, bench, mixes):
+        program, inits = bench
+        configs = [self.base.with_mix(*m) for m in mixes]
+        got = outcome(sweep, program, configs, inputs=inits)
+        assert got[0] is ValidationError
+        assert got == outcome(per_config_sweep, program, configs, inputs=inits)
+
+    def test_structural_errors_of_first_config(self):
+        p = isa.assemble("VLD v99, [0]\nVADD v1, v1, v1\nHALT")
+        configs = [self.base.with_mix(0, 8, 8), self.base.with_mix(8, 8, 8)]
+        got = outcome(sweep, p, configs)
+        assert got[0] is ValidationError and got[1].startswith("config 0-8-8")
+        assert got == outcome(per_config_sweep, p, configs)
+
+    def test_initializer_error(self, bench):
+        program, _ = bench
+        configs = [self.base.with_mix(8, 8, 8), self.base.with_mix(1, 1, 1)]
+        bad = [(4095, [fx.ONE, fx.ONE])]
+        got = outcome(sweep, program, configs, inputs=bad)
+        assert got == (ValidationError, "config 8-8-8: initializer at 4095 "
+                                        "outside data memory")
+        assert got == outcome(per_config_sweep, program, configs, inputs=bad)
+
+    def test_fault_message(self):
+        p = Program(instructions=[Instruction("LDI", d=1, imm=fx.ONE)])
+        configs = [self.base.with_mix(8, 8, 8), self.base.with_mix(1, 1, 1)]
+        got = outcome(sweep, p, configs)
+        assert got[0] is SimulationFault
+        assert got == outcome(per_config_sweep, p, configs)
+
+    @pytest.mark.parametrize("mixes,runs", [
+        ([(24, 24, 24), (8, 8, 8), (1, 1, 1), (24, 24, 24)], 2),
+        ([(1, 1, 1), (24, 24, 24)], 1),
+    ])
+    def test_timeout_message(self, bench, count_runs, mixes, runs):
+        # 3 vector divisions at 24 waves of 200k cycles exceed 10M at 1-1-1
+        program, inits = bench
+        slow = replace(self.base, lat_div=200_000)
+        configs = [slow.with_mix(*m) for m in mixes]
+        got = outcome(sweep, program, configs, inputs=inits)
+        assert len(count_runs) == runs
+        assert got[0] is SimulationTimeout
+        assert got == outcome(per_config_sweep, program, configs, inputs=inits)
 
 
 class TestPareto:
