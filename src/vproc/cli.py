@@ -103,10 +103,20 @@ def read_data_csv(path: str) -> kernel.KernelInputs:
     if missing:
         raise CliError(f"{path}: missing column(s) {', '.join(missing)}")
     columns: dict[str, list[float]] = {n: [] for n in header}
-    for row in rows[1:]:
+    for n, row in enumerate(rows[1:], start=2):
+        if len(row) > len(header):
+            raise CliError(f"{path}: row {n} has {len(row)} cells, "
+                           f"header has {len(header)}")
         for name, cell in zip(header, row):
             if cell.strip():
-                columns[name].append(float(cell))
+                try:
+                    x = float(cell)
+                except ValueError:
+                    x = math.nan
+                if not math.isfinite(x):
+                    raise CliError(f"{path}: row {n}, column {name}: "
+                                   f"'{cell}' is not a finite number")
+                columns[name].append(x)
     vectors = {n: columns[n] for n in kernel.INPUT_NAMES}
     lengths = {len(v) for v in vectors.values()}
     if len(lengths) != 1:
@@ -154,9 +164,13 @@ def _parse_observe(spec: str | None, cfg: CoreConfig) -> tuple[int, int]:
         return base, cfg.vec_len
     try:
         start, _, length = spec.partition(":")
-        return int(start), int(length)
+        start, length = int(start), int(length)
     except ValueError:
         raise CliError(f"bad observe range '{spec}', expected START:LENGTH")
+    if start < 0 or length < 0 or start + length > cfg.dmem_words:
+        raise CliError(f"observe range '{spec}' outside data memory of "
+                       f"{cfg.dmem_words} words")
+    return start, length
 
 
 def parse_mix_spec(spec: str) -> list[tuple[int, int, int]]:
@@ -278,7 +292,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_project(args) -> int:
-    speedup = math.inf if args.speedup in ("inf", None) else float(args.speedup)
+    try:
+        speedup = math.inf if args.speedup is None else float(args.speedup)
+    except ValueError:
+        raise CliError(f"bad --speedup '{args.speedup}', expected a number "
+                       f"or inf")
     out: dict = {"schema_version": SCHEMA_VERSION}
     try:
         if args.fraction is not None:
@@ -291,10 +309,7 @@ def cmd_project(args) -> int:
             point = dse.DesignPoint(label="point", n_add=None, n_mul=None,
                                     n_div=None, latency_cycles=args.latency,
                                     slices=args.slices)
-            proj = dse.throughput_projection(
-                point, args.budget, args.clock,
-                amdahl_fraction=args.fraction or 0.0,
-                kernel_speedup=1.0 if args.fraction is None else speedup)
+            proj = dse.throughput_projection(point, args.budget, args.clock)
             out["cores"] = proj.cores
             out["calls_per_second"] = proj.calls_per_second
             out["clock_mhz"] = proj.clock_mhz

@@ -8,6 +8,7 @@ the K functional units of the relevant class.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -61,9 +62,11 @@ class CoreConfig:
 
 @dataclass
 class MachineState:
-    sregs: list[Fixed64]
-    vregs: list[list[Fixed64]]
-    mem: list[Fixed64]
+    """Registers and data memory as raw Q32.32 words (plain ints)."""
+
+    sregs: list[int]
+    vregs: list[list[int]]
+    mem: list[int]
     pc: int = 0
     flags: ArithFlags = field(default_factory=ArithFlags)
     cycles: int = 0
@@ -160,43 +163,32 @@ def price(counts: dict[str, int], table) -> tuple[int, dict[OpClass, int]]:
 
 
 def reset(cfg: CoreConfig) -> MachineState:
-    return MachineState(
-        sregs=[fx.ZERO] * cfg.n_sregs,
-        vregs=[[fx.ZERO] * cfg.vec_len for _ in range(cfg.n_vregs)],
-        mem=[fx.ZERO] * cfg.dmem_words,
-    )
+    # s0, the hardwired zero, is held even when no scalar register is
+    # addressable (n_sregs = 0), because run() re-zeroes it every step.
+    return MachineState(sregs=[0] * max(cfg.n_sregs, 1),
+                        vregs=[[0] * cfg.vec_len for _ in range(cfg.n_vregs)],
+                        mem=[0] * cfg.dmem_words)
 
 
-_SCALAR_ALU = {"SADD": fx.fx_add, "SSUB": fx.fx_sub, "SMUL": fx.fx_mul,
-               "SDIV": fx.fx_div}
-_VECTOR_ALU = {"VADD": fx.fx_add, "VSUB": fx.fx_sub, "VMUL": fx.fx_mul,
-               "VDIV": fx.fx_div, "VADDS": fx.fx_add, "VSUBS": fx.fx_sub,
-               "VMULS": fx.fx_mul, "VDIVS": fx.fx_div}
+# Arithmetic opcodes: raw-word operation and operand shape after the
+# destination ("ss", "si", "vv", "vs"; "s" and "v" are reciprocals).
+_ALU = {op: (fn, "".join(kind[0] for kind in isa.OPCODES[op][1][1:]))
+        for op, fn in (("SADD", fx.add), ("SSUB", fx.sub), ("SADDI", fx.add),
+                       ("SMUL", fx.mul), ("SDIV", fx.div), ("SINV", fx.div),
+                       ("VADD", fx.add), ("VSUB", fx.sub), ("VADDS", fx.add),
+                       ("VSUBS", fx.sub), ("VMUL", fx.mul), ("VMULS", fx.mul),
+                       ("VDIV", fx.div), ("VDIVS", fx.div), ("VINV", fx.div))}
 
 
-def _read_s(state: MachineState, idx: int) -> Fixed64:
-    return fx.ZERO if idx == 0 else state.sregs[idx]
-
-def _write_s(state: MachineState, idx: int, value: Fixed64) -> None:
-    if idx != 0:                # s0 is a hardwired zero; writes are ignored
-        state.sregs[idx] = value
-
-
-def _convert_f2x(word: Fixed64, flags: ArithFlags) -> Fixed64:
+def _convert_f2x(word: int, flags: ArithFlags) -> int:
     """Reinterpret the register as an IEEE binary64 pattern and convert."""
-    x = struct.unpack("<d", struct.pack("<q", word.raw))[0]
+    x = struct.unpack("<d", struct.pack("<q", word))[0]
     if x != x:                  # NaN: no meaningful value, flag and zero
         flags.overflow = True
-        return fx.ZERO
-    if x in (float("inf"), float("-inf")):
-        flags.overflow = True
-        return fx.MAX if x > 0 else fx.MIN
-    return fx.from_real(x, flags)
-
-
-def _convert_x2f(word: Fixed64) -> Fixed64:
-    bits = struct.unpack("<q", struct.pack("<d", fx.to_real(word)))[0]
-    return Fixed64(bits)
+        return 0
+    if math.isinf(x):           # out of range: from_real saturates and flags
+        x = math.copysign(fx.SCALE, x)
+    return fx.from_real(x, flags).raw
 
 
 def run(p: Program, cfg: CoreConfig,
@@ -209,16 +201,18 @@ def run(p: Program, cfg: CoreConfig,
         raise ValidationError(diags)
 
     state = reset(cfg)
+    s, v, mem, flags = state.sregs, state.vregs, state.mem, state.flags
     for addr, values in list(p.data_init) + list(inputs or []):
         if addr < 0 or addr + len(values) > cfg.dmem_words:
             raise ValidationError([f"initializer at {addr} outside data memory"])
-        state.mem[addr:addr + len(values)] = values
+        mem[addr:addr + len(values)] = [w.raw for w in values]
 
     table = cost_table(cfg, {i.op for i in p.instructions})
     pc_cycles = [table[i.op][1] for i in p.instructions]
     retired = [0] * len(p.instructions)
     halted = False
     W = cfg.vec_len
+    one = fx.SCALE
 
     def report() -> ExecReport:
         _, busy = price(opcode_counts(p, retired), table)
@@ -230,75 +224,72 @@ def run(p: Program, cfg: CoreConfig,
         lo, length = observe if observe is not None else (0, 0)
         return ExecReport(total_cycles=state.cycles, instr_count=sum(retired),
                           busy_cycles=busy, utilization=util,
-                          flags=state.flags.copy(),
-                          memory=list(state.mem[lo:lo + length]), halted=halted,
-                          retired=retired)
+                          flags=flags.copy(),
+                          memory=[Fixed64(w) for w in mem[lo:lo + length]],
+                          halted=halted, retired=retired)
 
     while True:
         if not (0 <= state.pc < len(p.instructions)):
             raise SimulationFault(state.pc, "program counter out of range "
                                             "(missing HALT?)")
-        i = p.instructions[state.pc]
         idx = state.pc
+        i = p.instructions[idx]
         state.cycles += pc_cycles[idx]
         retired[idx] += 1
         if state.cycles > max_cycles:
             raise SimulationTimeout(report())
 
         op = i.op
-        next_pc = state.pc + 1
-        flags = state.flags
+        next_pc = idx + 1
         try:
-            if op == "HALT":
-                halted = True
-            elif op == "LDI":
-                _write_s(state, i.d, i.imm)
-            elif op == "SMOV":
-                _write_s(state, i.d, _read_s(state, i.a))
+            if op in _ALU:
+                fn, shape = _ALU[op]
+                if shape == "vv":
+                    v[i.d] = [fn(x, y, flags) for x, y in zip(v[i.a], v[i.b])]
+                elif shape == "vs":
+                    y = s[i.b]
+                    v[i.d] = [fn(x, y, flags) for x in v[i.a]]
+                elif shape == "v":
+                    v[i.d] = [fn(one, x, flags) for x in v[i.a]]
+                elif shape == "ss":
+                    s[i.d] = fn(s[i.a], s[i.b], flags)
+                elif shape == "si":
+                    s[i.d] = fn(s[i.a], i.imm.raw, flags)
+                else:
+                    s[i.d] = fn(one, s[i.a], flags)
             elif op == "SLD":
-                _write_s(state, i.d, state.mem[i.addr])
+                s[i.d] = mem[i.addr]
             elif op == "SST":
-                state.mem[i.addr] = _read_s(state, i.a)
-            elif op in _SCALAR_ALU:
-                _write_s(state, i.d, _SCALAR_ALU[op](
-                    _read_s(state, i.a), _read_s(state, i.b), flags))
-            elif op == "SADDI":
-                _write_s(state, i.d, fx.fx_add(_read_s(state, i.a), i.imm, flags))
-            elif op == "SINV":
-                _write_s(state, i.d, fx.fx_inv(_read_s(state, i.a), flags))
+                mem[i.addr] = s[i.a]
+            elif op == "LDI":
+                s[i.d] = i.imm.raw
+            elif op == "SMOV":
+                s[i.d] = s[i.a]
+            elif op == "VLD":
+                v[i.d] = mem[i.addr:i.addr + W]
+            elif op == "VST":
+                mem[i.addr:i.addr + W] = v[i.a]
+            elif op == "VMOV":
+                v[i.d] = list(v[i.a])
             elif op == "JMP":
                 next_pc = i.target
             elif op == "BZ":
-                if _read_s(state, i.a).raw == 0:
+                if s[i.a] == 0:
                     next_pc = i.target
             elif op == "BNZ":
-                if _read_s(state, i.a).raw != 0:
+                if s[i.a] != 0:
                     next_pc = i.target
             elif op == "F2X":
-                _write_s(state, i.d, _convert_f2x(_read_s(state, i.a), flags))
+                s[i.d] = _convert_f2x(s[i.a], flags)
             elif op == "X2F":
-                _write_s(state, i.d, _convert_x2f(_read_s(state, i.a)))
-            elif op == "VLD":
-                state.vregs[i.d] = list(state.mem[i.addr:i.addr + W])
-            elif op == "VST":
-                state.mem[i.addr:i.addr + W] = state.vregs[i.a]
-            elif op == "VMOV":
-                state.vregs[i.d] = list(state.vregs[i.a])
-            elif op == "VINV":
-                state.vregs[i.d] = [fx.fx_inv(x, flags) for x in state.vregs[i.a]]
-            elif op in _VECTOR_ALU:
-                fn = _VECTOR_ALU[op]
-                va = state.vregs[i.a]
-                if op.endswith("S"):
-                    sb = _read_s(state, i.b)
-                    state.vregs[i.d] = [fn(x, sb, flags) for x in va]
-                else:
-                    vb = state.vregs[i.b]
-                    state.vregs[i.d] = [fn(x, y, flags) for x, y in zip(va, vb)]
+                s[i.d] = struct.unpack("<q", struct.pack("<d", s[i.a] / fx.SCALE))[0]
+            elif op == "HALT":
+                halted = True
             else:  # pragma: no cover - table and dispatch kept in sync
                 raise SimulationFault(idx, f"unimplemented opcode {op}")
         except IndexError as exc:
             raise SimulationFault(idx, f"memory access out of range ({op})") from exc
+        s[0] = 0                # s0 is a hardwired zero; writes are ignored
 
         if halted:
             break

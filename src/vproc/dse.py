@@ -25,12 +25,9 @@ class DesignPoint:
 
 @dataclass(frozen=True)
 class Projection:
-    slices_budget: int
     cores: int
     clock_mhz: float
     calls_per_second: float
-    amdahl_fraction: float
-    overall_speedup: float
 
 
 def sweep(p: Program, configs: list[CoreConfig],
@@ -95,26 +92,24 @@ def pareto(points: list[DesignPoint]) -> list[DesignPoint]:
 
 
 def throughput_projection(point: DesignPoint, slices_budget: int,
-                          clock_mhz: float,
-                          amdahl_fraction: float = 0.0,
-                          kernel_speedup: float = 1.0) -> Projection:
+                          clock_mhz: float) -> Projection:
     """Replicate independent cores under a slice budget."""
+    if point.latency_cycles < 1 or point.slices < 1:
+        raise ValueError(f"latency ({point.latency_cycles}) and slices "
+                         f"({point.slices}) must be >= 1")
     if slices_budget < point.slices:
         raise ValueError(f"budget {slices_budget} below one core "
                          f"({point.slices} slices)")
     cores = slices_budget // point.slices
     calls = cores * clock_mhz * 1e6 / point.latency_cycles
-    return Projection(slices_budget=slices_budget, cores=cores,
-                      clock_mhz=clock_mhz, calls_per_second=calls,
-                      amdahl_fraction=amdahl_fraction,
-                      overall_speedup=amdahl(amdahl_fraction, kernel_speedup))
+    return Projection(cores=cores, clock_mhz=clock_mhz, calls_per_second=calls)
 
 
 def amdahl(fraction: float, kernel_speedup: float) -> float:
     """Whole-application speedup when `fraction` of time is accelerated."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
-    if kernel_speedup < 1.0:
+    if not kernel_speedup >= 1.0:    # also rejects nan
         raise ValueError("kernel speedup must be >= 1")
     if math.isinf(kernel_speedup):
         if fraction == 1.0:

@@ -3,13 +3,13 @@
 Values are stored as 64-bit two's-complement integers scaled by 2^32.
 Every operation saturates to the representable range instead of wrapping,
 and records saturation / zero-divisor events in a sticky flag set, the way
-a hardware status register would.
+a hardware status register would.  The simulator works on raw words with
+`add`/`sub`/`mul`/`div`; `Fixed64` and the `fx_*` wrappers are the API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 import math
 
 FRAC_BITS = 32
@@ -19,24 +19,13 @@ SCALE = 1 << FRAC_BITS
 RAW_MIN = -(1 << (WORD_BITS - 1))
 RAW_MAX = (1 << (WORD_BITS - 1)) - 1
 
-#: Smallest representable positive value.
-EPSILON = 1.0 / SCALE
-
 
 @dataclass
 class ArithFlags:
-    """Sticky arithmetic status flags; cleared only by reset()."""
+    """Sticky arithmetic status flags."""
 
     overflow: bool = False
     div_by_zero: bool = False
-
-    def reset(self) -> None:
-        self.overflow = False
-        self.div_by_zero = False
-
-    def merge(self, other: "ArithFlags") -> None:
-        self.overflow = self.overflow or other.overflow
-        self.div_by_zero = self.div_by_zero or other.div_by_zero
 
     def copy(self) -> "ArithFlags":
         return ArithFlags(self.overflow, self.div_by_zero)
@@ -59,16 +48,39 @@ MAX = Fixed64(RAW_MAX)
 MIN = Fixed64(RAW_MIN)
 
 
-def _saturate(raw: int, flags: ArithFlags | None) -> Fixed64:
-    if raw > RAW_MAX:
+def saturate(raw: int, flags: ArithFlags | None = None) -> int:
+    """Clamp an exact result to the word range; clamping sets overflow."""
+    if RAW_MIN <= raw <= RAW_MAX:
+        return raw
+    if flags is not None:
+        flags.overflow = True
+    return RAW_MAX if raw > 0 else RAW_MIN
+
+
+def add(a: int, b: int, flags: ArithFlags | None = None) -> int:
+    return saturate(a + b, flags)
+
+
+def sub(a: int, b: int, flags: ArithFlags | None = None) -> int:
+    return saturate(a - b, flags)
+
+
+def mul(a: int, b: int, flags: ArithFlags | None = None) -> int:
+    # Full 128-bit product, arithmetic right shift: floor rounding.
+    return saturate((a * b) >> FRAC_BITS, flags)
+
+
+def div(a: int, b: int, flags: ArithFlags | None = None) -> int:
+    """Quotient with truncation toward zero; zero divisor saturates."""
+    if b == 0:
         if flags is not None:
-            flags.overflow = True
-        return MAX
-    if raw < RAW_MIN:
-        if flags is not None:
-            flags.overflow = True
-        return MIN
-    return Fixed64(raw)
+            flags.div_by_zero = True
+        return RAW_MAX if a >= 0 else RAW_MIN
+    num = a << FRAC_BITS
+    q = abs(num) // abs(b)
+    if (num < 0) != (b < 0):
+        q = -q
+    return saturate(q, flags)
 
 
 def from_real(x: float, flags: ArithFlags | None = None) -> Fixed64:
@@ -79,9 +91,11 @@ def from_real(x: float, flags: ArithFlags | None = None) -> Fixed64:
     """
     if not math.isfinite(x):
         raise ValueError(f"cannot convert non-finite value {x!r}")
-    # Fraction(x) is exact for floats, so the scaled rounding is exact too.
-    raw = round(Fraction(x) * SCALE)
-    return _saturate(raw, flags)
+    # Reals beyond 2^32 saturate anyway; clamping to it keeps the scaling by
+    # a power of two exact (no overflow to inf), and round() on a float is
+    # exact ties-to-even.
+    x = min(max(x, -float(SCALE)), float(SCALE))
+    return Fixed64(saturate(round(x * SCALE), flags))
 
 
 def to_real(a: Fixed64) -> float:
@@ -90,30 +104,20 @@ def to_real(a: Fixed64) -> float:
 
 
 def fx_add(a: Fixed64, b: Fixed64, flags: ArithFlags | None = None) -> Fixed64:
-    return _saturate(a.raw + b.raw, flags)
+    return Fixed64(add(a.raw, b.raw, flags))
 
 
 def fx_sub(a: Fixed64, b: Fixed64, flags: ArithFlags | None = None) -> Fixed64:
-    return _saturate(a.raw - b.raw, flags)
+    return Fixed64(sub(a.raw, b.raw, flags))
 
 
 def fx_mul(a: Fixed64, b: Fixed64, flags: ArithFlags | None = None) -> Fixed64:
-    # Full 128-bit product, arithmetic right shift: floor rounding.
-    return _saturate((a.raw * b.raw) >> FRAC_BITS, flags)
+    return Fixed64(mul(a.raw, b.raw, flags))
 
 
 def fx_div(a: Fixed64, b: Fixed64, flags: ArithFlags | None = None) -> Fixed64:
-    """Quotient with truncation toward zero; zero divisor saturates."""
-    if b.raw == 0:
-        if flags is not None:
-            flags.div_by_zero = True
-        return MAX if a.raw >= 0 else MIN
-    num = a.raw << FRAC_BITS
-    q = abs(num) // abs(b.raw)
-    if (num < 0) != (b.raw < 0):
-        q = -q
-    return _saturate(q, flags)
+    return Fixed64(div(a.raw, b.raw, flags))
 
 
 def fx_inv(a: Fixed64, flags: ArithFlags | None = None) -> Fixed64:
-    return fx_div(ONE, a, flags)
+    return Fixed64(div(SCALE, a.raw, flags))

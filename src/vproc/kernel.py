@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from . import fixedpoint as fx
 from .archmodels import DataflowKernel
+from .core import CoreConfig
 from .fixedpoint import Fixed64
 from .isa import Instruction, OpClass, Program
 
@@ -50,7 +51,10 @@ def default_layout(vec_len: int) -> dict[str, int]:
     return layout
 
 
-def _check_layout(layout: dict[str, int], vec_len: int, dmem_words: int = 4096) -> None:
+def _check_layout(layout: dict[str, int], vec_len: int,
+                  dmem_words: int = CoreConfig.dmem_words) -> None:
+    if vec_len < 1:
+        raise LayoutError(f"vector length {vec_len} must be >= 1")
     regions = sorted((layout[name], name) for name in list(INPUT_NAMES) + ["out"])
     prev_end = 0
     for base, name in regions:

@@ -1,7 +1,9 @@
 """Shared test helpers: an independent wide-integer reference for the
-fixed-point unit and a random-program generator for structural tests."""
+fixed-point unit, a reference interpreter for straight-line programs and a
+random-program generator for structural tests."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,34 +11,105 @@ from vproc.fixedpoint import Fixed64, RAW_MAX, RAW_MIN, SCALE
 from vproc.isa import Instruction, Program
 
 # ---- independent Q32.32 reference (kept deliberately separate from the
-# ---- implementation under test; plain integer arithmetic throughout)
+# ---- implementation under test; plain integer arithmetic throughout).
+# ---- `flags`, when given, is a dict with "overflow" and "div_by_zero".
 
-def ref_clamp(v):
-    return max(RAW_MIN, min(RAW_MAX, v))
-
-
-def ref_add(a, b):
-    return ref_clamp(a + b)
-
-
-def ref_sub(a, b):
-    return ref_clamp(a - b)
+def ref_clamp(v, flags=None):
+    clamped = max(RAW_MIN, min(RAW_MAX, v))
+    if flags is not None and clamped != v:
+        flags["overflow"] = True
+    return clamped
 
 
-def ref_mul(a, b):
+def ref_add(a, b, flags=None):
+    return ref_clamp(a + b, flags)
+
+
+def ref_sub(a, b, flags=None):
+    return ref_clamp(a - b, flags)
+
+
+def ref_mul(a, b, flags=None):
     prod = a * b
     # floor division == arithmetic shift for negatives
-    return ref_clamp(prod // SCALE if prod >= 0 else -((-prod + SCALE - 1) // SCALE))
+    return ref_clamp(prod // SCALE if prod >= 0 else -((-prod + SCALE - 1) // SCALE),
+                     flags)
 
 
-def ref_div(a, b):
+def ref_div(a, b, flags=None):
     if b == 0:
+        if flags is not None:
+            flags["div_by_zero"] = True
         return RAW_MAX if a >= 0 else RAW_MIN
     num = a * SCALE
     q = abs(num) // abs(b)
     if (num < 0) != (b < 0):
         q = -q
-    return ref_clamp(q)
+    return ref_clamp(q, flags)
+
+
+def ref_from_real(x, flags=None):
+    """Nearest raw word to a finite float, exact via Fraction (ties to even)."""
+    return ref_clamp(round(Fraction(x) * SCALE), flags)
+
+
+def ref_run(p: Program, cfg, inputs=()):
+    """Interpret random_program's straight-line ops on raw words.
+
+    Returns (full data memory, flags dict).  s0 reads as zero and writes to
+    it are dropped; memory starts zeroed, then `inputs` are placed.
+    """
+    W = cfg.vec_len
+    s = [0] * cfg.n_sregs
+    v = [[0] * W for _ in range(cfg.n_vregs)]
+    mem = [0] * cfg.dmem_words
+    for addr, words in inputs:
+        mem[addr:addr + len(words)] = [w.raw for w in words]
+    flags = {"overflow": False, "div_by_zero": False}
+    binary = {"ADD": ref_add, "SUB": ref_sub, "MUL": ref_mul, "DIV": ref_div}
+
+    def sreg(k):
+        return 0 if k == 0 else s[k]
+
+    def set_sreg(k, value):
+        if k != 0:
+            s[k] = value
+
+    for i in p.instructions:
+        op = i.op
+        if op == "HALT":
+            break
+        if op == "LDI":
+            set_sreg(i.d, i.imm.raw)
+        elif op == "SMOV":
+            set_sreg(i.d, sreg(i.a))
+        elif op == "SLD":
+            set_sreg(i.d, mem[i.addr])
+        elif op == "SST":
+            mem[i.addr] = sreg(i.a)
+        elif op == "SADDI":
+            set_sreg(i.d, ref_add(sreg(i.a), i.imm.raw, flags))
+        elif op == "SINV":
+            set_sreg(i.d, ref_div(SCALE, sreg(i.a), flags))
+        elif op in ("SADD", "SSUB", "SMUL", "SDIV"):
+            set_sreg(i.d, binary[op[1:]](sreg(i.a), sreg(i.b), flags))
+        elif op == "VLD":
+            v[i.d] = mem[i.addr:i.addr + W]
+        elif op == "VST":
+            mem[i.addr:i.addr + W] = v[i.a]
+        elif op == "VMOV":
+            v[i.d] = list(v[i.a])
+        elif op == "VINV":
+            v[i.d] = [ref_div(SCALE, x, flags) for x in v[i.a]]
+        elif op in ("VADDS", "VSUBS", "VMULS", "VDIVS"):
+            y = sreg(i.b)
+            v[i.d] = [binary[op[1:-1]](x, y, flags) for x in v[i.a]]
+        elif op in ("VADD", "VSUB", "VMUL", "VDIV"):
+            v[i.d] = [binary[op[1:]](x, y, flags)
+                      for x, y in zip(v[i.a], v[i.b])]
+        else:
+            raise NotImplementedError(op)
+    return mem, flags
 
 
 # ---- random straight-line programs -----------------------------------------

@@ -144,6 +144,47 @@ class TestRun:
                      "--data", str(workdir / "kern_data.csv")]) == 1
         one_line_error(capsys, "invalid configuration", "n_add")
 
+    @pytest.mark.parametrize("spec", ["-3:5", "4094:5", "0:-2"])
+    def test_observe_outside_memory_rejected(self, workdir, capsys, spec):
+        assert main(["run", str(workdir / "kern.asm"),
+                     "--config", str(workdir / "core.cfg"),
+                     f"--observe={spec}"]) == 1
+        one_line_error(capsys, f"observe range '{spec}' outside data memory")
+
+    def test_observe_to_end_of_memory(self, workdir):
+        out = workdir / "report.json"
+        assert main(["run", str(workdir / "kern.asm"),
+                     "--config", str(workdir / "core.cfg"),
+                     "--observe=4094:2", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["memory"]) == 2
+
+
+class TestDataCells:
+    """A malformed data file exits 1 from both commands that read it."""
+
+    @pytest.mark.parametrize("cell", ["abc", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--mixes", "8-8-8"]])
+    def test_bad_cell(self, workdir, capsys, cell, command):
+        data = workdir / "kern_data.csv"
+        rows = data.read_text().splitlines()
+        rows[1] = cell + rows[1][rows[1].index(","):]
+        data.write_text("\n".join(rows) + "\n")
+        assert main(command[:1] + [str(workdir / "kern.asm"),
+                                   "--config", str(workdir / "core.cfg"),
+                                   "--data", str(data), *command[1:],
+                                   "--out", str(workdir / "x")]) == 1
+        one_line_error(capsys, f"row 2, column a: '{cell}' is not a finite number")
+
+    def test_extra_cells(self, workdir, capsys):
+        data = workdir / "kern_data.csv"
+        rows = data.read_text().splitlines()
+        rows[3] += ",1.0"
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["run", str(workdir / "kern.asm"),
+                     "--config", str(workdir / "core.cfg"),
+                     "--data", str(data)]) == 1
+        one_line_error(capsys, "row 4 has 12 cells, header has 11")
+
 
 class TestSweep:
     def test_rows_and_pareto_column(self, workdir):
@@ -229,6 +270,19 @@ class TestProject:
     def test_undefined_amdahl(self, tmp_path, capsys):
         assert main(["project", "--fraction", "1.0", "--speedup", "inf"]) == 1
 
+    @pytest.mark.parametrize("speedup,fragment", [
+        ("abc", "bad --speedup 'abc'"), ("nan", "speedup must be >= 1")])
+    def test_bad_speedup(self, capsys, speedup, fragment):
+        assert main(["project", "--fraction", "0.5", "--speedup", speedup]) == 1
+        one_line_error(capsys, fragment)
+
+    @pytest.mark.parametrize("latency,slices", [(0, 41300), (-5, 41300),
+                                                (273, 0)])
+    def test_latency_and_slices_at_least_1(self, capsys, latency, slices):
+        assert main(["project", "--latency", str(latency), "--slices",
+                     str(slices), "--budget", "200000"]) == 1
+        one_line_error(capsys, "must be >= 1")
+
 
 class TestKernelGen:
     def test_deterministic_bytes(self, tmp_path):
@@ -248,6 +302,12 @@ class TestKernelGen:
         cfg.write_text("vec_len = 1\nn_add = 1\nn_mul = 1\nn_div = 1\n")
         assert main(["asm", str(prefix) + ".asm", "--config", str(cfg),
                      "--check-only"]) == 0
+
+    def test_zero_lanes_rejected(self, tmp_path, capsys):
+        assert main(["kernel-gen", "--veclen", "0",
+                     "--out-prefix", str(tmp_path / "k0")]) == 1
+        one_line_error(capsys, "vector length 0 must be >= 1")
+        assert not list(tmp_path.iterdir())
 
     def test_data_csv_roundtrip(self, workdir):
         inputs = cli.read_data_csv(str(workdir / "kern_data.csv"))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import vproc.fixedpoint as fx
@@ -6,7 +8,7 @@ from vproc.core import (CoreConfig, SimulationFault, SimulationTimeout,
                         ValidationError, instr_cost, reset, run, waves)
 from vproc.isa import Instruction, OpClass, Program
 
-from conftest import random_program
+from conftest import random_program, ref_run
 
 
 def kernel_setup(cfg, seed=7):
@@ -33,6 +35,10 @@ class TestCoreConfig:
     def test_negative_rejected(self, name):
         with pytest.raises(ValueError, match=f"{name} must be >= 0"):
             CoreConfig(**{name: -1})
+
+    def test_no_scalar_registers_runs_vector_program(self):
+        p = isa.assemble("VADD v1, v1, v1\nHALT")
+        assert run(p, CoreConfig(n_sregs=0)).halted
 
     def test_zero_units_rejected_only_when_used(self):
         cfg = CoreConfig(n_div=0)
@@ -74,7 +80,7 @@ class TestInstrCost:
 class TestReset:
     def test_zeroed(self):
         st = reset(CoreConfig())
-        assert all(v.raw == 0 for v in st.mem) and len(st.mem) == 4096
+        assert all(v == 0 for v in st.mem) and len(st.mem) == 4096
         assert st.pc == 0 and st.cycles == 0
 
 
@@ -202,3 +208,27 @@ class TestProperties:
             rv = run(pv, cfg, inputs=inits, observe=(240, 24))
             rs = run(ps, cfg, inputs=inits, observe=(240, 24))
             assert [v.raw for v in rv.memory] == [v.raw for v in rs.memory]
+
+
+class TestAgainstReferenceInterpreter:
+    @pytest.mark.parametrize("vec_len", [1, 3, 8])
+    def test_memory_and_flags_match(self, vec_len):
+        # Few registers and a small memory, so operands alias often.
+        cfg = CoreConfig(vec_len=vec_len, n_add=1, n_mul=1, n_div=1,
+                         n_sregs=4, n_vregs=4, dmem_words=32)
+        seen = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            p = random_program(rng, cfg, n_instr=rng.randint(1, 30))
+            words = [fx.Fixed64(rng.randrange(-4 * fx.SCALE, 4 * fx.SCALE)
+                                if rng.random() < 0.9 else 0)
+                     for _ in range(cfg.dmem_words)]
+            inputs = [(0, words)]
+            r = run(p, cfg, inputs=inputs, observe=(0, cfg.dmem_words))
+            mem, flags = ref_run(p, cfg, inputs)
+            assert [w.raw for w in r.memory] == mem, seed
+            assert (r.flags.overflow, r.flags.div_by_zero) \
+                == (flags["overflow"], flags["div_by_zero"]), seed
+            seen |= {("overflow", flags["overflow"]),
+                     ("div_by_zero", flags["div_by_zero"])}
+        assert len(seen) == 4    # each flag was both raised and left clear

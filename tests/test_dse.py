@@ -238,6 +238,12 @@ class TestThroughputProjection:
         with pytest.raises(ValueError):
             throughput_projection(self.point, 41299, 100.0)
 
+    @pytest.mark.parametrize("latency,slices", [(0, 41300), (-5, 41300),
+                                                (273, 0), (273, -1)])
+    def test_latency_and_slices_at_least_1(self, latency, slices):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            throughput_projection(make_point(latency, slices), 200000, 100.0)
+
     def test_cores_fit_budget(self):
         rng = random.Random(8)
         for _ in range(50):

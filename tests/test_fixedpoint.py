@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 import vproc.fixedpoint as fx
 from vproc.fixedpoint import ArithFlags, Fixed64, RAW_MAX, RAW_MIN, SCALE
 
-from conftest import ref_add, ref_div, ref_mul, ref_sub
+from conftest import ref_add, ref_div, ref_from_real, ref_mul, ref_sub
 
 raws = st.integers(min_value=RAW_MIN, max_value=RAW_MAX)
 
@@ -42,6 +44,26 @@ class TestConversions:
     def test_roundtrip_exact_below_53_bits(self, raw):
         x = fx.to_real(Fixed64(raw))
         assert fx.from_real(x).raw == raw
+
+
+def assert_from_real_matches_reference(x):
+    flags, ref_flags = ArithFlags(), {"overflow": False}
+    assert fx.from_real(x, flags).raw == ref_from_real(x, ref_flags)
+    assert flags.overflow == ref_flags["overflow"]   # set iff it clamped
+
+
+class TestFromRealAgainstReference:
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_all_finite_floats(self, x):
+        assert_from_real_matches_reference(x)
+
+    @pytest.mark.parametrize("x", [
+        1e300, -1e300, sys.float_info.max, -sys.float_info.max,
+        5e-324, -5e-324, 3 * 2.0**-33, -3 * 2.0**-33, 2.0**-33,
+        2.0**31 - 2.0**-33, 2.0**31 - 2.0**-22, 2.0**31, -(2.0**31),
+        -(2.0**31) - 2.0**-21, 0.0, -0.0])
+    def test_edge_cases(self, x):
+        assert_from_real_matches_reference(x)
 
 
 class TestArithmetic:

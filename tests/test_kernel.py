@@ -53,6 +53,13 @@ class TestEmitProgram:
         with pytest.raises(kernel.LayoutError):
             kernel.emit_program(512)   # 11 * 512 words > 4096
 
+    @pytest.mark.parametrize("emit", [kernel.emit_program,
+                                      kernel.emit_scalar_program])
+    @pytest.mark.parametrize("vec_len", [0, -1])
+    def test_empty_vectors_rejected(self, emit, vec_len):
+        with pytest.raises(kernel.LayoutError, match="must be >= 1"):
+            emit(vec_len)
+
 
 class TestScalarProgram:
     def test_single_lane_equivalence(self):
