@@ -159,9 +159,8 @@ def _data_initializers(path: str | None, cfg: CoreConfig):
 
 
 def _parse_observe(spec: str | None, cfg: CoreConfig) -> tuple[int, int]:
-    if spec is None:
-        base = kernel.default_layout(cfg.vec_len)["out"]
-        return base, cfg.vec_len
+    if spec is None:        # the kernel's output region
+        spec = f"{kernel.default_layout(cfg.vec_len)['out']}:{cfg.vec_len}"
     try:
         start, _, length = spec.partition(":")
         start, length = int(start), int(length)
@@ -258,7 +257,8 @@ def cmd_compare(args) -> int:
     cfg, cal = load_config(args.config)
     inputs = (read_data_csv(args.data) if args.data
               else kernel.generate_inputs(cfg.vec_len, seed=0))
-    program = kernel.emit_program(cfg.vec_len, s_k=inputs.s_k)
+    program = kernel.emit_program(cfg.vec_len, s_k=inputs.s_k,
+                                  dmem_words=cfg.dmem_words)
     inits = kernel.data_initializers(inputs)
 
     graph = kernel.dataflow_graph(replication=cfg.vec_len)

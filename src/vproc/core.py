@@ -48,9 +48,14 @@ class CoreConfig:
         if self.mem_port_width < 1:
             raise ValueError("mem_port_width must be >= 1")
         for name in ("n_add", "n_mul", "n_div", "lat_add", "lat_mul",
-                     "lat_div", "issue_cost", "lat_convert"):
+                     "lat_div", "issue_cost", "lat_convert", "n_sregs", "n_vregs"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.dmem_words < 1:
+            raise ValueError("dmem_words must be >= 1")
+        if not (math.isfinite(self.clock_mhz) and self.clock_mhz > 0):
+            raise ValueError(f"clock_mhz must be finite and > 0, "
+                             f"got {self.clock_mhz}")
 
     def with_mix(self, n_add: int, n_mul: int, n_div: int) -> "CoreConfig":
         return replace(self, n_add=n_add, n_mul=n_mul, n_div=n_div)

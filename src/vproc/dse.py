@@ -97,6 +97,8 @@ def throughput_projection(point: DesignPoint, slices_budget: int,
     if point.latency_cycles < 1 or point.slices < 1:
         raise ValueError(f"latency ({point.latency_cycles}) and slices "
                          f"({point.slices}) must be >= 1")
+    if not (math.isfinite(clock_mhz) and clock_mhz > 0):
+        raise ValueError(f"clock {clock_mhz} MHz must be finite and > 0")
     if slices_budget < point.slices:
         raise ValueError(f"budget {slices_budget} below one core "
                          f"({point.slices} slices)")

@@ -6,7 +6,7 @@ text is the interchange format.  Scalar register s0 is a hardwired zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import fixedpoint as fx
@@ -122,99 +122,99 @@ def _parse_value(token: str) -> Fixed64:
     return fx.from_real(float(token))
 
 
-def _strip(line: str) -> str:
-    return line.split(";", 1)[0].strip()
+# Operand kind -> position of its Instruction field after `op`
+# (d, a, b, imm, addr, target), and each opcode's operands in that form.
+_FIELD = {"sd": 0, "vd": 0, "sa": 1, "va": 1, "sb": 2, "vb": 2,
+          "imm": 3, "addr": 4, "label": 5}
+_OPERANDS = {m: tuple((_FIELD[k], k) for k in sig)
+             for m, (_, sig) in OPCODES.items()}
+
+
+def _encode(mnemonic: str, operand_text: str) -> tuple[Instruction, str | None]:
+    """One statement's Instruction and its label operand, whose target is
+    left unset; raises ValueError with the diagnostic, less its line."""
+    op = mnemonic.upper()
+    operands = _OPERANDS.get(op)
+    if operands is None:
+        raise ValueError(f"unknown mnemonic '{op}'")
+    tokens = [t.strip() for t in operand_text.split(",")] if operand_text else []
+    if len(tokens) != len(operands):
+        raise ValueError(f"{op} expects {len(operands)} operand(s), "
+                         f"got {len(tokens)}")
+    fields: list = [None] * 6
+    label = None
+    for (slot, kind), token in zip(operands, tokens):
+        try:
+            if kind == "addr":
+                if not (token.startswith("[") and token.endswith("]")):
+                    raise ValueError
+                fields[slot] = int(token[1:-1])
+            elif kind == "imm":
+                fields[slot] = _parse_value(token)
+            elif kind == "label":
+                label = token
+            elif len(token) < 2 or token[0].lower() != kind[0] or not token[1:].isdigit():
+                raise ValueError
+            else:                                # register: s<n> or v<n>
+                fields[slot] = int(token[1:])
+        except ValueError:
+            raise ValueError(f"malformed operand '{token}' for {op}") from None
+    return Instruction(op, *fields), label
 
 
 def assemble(source_text: str) -> Program:
-    """Two-pass assembly: pass 1 collects labels, pass 2 encodes."""
-    diagnostics: list[str] = []
-    labels: dict[str, int] = {}
-    # (lineno, mnemonic, operand tokens) or (lineno, ".data", tokens)
-    stmts: list[tuple[int, str, list[str]]] = []
-
-    index = 0
-    for lineno, raw_line in enumerate(source_text.splitlines(), start=1):
-        line = _strip(raw_line)
+    """One pass; each distinct statement text is encoded once and its frozen
+    Instruction shared.  Label operands may be forward references, so they
+    are resolved after the pass.  Diagnostics: every label diagnostic, then
+    at most one per line in line order."""
+    label_diags: list[str] = []
+    diags: list[tuple[int, str]] = []          # (lineno, message)
+    program = Program()
+    labels, instructions = program.labels, program.instructions
+    encoded: dict[str, Instruction] = {}       # statement text -> Instruction
+    fixups: list[tuple[int, int, str]] = []    # (pc, lineno, label operand)
+    for lineno, line in enumerate(source_text.splitlines(), start=1):
+        line = line.partition(";")[0].strip()
+        if ":" in line:
+            while line and ":" in line.split(None, 1)[0]:
+                name, _, line = line.partition(":")
+                line = line.strip()
+                if not name.isidentifier():
+                    label_diags.append(f"malformed label '{name}' at line {lineno}")
+                    continue
+                if name in labels:
+                    label_diags.append(f"duplicate label '{name}' at line {lineno}")
+                labels[name] = len(instructions)
         if not line:
             continue
-        while ":" in line.split()[0] or (line and line.split()[0].endswith(":")):
-            head, _, rest = line.partition(":")
-            name = head.strip()
-            if not name.isidentifier():
-                diagnostics.append(f"malformed label '{name}' at line {lineno}")
-                line = rest.strip()
-                continue
-            if name in labels:
-                diagnostics.append(f"duplicate label '{name}' at line {lineno}")
-            labels[name] = index
-            line = rest.strip()
-            if not line:
-                break
-        if not line:
-            continue
-        parts = line.split(None, 1)
-        mnemonic = parts[0]
-        operand_text = parts[1] if len(parts) > 1 else ""
-        if mnemonic == ".data":
-            stmts.append((lineno, ".data", operand_text.split()))
-            continue
-        operands = [t.strip() for t in operand_text.split(",")] if operand_text else []
-        stmts.append((lineno, mnemonic.upper(), operands))
-        index += 1
-
-    program = Program(labels=labels)
-    for lineno, mnemonic, operands in stmts:
-        if mnemonic == ".data":
+        instr = encoded.get(line)
+        if instr is None:
+            mnemonic, *rest = line.split(None, 1)
+            operand_text = rest[0] if rest else ""
             try:
-                addr = int(operands[0])
-                values = [_parse_value(t) for t in operands[1:]]
-            except (ValueError, IndexError):
-                diagnostics.append(f"malformed .data directive at line {lineno}")
+                if mnemonic == ".data":
+                    addr, *values = operand_text.split()
+                    program.data_init.append(
+                        (int(addr), [_parse_value(t) for t in values]))
+                    continue
+                instr, label = _encode(mnemonic, operand_text)
+            except ValueError as exc:
+                msg = "malformed .data directive" if mnemonic == ".data" else exc
+                diags.append((lineno, f"{msg} at line {lineno}"))
                 continue
-            program.data_init.append((addr, values))
-            continue
-        if mnemonic not in OPCODES:
-            diagnostics.append(f"unknown mnemonic '{mnemonic}' at line {lineno}")
-            continue
-        _, signature = OPCODES[mnemonic]
-        if len(operands) != len(signature):
-            diagnostics.append(
-                f"{mnemonic} expects {len(signature)} operand(s), "
-                f"got {len(operands)} at line {lineno}")
-            continue
-        fields: dict[str, object] = {}
-        ok = True
-        for kind, token in zip(signature, operands):
-            try:
-                if kind in ("sd", "sa", "sb", "vd", "va", "vb"):
-                    want = kind[0]
-                    if len(token) < 2 or token[0].lower() != want or not token[1:].isdigit():
-                        raise ValueError
-                    fields[kind[1]] = int(token[1:])
-                elif kind == "imm":
-                    fields["imm"] = _parse_value(token)
-                elif kind == "addr":
-                    if not (token.startswith("[") and token.endswith("]")):
-                        raise ValueError
-                    fields["addr"] = int(token[1:-1])
-                elif kind == "label":
-                    if token not in labels:
-                        diagnostics.append(
-                            f"unresolved label '{token}' at line {lineno}")
-                        ok = False
-                        break
-                    fields["target"] = labels[token]
-            except ValueError:
-                diagnostics.append(
-                    f"malformed operand '{token}' for {mnemonic} at line {lineno}")
-                ok = False
-                break
-        if ok:
-            program.instructions.append(Instruction(op=mnemonic, **fields))
+            if label is None:
+                encoded[line] = instr
+            else:
+                fixups.append((len(instructions), lineno, label))
+        instructions.append(instr)
 
-    if diagnostics:
-        raise AssemblyError(diagnostics)
+    for pc, lineno, label in fixups:
+        if label in labels:
+            instructions[pc] = replace(instructions[pc], target=labels[label])
+        else:
+            diags.append((lineno, f"unresolved label '{label}' at line {lineno}"))
+    if label_diags or diags:
+        raise AssemblyError(label_diags + [m for _, m in sorted(diags)])
     return program
 
 
@@ -226,23 +226,18 @@ def _format_value(v: Fixed64) -> str:
     return f"0x{v.raw & ((1 << fx.WORD_BITS) - 1):016X}"
 
 
+# Operand kind -> its canonical text.
+_TEXT = {"imm": _format_value, "addr": "[{}]".format, "label": "L{}".format,
+         **{k: (k[0] + "{}").format for k in ("sd", "sa", "sb", "vd", "va", "vb")}}
+
+
 def disassemble(p: Program) -> str:
     """Canonical text; branch targets get synthetic labels L<index>."""
-    targets = sorted({i.target for i in p.instructions if i.target is not None})
+    targets = {i.target for i in p.instructions if i.target is not None}
     lines: list[str] = []
     for idx, instr in enumerate(p.instructions):
-        _, signature = OPCODES[instr.op]
-        operands = []
-        for kind in signature:
-            if kind in ("sd", "sa", "sb", "vd", "va", "vb"):
-                reg = getattr(instr, kind[1])
-                operands.append(f"{kind[0]}{reg}")
-            elif kind == "imm":
-                operands.append(_format_value(instr.imm))
-            elif kind == "addr":
-                operands.append(f"[{instr.addr}]")
-            elif kind == "label":
-                operands.append(f"L{instr.target}")
+        fields = (instr.d, instr.a, instr.b, instr.imm, instr.addr, instr.target)
+        operands = [_TEXT[kind](fields[slot]) for slot, kind in _OPERANDS[instr.op]]
         prefix = f"L{idx}: " if idx in targets else ""
         text = instr.op if not operands else f"{instr.op} {', '.join(operands)}"
         lines.append(prefix + text)
@@ -256,45 +251,50 @@ def validate(p: Program, cfg) -> list[str]:
     return validate_structure(p, cfg) + validate_units(unit_classes(p), cfg)
 
 
+# mnemonic -> (scalar register fields, vector register fields, class).  No
+# signature names a scalar register before a vector one, so checking the
+# vector fields first keeps each instruction's diagnostics in operand order.
+_CHECKS = {m: (tuple(k[1] for k in sig if k in ("sd", "sa", "sb")),
+               tuple(k[1] for k in sig if k in ("vd", "va", "vb")), cls)
+           for m, (cls, sig) in OPCODES.items()}
+
+
 def validate_structure(p: Program, cfg) -> list[str]:
     """The checks that do not depend on the unit mix."""
     diags: list[str] = []
     n = len(p.instructions)
+    n_sregs, n_vregs, words = cfg.n_sregs, cfg.n_vregs, cfg.dmem_words
     for idx, instr in enumerate(p.instructions):
-        cls, signature = OPCODES[instr.op]
-        for kind in signature:
-            if kind in ("sd", "sa", "sb", "vd", "va", "vb"):
-                reg = getattr(instr, kind[1])
-                if kind[0] == "s" and reg >= cfg.n_sregs:
-                    diags.append(
-                        f"instr {idx} ({instr.op}): scalar register index "
-                        f"{reg} out of range (n_sregs={cfg.n_sregs})")
-                if kind[0] == "v" and reg >= cfg.n_vregs:
-                    diags.append(
-                        f"instr {idx} ({instr.op}): vector register index "
-                        f"{reg} out of range (n_vregs={cfg.n_vregs})")
-        if instr.addr is not None:
-            width = cfg.vec_len if is_vector(instr.op) else 1
-            if instr.addr < 0 or instr.addr + width > cfg.dmem_words:
-                diags.append(
-                    f"instr {idx} ({instr.op}): address {instr.addr} "
-                    f"(+{width} words) outside data memory of {cfg.dmem_words}")
+        sregs, vregs, cls = _CHECKS[instr.op]
+        for f in vregs:
+            if (reg := getattr(instr, f)) >= n_vregs:
+                diags.append(f"instr {idx} ({instr.op}): vector register index "
+                             f"{reg} out of range (n_vregs={n_vregs})")
+        for f in sregs:
+            if (reg := getattr(instr, f)) >= n_sregs:
+                diags.append(f"instr {idx} ({instr.op}): scalar register index "
+                             f"{reg} out of range (n_sregs={n_sregs})")
+        if (addr := instr.addr) is not None:
+            width = cfg.vec_len if vregs else 1
+            if addr < 0 or addr + width > words:
+                diags.append(f"instr {idx} ({instr.op}): address {addr} "
+                             f"(+{width} words) outside data memory of {words}")
         if instr.target is not None and not (0 <= instr.target < n):
             diags.append(f"instr {idx} ({instr.op}): branch target "
                          f"{instr.target} out of range")
         if cls is OpClass.CONVERT and not cfg.enable_converter:
             diags.append(f"instr {idx} ({instr.op}): converter disabled")
     for addr, values in p.data_init:
-        if addr < 0 or addr + len(values) > cfg.dmem_words:
+        if addr < 0 or addr + len(values) > words:
             diags.append(f".data at {addr} (+{len(values)} words) outside "
-                         f"data memory of {cfg.dmem_words}")
+                         f"data memory of {words}")
     return diags
 
 
 def unit_classes(p: Program) -> list[OpClass]:
     """The arithmetic classes a program uses, in diagnostic order."""
-    used = {OPCODES[i.op][0] for i in p.instructions} & CLASS_UNITS.keys()
-    return sorted(used, key=lambda c: c.value)
+    used = {OPCODES[op][0] for op in {i.op for i in p.instructions}}
+    return sorted(used & CLASS_UNITS.keys(), key=lambda c: c.value)
 
 
 def validate_units(classes: list[OpClass], cfg) -> list[str]:

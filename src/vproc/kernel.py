@@ -52,7 +52,7 @@ def default_layout(vec_len: int) -> dict[str, int]:
 
 
 def _check_layout(layout: dict[str, int], vec_len: int,
-                  dmem_words: int = CoreConfig.dmem_words) -> None:
+                  dmem_words: int) -> None:
     if vec_len < 1:
         raise LayoutError(f"vector length {vec_len} must be >= 1")
     regions = sorted((layout[name], name) for name in list(INPUT_NAMES) + ["out"])
@@ -66,10 +66,11 @@ def _check_layout(layout: dict[str, int], vec_len: int,
 
 
 def emit_program(vec_len: int = 24, layout: dict[str, int] | None = None,
-                 s_k: float = 1.0) -> Program:
+                 s_k: float = 1.0,
+                 dmem_words: int = CoreConfig.dmem_words) -> Program:
     """Straight-line vector realization; 24 instructions including the LDI."""
     layout = layout if layout is not None else default_layout(vec_len)
-    _check_layout(layout, vec_len)
+    _check_layout(layout, vec_len, dmem_words)
     ins: list[Instruction] = [Instruction("LDI", d=1, imm=fx.from_real(s_k))]
     for i, name in enumerate(INPUT_NAMES):
         ins.append(Instruction("VLD", d=i, addr=layout[name]))
@@ -93,14 +94,15 @@ def emit_program(vec_len: int = 24, layout: dict[str, int] | None = None,
 
 
 def emit_scalar_program(vec_len: int = 24, layout: dict[str, int] | None = None,
-                        s_k: float = 1.0) -> Program:
+                        s_k: float = 1.0,
+                        dmem_words: int = CoreConfig.dmem_words) -> Program:
     """Per-element scalar transcription, same operation order within a lane.
 
     The ISA has no indexed addressing, so the element loop is fully
     unrolled; the static instruction count grows linearly in W.
     """
     layout = layout if layout is not None else default_layout(vec_len)
-    _check_layout(layout, vec_len)
+    _check_layout(layout, vec_len, dmem_words)
     ins: list[Instruction] = [Instruction("LDI", d=15, imm=fx.from_real(s_k))]
     for lane in range(vec_len):
         for i, name in enumerate(INPUT_NAMES):

@@ -1,6 +1,7 @@
 """Shared test helpers: an independent wide-integer reference for the
-fixed-point unit, a reference interpreter for straight-line programs and a
-random-program generator for structural tests."""
+fixed-point unit, reference copies of the two-pass assembler and of the
+structural validator, a reference interpreter for straight-line programs and
+a random-program generator for structural tests."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from vproc.fixedpoint import Fixed64, RAW_MAX, RAW_MIN, SCALE
-from vproc.isa import Instruction, Program
+from vproc.isa import (OPCODES, AssemblyError, Instruction, OpClass, Program,
+                       _parse_value, is_vector)
 
 # ---- independent Q32.32 reference (kept deliberately separate from the
 # ---- implementation under test; plain integer arithmetic throughout).
@@ -110,6 +112,142 @@ def ref_run(p: Program, cfg, inputs=()):
         else:
             raise NotImplementedError(op)
     return mem, flags
+
+
+# ---- reference assembler and validator: the two-pass assembler and the
+# ---- signature-walking validator, kept as written before the one-pass
+# ---- rewrite (the assembler gains only the empty-line guard in its label
+# ---- loop, so a malformed label alone on its line is a diagnostic).
+
+def _strip(line: str) -> str:
+    return line.split(";", 1)[0].strip()
+
+
+def ref_assemble(source_text: str) -> Program:
+    """Two-pass assembly: pass 1 collects labels, pass 2 encodes."""
+    diagnostics: list[str] = []
+    labels: dict[str, int] = {}
+    # (lineno, mnemonic, operand tokens) or (lineno, ".data", tokens)
+    stmts: list[tuple[int, str, list[str]]] = []
+
+    index = 0
+    for lineno, raw_line in enumerate(source_text.splitlines(), start=1):
+        line = _strip(raw_line)
+        if not line:
+            continue
+        while line and (":" in line.split()[0] or (line and line.split()[0].endswith(":"))):
+            head, _, rest = line.partition(":")
+            name = head.strip()
+            if not name.isidentifier():
+                diagnostics.append(f"malformed label '{name}' at line {lineno}")
+                line = rest.strip()
+                continue
+            if name in labels:
+                diagnostics.append(f"duplicate label '{name}' at line {lineno}")
+            labels[name] = index
+            line = rest.strip()
+            if not line:
+                break
+        if not line:
+            continue
+        parts = line.split(None, 1)
+        mnemonic = parts[0]
+        operand_text = parts[1] if len(parts) > 1 else ""
+        if mnemonic == ".data":
+            stmts.append((lineno, ".data", operand_text.split()))
+            continue
+        operands = [t.strip() for t in operand_text.split(",")] if operand_text else []
+        stmts.append((lineno, mnemonic.upper(), operands))
+        index += 1
+
+    program = Program(labels=labels)
+    for lineno, mnemonic, operands in stmts:
+        if mnemonic == ".data":
+            try:
+                addr = int(operands[0])
+                values = [_parse_value(t) for t in operands[1:]]
+            except (ValueError, IndexError):
+                diagnostics.append(f"malformed .data directive at line {lineno}")
+                continue
+            program.data_init.append((addr, values))
+            continue
+        if mnemonic not in OPCODES:
+            diagnostics.append(f"unknown mnemonic '{mnemonic}' at line {lineno}")
+            continue
+        _, signature = OPCODES[mnemonic]
+        if len(operands) != len(signature):
+            diagnostics.append(
+                f"{mnemonic} expects {len(signature)} operand(s), "
+                f"got {len(operands)} at line {lineno}")
+            continue
+        fields: dict[str, object] = {}
+        ok = True
+        for kind, token in zip(signature, operands):
+            try:
+                if kind in ("sd", "sa", "sb", "vd", "va", "vb"):
+                    want = kind[0]
+                    if len(token) < 2 or token[0].lower() != want or not token[1:].isdigit():
+                        raise ValueError
+                    fields[kind[1]] = int(token[1:])
+                elif kind == "imm":
+                    fields["imm"] = _parse_value(token)
+                elif kind == "addr":
+                    if not (token.startswith("[") and token.endswith("]")):
+                        raise ValueError
+                    fields["addr"] = int(token[1:-1])
+                elif kind == "label":
+                    if token not in labels:
+                        diagnostics.append(
+                            f"unresolved label '{token}' at line {lineno}")
+                        ok = False
+                        break
+                    fields["target"] = labels[token]
+            except ValueError:
+                diagnostics.append(
+                    f"malformed operand '{token}' for {mnemonic} at line {lineno}")
+                ok = False
+                break
+        if ok:
+            program.instructions.append(Instruction(op=mnemonic, **fields))
+
+    if diagnostics:
+        raise AssemblyError(diagnostics)
+    return program
+
+
+def ref_validate_structure(p: Program, cfg) -> list[str]:
+    """The checks that do not depend on the unit mix."""
+    diags: list[str] = []
+    n = len(p.instructions)
+    for idx, instr in enumerate(p.instructions):
+        cls, signature = OPCODES[instr.op]
+        for kind in signature:
+            if kind in ("sd", "sa", "sb", "vd", "va", "vb"):
+                reg = getattr(instr, kind[1])
+                if kind[0] == "s" and reg >= cfg.n_sregs:
+                    diags.append(
+                        f"instr {idx} ({instr.op}): scalar register index "
+                        f"{reg} out of range (n_sregs={cfg.n_sregs})")
+                if kind[0] == "v" and reg >= cfg.n_vregs:
+                    diags.append(
+                        f"instr {idx} ({instr.op}): vector register index "
+                        f"{reg} out of range (n_vregs={cfg.n_vregs})")
+        if instr.addr is not None:
+            width = cfg.vec_len if is_vector(instr.op) else 1
+            if instr.addr < 0 or instr.addr + width > cfg.dmem_words:
+                diags.append(
+                    f"instr {idx} ({instr.op}): address {instr.addr} "
+                    f"(+{width} words) outside data memory of {cfg.dmem_words}")
+        if instr.target is not None and not (0 <= instr.target < n):
+            diags.append(f"instr {idx} ({instr.op}): branch target "
+                         f"{instr.target} out of range")
+        if cls is OpClass.CONVERT and not cfg.enable_converter:
+            diags.append(f"instr {idx} ({instr.op}): converter disabled")
+    for addr, values in p.data_init:
+        if addr < 0 or addr + len(values) > cfg.dmem_words:
+            diags.append(f".data at {addr} (+{len(values)} words) outside "
+                         f"data memory of {cfg.dmem_words}")
+    return diags
 
 
 # ---- random straight-line programs -----------------------------------------

@@ -88,6 +88,16 @@ class TestAsm:
         assert main(["asm", str(bad)]) == 1
         assert "unknown mnemonic" in capsys.readouterr().err
 
+    def test_malformed_label_alone(self, tmp_path, capsys):
+        prog = tmp_path / "p.asm"
+        prog.write_text("9x:\nHALT\n")
+        assert main(["asm", str(prog)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == ["malformed label '9x' at line 1"]
+        assert main(["run", str(prog)]) == 1
+        one_line_error(capsys, "malformed label '9x' at line 1")
+
     def test_converter_disabled_diagnostic(self, tmp_path, capsys):
         prog = tmp_path / "p.asm"
         prog.write_text("F2X s1, s2\nHALT\n")
@@ -150,6 +160,15 @@ class TestRun:
                      "--config", str(workdir / "core.cfg"),
                      f"--observe={spec}"]) == 1
         one_line_error(capsys, f"observe range '{spec}' outside data memory")
+
+    def test_default_observe_outside_memory_rejected(self, tmp_path, capsys):
+        prog = tmp_path / "p.asm"
+        prog.write_text("HALT\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("vec_len = 400\n")       # output region 4000..4399
+        assert main(["run", str(prog), "--config", str(cfg)]) == 1
+        one_line_error(capsys, "observe range '4000:400' outside data memory "
+                               "of 4096 words")
 
     def test_observe_to_end_of_memory(self, workdir):
         out = workdir / "report.json"
@@ -252,6 +271,13 @@ class TestCompare:
         assert r["ratios"]["slices_vector_over_sequential"] == pytest.approx(2.50)
         assert arch["tiled"]["slices"] > arch["vector"]["slices"] > arch["sequential"]["slices"]
 
+    def test_layout_uses_configured_memory(self, tmp_path):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("vec_len = 400\ndmem_words = 8192\n")   # needs 4400 words
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["architectures"]["vector"]["latency_cycles"] > 0
+
 
 class TestProject:
     def test_amdahl_inf(self, tmp_path):
@@ -275,6 +301,12 @@ class TestProject:
     def test_bad_speedup(self, capsys, speedup, fragment):
         assert main(["project", "--fraction", "0.5", "--speedup", speedup]) == 1
         one_line_error(capsys, fragment)
+
+    @pytest.mark.parametrize("clock", ["-100", "0", "nan", "inf"])
+    def test_bad_clock(self, capsys, clock):
+        assert main(["project", "--latency", "275", "--slices", "41300",
+                     "--budget", "200000", "--clock", clock]) == 1
+        one_line_error(capsys, "must be finite and > 0")
 
     @pytest.mark.parametrize("latency,slices", [(0, 41300), (-5, 41300),
                                                 (273, 0)])

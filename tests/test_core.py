@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -31,10 +32,20 @@ class TestWaves:
 class TestCoreConfig:
     @pytest.mark.parametrize("name", ["n_add", "n_mul", "n_div", "lat_add",
                                       "lat_mul", "lat_div", "issue_cost",
-                                      "lat_convert"])
+                                      "lat_convert", "n_sregs", "n_vregs"])
     def test_negative_rejected(self, name):
         with pytest.raises(ValueError, match=f"{name} must be >= 0"):
             CoreConfig(**{name: -1})
+
+    @pytest.mark.parametrize("clock", [0.0, -100.0, math.nan, math.inf])
+    def test_clock_must_be_finite_and_positive(self, clock):
+        with pytest.raises(ValueError, match="clock_mhz must be finite and > 0"):
+            CoreConfig(clock_mhz=clock)
+
+    def test_memory_must_hold_a_word(self):
+        with pytest.raises(ValueError, match="dmem_words must be >= 1"):
+            CoreConfig(dmem_words=0)
+        assert CoreConfig(dmem_words=1, n_sregs=0, n_vregs=0).dmem_words == 1
 
     def test_no_scalar_registers_runs_vector_program(self):
         p = isa.assemble("VADD v1, v1, v1\nHALT")

@@ -244,6 +244,11 @@ class TestThroughputProjection:
         with pytest.raises(ValueError, match="must be >= 1"):
             throughput_projection(make_point(latency, slices), 200000, 100.0)
 
+    @pytest.mark.parametrize("clock", [0.0, -100.0, math.nan, math.inf])
+    def test_clock_must_be_finite_and_positive(self, clock):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            throughput_projection(self.point, 200000, clock)
+
     def test_cores_fit_budget(self):
         rng = random.Random(8)
         for _ in range(50):

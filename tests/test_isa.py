@@ -1,11 +1,91 @@
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vproc.fixedpoint as fx
-from vproc import isa
+from vproc import isa, kernel
 from vproc.core import CoreConfig
 from vproc.isa import AssemblyError, Instruction, OpClass, Program
 
-from conftest import random_program
+from conftest import random_program, ref_assemble, ref_validate_structure
+
+# Source fragments for the differential assembler test: well-formed operands
+# of each kind, malformed ones (among them "c", a label never defined), and
+# well-formed and malformed label names.
+_GOOD = {
+    "s": ["s0", "s1", "S3", "s15", "s20"],
+    "v": ["v0", "v1", "V2", "v9", "v17"],
+    "imm": ["1.5", "-0.25", "3", "0xFFFFFFFFC0000000", "0x1", "1e3"],
+    "addr": ["[0]", "[5]", "[ 7 ]", "[-1]", "[4095]"],
+    "label": ["a", "b", "loop", "x_1"],
+}
+_BAD = ["x3", "s", "", "abc", "nan", "1e400", "[x]", "5", "[]", "s1x",
+        "v-1", "c", "a:", "0x1G"]
+_NAMES = _GOOD["label"]
+_BAD_NAMES = ["9x", "", "a-b", "1"]
+
+
+@st.composite
+def _statement(draw, clean, mnemonics, good):
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return ""                                   # blank or label-only
+    if kind == 1:
+        cells = ["0", "7", "1.5", "0x10", "-2"] + ([] if clean else ["x", "nan"])
+        return ".data " + " ".join(draw(st.lists(st.sampled_from(cells),
+                                                 min_size=int(clean), max_size=3)))
+    if kind == 2 and not clean:
+        return draw(st.sampled_from(["VFOO v0, v1", "nop", "HALT s1",
+                                     "SADD s1, s2", "JMP", ".DATA 0 1",
+                                     "VADD v0, v1, v2, v3"]))
+    mnemonic = draw(st.sampled_from(mnemonics))
+    tokens = []
+    for k in isa.OPCODES[mnemonic][1]:
+        bad = not clean and draw(st.integers(0, 9)) == 0
+        tokens.append(draw(st.sampled_from(_BAD if bad else good[k])))
+    if draw(st.booleans()):
+        mnemonic = mnemonic.lower()
+    sep = draw(st.sampled_from([", ", ",", " ,\t"]))
+    return f"{mnemonic} {sep.join(tokens)}".rstrip()
+
+
+@st.composite
+def _sources(draw):
+    """Assembly text mixing every statement form; `clean` sources assemble.
+
+    Each source draws from a few mnemonics and one or two operands of each
+    kind, so statements repeat verbatim and near-duplicates differ in one
+    operand.
+    """
+    clean = draw(st.booleans())
+    mnemonics = draw(st.lists(st.sampled_from(sorted(isa.OPCODES)),
+                              min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):         # label operands in half of the sources
+        mnemonics.append(draw(st.sampled_from(["JMP", "BZ", "BNZ"])))
+    good = {}
+    for kind in ("sd", "sa", "sb", "vd", "va", "vb", "imm", "addr", "label"):
+        pool = _GOOD[kind if kind in _GOOD else kind[0]]
+        good[kind] = draw(st.lists(st.sampled_from(pool), min_size=1,
+                                   max_size=2, unique=True))
+    defined: set[str] = set()
+    lines = []
+    for _ in range(draw(st.integers(0, 20))):
+        names = draw(st.lists(st.sampled_from(_NAMES if clean
+                                              else _NAMES + _BAD_NAMES),
+                              max_size=3))
+        if clean:
+            names = [n for n in dict.fromkeys(names) if n not in defined]
+        defined.update(names)
+        seps = [draw(st.sampled_from(["", " ", "\t"])) for _ in names]
+        prefix = "".join(f"{n}:{s}" for n, s in zip(names, seps))
+        comment = draw(st.sampled_from(["", " ; note", "; x: y, z", ";"]))
+        statement = draw(_statement(clean, mnemonics, good))
+        lines.append(f"{prefix}{statement}{comment}")
+    if clean:                       # define every label a branch may name
+        lines += [f"{n}: HALT" for n in _NAMES if n not in defined]
+    return "\n".join(lines)
 
 
 class TestAssemble:
@@ -55,6 +135,43 @@ class TestAssemble:
         src = "a: LDI s1, 2.5\nBNZ s1, a\nHALT\n.data 7 0.5"
         assert isa.assemble(src) == isa.assemble(src)
 
+    def test_repeated_statement_shares_one_instruction(self):
+        p = isa.assemble("SADD s1, s1, s2\nx: SADD s1, s1, s2 ; again\nHALT")
+        assert p.instructions[0] is p.instructions[1]
+
+    def test_label_only_lines_label_next_instruction(self):
+        p = isa.assemble("a: b:\nc:\n\nHALT\nd: e: JMP a")
+        assert p.labels == {"a": 0, "b": 0, "c": 0, "d": 1, "e": 1}
+        assert p.instructions[1] == Instruction("JMP", target=0)
+
+    def test_diagnostic_order(self):
+        src = "JMP nowhere\nVFOO\n9x: HALT\nHALT\nHALT s1\nq: HALT\nq:"
+        with pytest.raises(AssemblyError) as exc:
+            isa.assemble(src)
+        assert exc.value.diagnostics == [
+            "malformed label '9x' at line 3", "duplicate label 'q' at line 7",
+            "unresolved label 'nowhere' at line 1",
+            "unknown mnemonic 'VFOO' at line 2",
+            "HALT expects 0 operand(s), got 1 at line 5"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sources())
+    @example("SADD s1, s2, s3\nSADD s1, s2, s4\nSADD s1, s2, s34\nsadd S1,s2,s3\n"
+             "VLD v1, [10]\nVLD v1, [11]\nVLD v1, [1]\nLDI s1, 1.5\n"
+             "LDI s2, 1.5\nx: BNZ s1, x\nBNZ s1, y\ny: BNZ s1, x")
+    def test_matches_two_pass_reference(self, src):
+        try:
+            want = ref_assemble(src)
+        except AssemblyError as exc:
+            with pytest.raises(AssemblyError) as got:
+                isa.assemble(src)
+            assert got.value.diagnostics == exc.diagnostics
+            return
+        got = isa.assemble(src)
+        assert got.instructions == want.instructions
+        assert got.labels == want.labels
+        assert got.data_init == want.data_init
+
 
 class TestDisassemble:
     def test_halt_only(self):
@@ -78,6 +195,10 @@ class TestDisassemble:
         .data 0 1.0 2.0 0x0000000000000001
         """
         p = isa.assemble(src)
+        assert isa.assemble(isa.disassemble(p)) == p
+
+    def test_roundtrip_scalar_kernel(self):
+        p = kernel.emit_scalar_program(256)
         assert isa.assemble(isa.disassemble(p)) == p
 
     def test_roundtrip_random_programs(self, rng):
@@ -118,8 +239,32 @@ class TestValidate:
         assert any("exceeds vector length" in d for d in isa.validate(p, cfg))
 
     def test_valid_kernel_program(self):
-        from vproc import kernel
         assert isa.validate(kernel.emit_program(24), self.cfg) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_structure_matches_reference(self, seed):
+        """Random programs with branches and conversions, checked under
+        small configurations that trip every structural check."""
+        rng = random.Random(seed)
+        p = random_program(rng, self.cfg, n_instr=rng.randrange(1, 30))
+        ins = p.instructions
+        for _ in range(rng.randrange(5)):
+            reg, target = rng.randrange(16), rng.randrange(-2, len(ins) + 3)
+            ins.insert(rng.randrange(len(ins) + 1), rng.choice([
+                Instruction("JMP", target=target),
+                Instruction("BNZ", a=reg, target=target),
+                Instruction("F2X", d=reg, a=rng.randrange(16)),
+                Instruction("X2F", d=rng.randrange(16), a=reg)]))
+        p.data_init = [(rng.randrange(-3, 4100), [fx.ZERO] * rng.randrange(30))
+                       for _ in range(rng.randrange(3))]
+        cfg = CoreConfig(vec_len=rng.choice([1, 8, 24, 64]),
+                         n_sregs=rng.randrange(17), n_vregs=rng.randrange(17),
+                         dmem_words=rng.choice([1, 64, 4096]),
+                         enable_converter=rng.random() < 0.5)
+        assert isa.validate_structure(p, cfg) == ref_validate_structure(p, cfg)
+        used = {isa.opclass(i.op) for i in p.instructions} & isa.CLASS_UNITS.keys()
+        assert isa.unit_classes(p) == sorted(used, key=lambda c: c.value)
 
 
 class TestOpClasses:

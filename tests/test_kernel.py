@@ -55,6 +55,13 @@ class TestEmitProgram:
 
     @pytest.mark.parametrize("emit", [kernel.emit_program,
                                       kernel.emit_scalar_program])
+    def test_layout_checked_against_given_memory(self, emit):
+        assert emit(400, dmem_words=8192).instructions   # 4400 words
+        with pytest.raises(kernel.LayoutError, match="memory has 4399"):
+            emit(400, dmem_words=4399)
+
+    @pytest.mark.parametrize("emit", [kernel.emit_program,
+                                      kernel.emit_scalar_program])
     @pytest.mark.parametrize("vec_len", [0, -1])
     def test_empty_vectors_rejected(self, emit, vec_len):
         with pytest.raises(kernel.LayoutError, match="must be >= 1"):
