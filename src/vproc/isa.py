@@ -171,7 +171,7 @@ def assemble(source_text: str) -> Program:
     diags: list[tuple[int, str]] = []          # (lineno, message)
     program = Program()
     labels, instructions = program.labels, program.instructions
-    encoded: dict[str, Instruction] = {}       # statement text -> Instruction
+    encoded: dict[str, tuple[Instruction, str | None]] = {}  # by statement text
     fixups: list[tuple[int, int, str]] = []    # (pc, lineno, label operand)
     for lineno, line in enumerate(source_text.splitlines(), start=1):
         line = line.partition(";")[0].strip()
@@ -187,8 +187,8 @@ def assemble(source_text: str) -> Program:
                 labels[name] = len(instructions)
         if not line:
             continue
-        instr = encoded.get(line)
-        if instr is None:
+        hit = encoded.get(line)
+        if hit is None:
             mnemonic, *rest = line.split(None, 1)
             operand_text = rest[0] if rest else ""
             try:
@@ -197,15 +197,14 @@ def assemble(source_text: str) -> Program:
                     program.data_init.append(
                         (int(addr), [_parse_value(t) for t in values]))
                     continue
-                instr, label = _encode(mnemonic, operand_text)
+                hit = encoded[line] = _encode(mnemonic, operand_text)
             except ValueError as exc:
                 msg = "malformed .data directive" if mnemonic == ".data" else exc
                 diags.append((lineno, f"{msg} at line {lineno}"))
                 continue
-            if label is None:
-                encoded[line] = instr
-            else:
-                fixups.append((len(instructions), lineno, label))
+        instr, label = hit
+        if label is not None:
+            fixups.append((len(instructions), lineno, label))
         instructions.append(instr)
 
     for pc, lineno, label in fixups:
@@ -251,11 +250,10 @@ def validate(p: Program, cfg) -> list[str]:
     return validate_structure(p, cfg) + validate_units(unit_classes(p), cfg)
 
 
-# mnemonic -> (scalar register fields, vector register fields, class).  No
-# signature names a scalar register before a vector one, so checking the
-# vector fields first keeps each instruction's diagnostics in operand order.
-_CHECKS = {m: (tuple(k[1] for k in sig if k in ("sd", "sa", "sb")),
-               tuple(k[1] for k in sig if k in ("vd", "va", "vb")), cls)
+# mnemonic -> (register operands in signature order as (field, is a vector
+# register), is a vector op so its address spans vec_len words, class).
+_CHECKS = {m: (tuple((k[1], k[0] == "v") for k in sig if k[0] in "sv"),
+               m in VECTOR_OPS, cls)
            for m, (cls, sig) in OPCODES.items()}
 
 
@@ -265,17 +263,17 @@ def validate_structure(p: Program, cfg) -> list[str]:
     n = len(p.instructions)
     n_sregs, n_vregs, words = cfg.n_sregs, cfg.n_vregs, cfg.dmem_words
     for idx, instr in enumerate(p.instructions):
-        sregs, vregs, cls = _CHECKS[instr.op]
-        for f in vregs:
-            if (reg := getattr(instr, f)) >= n_vregs:
+        regs, vector, cls = _CHECKS[instr.op]
+        for f, is_vreg in regs:
+            reg = getattr(instr, f)
+            if is_vreg and reg >= n_vregs:
                 diags.append(f"instr {idx} ({instr.op}): vector register index "
                              f"{reg} out of range (n_vregs={n_vregs})")
-        for f in sregs:
-            if (reg := getattr(instr, f)) >= n_sregs:
+            elif not is_vreg and reg >= n_sregs:
                 diags.append(f"instr {idx} ({instr.op}): scalar register index "
                              f"{reg} out of range (n_sregs={n_sregs})")
         if (addr := instr.addr) is not None:
-            width = cfg.vec_len if vregs else 1
+            width = cfg.vec_len if vector else 1
             if addr < 0 or addr + width > words:
                 diags.append(f"instr {idx} ({instr.op}): address {addr} "
                              f"(+{width} words) outside data memory of {words}")

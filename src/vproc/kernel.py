@@ -94,15 +94,14 @@ def emit_program(vec_len: int = 24, layout: dict[str, int] | None = None,
 
 
 def emit_scalar_program(vec_len: int = 24, layout: dict[str, int] | None = None,
-                        s_k: float = 1.0,
-                        dmem_words: int = CoreConfig.dmem_words) -> Program:
+                        s_k: float = 1.0) -> Program:
     """Per-element scalar transcription, same operation order within a lane.
 
     The ISA has no indexed addressing, so the element loop is fully
     unrolled; the static instruction count grows linearly in W.
     """
     layout = layout if layout is not None else default_layout(vec_len)
-    _check_layout(layout, vec_len, dmem_words)
+    _check_layout(layout, vec_len, CoreConfig.dmem_words)
     ins: list[Instruction] = [Instruction("LDI", d=15, imm=fx.from_real(s_k))]
     for lane in range(vec_len):
         for i, name in enumerate(INPUT_NAMES):

@@ -139,6 +139,10 @@ class TestAssemble:
         p = isa.assemble("SADD s1, s1, s2\nx: SADD s1, s1, s2 ; again\nHALT")
         assert p.instructions[0] is p.instructions[1]
 
+    def test_repeated_branch_statement_resolved_at_each_pc(self):
+        p = isa.assemble("BNZ s1, y\nx: BNZ s1, y\ny: JMP x")
+        assert p.instructions[:2] == [Instruction("BNZ", a=1, target=2)] * 2
+
     def test_label_only_lines_label_next_instruction(self):
         p = isa.assemble("a: b:\nc:\n\nHALT\nd: e: JMP a")
         assert p.labels == {"a": 0, "b": 0, "c": 0, "d": 1, "e": 1}
