@@ -65,6 +65,8 @@ def tiled_latency(k: DataflowKernel, cfg: CoreConfig, barrier_cost: int = 1) -> 
     Replication does not appear: replicas run in parallel.  The tiled
     circuit has no controller, so no per-instruction issue cost is charged.
     """
+    if barrier_cost < 0:
+        raise ValueError(f"barrier cost {barrier_cost} must be >= 0")
     weight = {nid: _node_latency(cls, cfg) for nid, cls in k.nodes}
     preds: dict[str, list[str]] = {nid: [] for nid, _ in k.nodes}
     for src, dst in k.edges:

@@ -7,7 +7,8 @@ Formats (documented with examples in docs/formats.md):
             scalar constant travels in a single-row column "s_k".
   report  - JSON with a schema_version field; no timestamps, fully
             deterministic for given inputs.
-Exit codes: 0 success, 1 user/input error, 2 simulation fault.
+Exit codes: 0 success, 1 user/input error, 2 simulation fault or timeout;
+main() is the one place that maps errors to them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -76,26 +78,28 @@ def load_config(path: str | None) -> tuple[CoreConfig, Calibration]:
 
 
 def _read(path: str) -> str:
+    """The text of an input file; every input file is read here."""
     try:
         with open(path, encoding="utf-8") as f:
             return f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
 
 
-def write_data_csv(path: str, inputs: kernel.KernelInputs) -> None:
+def _write_csv(path: str, rows: list[list[str]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(list(kernel.INPUT_NAMES) + ["s_k"])
-        for i in range(inputs.vec_len):
-            row = [repr(inputs.vectors[name][i]) for name in kernel.INPUT_NAMES]
-            row.append(repr(inputs.s_k) if i == 0 else "")
-            writer.writerow(row)
+        csv.writer(f).writerows(rows)
+
+
+def write_data_csv(path: str, inputs: kernel.KernelInputs) -> None:
+    names = kernel.INPUT_NAMES
+    _write_csv(path, [[*names, "s_k"]] + [
+        [repr(inputs.vectors[n][i]) for n in names]
+        + [repr(inputs.s_k) if i == 0 else ""] for i in range(inputs.vec_len)])
 
 
 def read_data_csv(path: str) -> kernel.KernelInputs:
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
+    rows = list(csv.reader(io.StringIO(_read(path))))
     if not rows:
         raise CliError(f"{path}: empty data file")
     header = [h.strip() for h in rows[0]]
@@ -147,15 +151,15 @@ def _write_out(path: str | None, text: str) -> None:
             f.write(text if text.endswith("\n") else text + "\n")
 
 
-def _data_initializers(path: str | None, cfg: CoreConfig):
-    """Memory initializers from a data file whose lane count matches cfg."""
+def _data_inputs(path: str | None, cfg: CoreConfig) -> kernel.KernelInputs | None:
+    """Inputs from a data file whose lane count matches cfg."""
     if not path:
         return None
     inputs = read_data_csv(path)
     if inputs.vec_len != cfg.vec_len:
         raise CliError(f"data file has {inputs.vec_len} lanes, "
                        f"config expects {cfg.vec_len}")
-    return kernel.data_initializers(inputs)
+    return inputs
 
 
 def _parse_observe(spec: str | None, cfg: CoreConfig) -> tuple[int, int]:
@@ -183,13 +187,11 @@ def parse_mix_spec(spec: str) -> list[tuple[int, int, int]]:
         return [(int(t),) * 3 for t in sizes]
     mixes = []
     for item in spec.split(","):
-        parts = item.strip().split("-")
-        if len(parts) != 3:
-            raise CliError(f"bad mix '{item.strip()}', expected A-M-D")
-        try:
-            mixes.append(tuple(int(x) for x in parts))
+        try:        # a count other than three fails to unpack
+            a, m, d = (int(x) for x in item.strip().split("-"))
         except ValueError:
             raise CliError(f"bad mix '{item.strip()}', expected A-M-D")
+        mixes.append((a, m, d))
     return mixes
 
 
@@ -215,34 +217,28 @@ def cmd_asm(args) -> int:
 def cmd_run(args) -> int:
     cfg, _ = load_config(args.config)
     program = isa.assemble(_read(args.program))
-    inits = _data_initializers(args.data, cfg)
+    inputs = _data_inputs(args.data, cfg)
     observe = _parse_observe(args.observe, cfg)
-    try:
-        report = core.run(program, cfg, inputs=inits, observe=observe,
-                          max_cycles=args.max_cycles)
-    except core.ValidationError as exc:
-        for d in exc.diagnostics:
-            print(d, file=sys.stderr)
-        return 1
-    except (core.SimulationFault, core.SimulationTimeout) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    report = core.run(program, cfg,
+                      inputs=inputs and kernel.data_initializers(inputs),
+                      observe=observe, max_cycles=args.max_cycles)
+    _write_out(args.out, json.dumps(_report_dict(report), indent=2))
     if report.flags.div_by_zero:
         print("warning: division by zero occurred during execution",
               file=sys.stderr)
     if report.flags.overflow:
         print("warning: arithmetic saturation occurred during execution",
               file=sys.stderr)
-    _write_out(args.out, json.dumps(_report_dict(report), indent=2))
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg, cal = load_config(args.config)
     program = isa.assemble(_read(args.program))
-    inits = _data_initializers(args.data, cfg)
+    inputs = _data_inputs(args.data, cfg)
     configs = [cfg.with_mix(*mix) for mix in parse_mix_spec(args.mixes)]
-    points = dse.sweep(program, configs, cal, inputs=inits)
+    points = dse.sweep(program, configs, cal,
+                       inputs=inputs and kernel.data_initializers(inputs))
     frontier = {id(p) for p in dse.pareto(points)}
     lines = ["label,n_add,n_mul,n_div,latency_cycles,slices,on_pareto"]
     for p in points:
@@ -255,34 +251,39 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg, cal = load_config(args.config)
-    inputs = (read_data_csv(args.data) if args.data
-              else kernel.generate_inputs(cfg.vec_len, seed=0))
+    inputs = (_data_inputs(args.data, cfg)
+              or kernel.generate_inputs(cfg.vec_len, seed=0))
     program = kernel.emit_program(cfg.vec_len, s_k=inputs.s_k,
                                   dmem_words=cfg.dmem_words)
-    inits = kernel.data_initializers(inputs)
 
     graph = kernel.dataflow_graph(replication=cfg.vec_len)
-    tiled_lat = archmodels.tiled_latency(graph, cfg, barrier_cost=args.barrier)
+    try:
+        tiled_lat = archmodels.tiled_latency(graph, cfg,
+                                             barrier_cost=args.barrier)
+    except ValueError as exc:
+        raise CliError(str(exc))
     tiled_slices = resources.estimate_tiled(graph, cal).slices
 
-    seq_cfg = archmodels.sequential_config(cfg)
-    seq_lat = core.run(program, seq_cfg, inputs=inits).total_cycles
+    # The sequential core is the vector core with a 1-1-1 mix: one sweep.
+    seq, vec = dse.sweep(program, [archmodels.sequential_config(cfg), cfg],
+                         cal, inputs=kernel.data_initializers(inputs))
+    seq_lat, vec_lat = seq.latency_cycles, vec.latency_cycles
     seq_slices = resources.estimate_sequential(cal).slices
-
-    vec_lat = core.run(program, cfg, inputs=inits).total_cycles
-    vec_slices = resources.estimate_vector(cfg, cal).slices
+    if tiled_lat == 0 or seq_slices == 0:
+        raise CliError(f"cannot form ratios: tiled latency {tiled_lat} and "
+                       f"sequential slices {seq_slices} must be >= 1")
 
     out = {
         "schema_version": SCHEMA_VERSION,
         "architectures": {
             "tiled": {"latency_cycles": tiled_lat, "slices": tiled_slices},
             "sequential": {"latency_cycles": seq_lat, "slices": seq_slices},
-            "vector": {"label": cfg.mix_label, "latency_cycles": vec_lat,
-                       "slices": vec_slices},
+            "vector": {"label": vec.label, "latency_cycles": vec_lat,
+                       "slices": vec.slices},
         },
         "ratios": {
             "latency_sequential_over_vector": round(seq_lat / vec_lat, 4),
-            "slices_vector_over_sequential": round(vec_slices / seq_slices, 4),
+            "slices_vector_over_sequential": round(vec.slices / seq_slices, 4),
             "latency_sequential_over_tiled": round(seq_lat / tiled_lat, 4),
             "slices_tiled_over_sequential": round(tiled_slices / seq_slices, 4),
         },
@@ -324,20 +325,20 @@ def cmd_project(args) -> int:
 def cmd_kernel_gen(args) -> int:
     inputs = kernel.generate_inputs(args.veclen, args.seed)
     program = kernel.emit_program(args.veclen, s_k=inputs.s_k)
-    expected = kernel.oracle(inputs)
+    expected = [["out"]] + [[repr(x)] for x in kernel.oracle(inputs)]
     _write_out(args.out_prefix + ".asm", isa.disassemble(program))
     write_data_csv(args.out_prefix + "_data.csv", inputs)
-    with open(args.out_prefix + "_expected.csv", "w", newline="",
-              encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["out"])
-        for x in expected:
-            writer.writerow([repr(x)])
+    _write_csv(args.out_prefix + "_expected.csv", expected)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):      # a usage error is an input error
+        raise CliError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vproc",
         description="Vector soft-processor simulator and design-space explorer")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -394,16 +395,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; the only place an error becomes an exit code."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, isa.AssemblyError, kernel.LayoutError,
-            resources.CalibrationError, core.ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            resources.CalibrationError, core.ValidationError,
+            OSError) as exc:
+        code, message = 1, str(exc)
     except (core.SimulationFault, core.SimulationTimeout) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, str(exc)
+    # One line, even when the message quotes input holding a line break.
+    print("error:", " ".join(message.splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ class CoreConfig:
     enable_converter: bool = True
     lat_convert: int = 2
     dmem_words: int = 4096
-    clock_mhz: float = 100.0   # used only for throughput projection
+    clock_mhz: float = 100.0   # read by no model; `vproc project` takes --clock
 
     def __post_init__(self) -> None:
         if self.vec_len < 1:
@@ -200,7 +200,10 @@ def run(p: Program, cfg: CoreConfig,
         inputs: list[tuple[int, list[Fixed64]]] | None = None,
         observe: tuple[int, int] | None = None,
         max_cycles: int = MAX_CYCLES) -> ExecReport:
-    """Execute a program to HALT and report cycles, utilization and memory."""
+    """Execute a program to HALT and report cycles, utilization and memory.
+    Times out past max_cycles cycles, or when one branch retires more than
+    max_cycles times: every loop retires a branch on each pass, so this
+    also ends loops of zero-cost instructions."""
     diags = isa.validate(p, cfg)
     if diags:
         raise ValidationError(diags)
@@ -276,13 +279,10 @@ def run(p: Program, cfg: CoreConfig,
                 mem[i.addr:i.addr + W] = v[i.a]
             elif op == "VMOV":
                 v[i.d] = list(v[i.a])
-            elif op == "JMP":
-                next_pc = i.target
-            elif op == "BZ":
-                if s[i.a] == 0:
-                    next_pc = i.target
-            elif op == "BNZ":
-                if s[i.a] != 0:
+            elif op in ("JMP", "BZ", "BNZ"):
+                if retired[idx] > max_cycles:
+                    raise SimulationTimeout(report())
+                if op == "JMP" or (s[i.a] == 0) == (op == "BZ"):
                     next_pc = i.target
             elif op == "F2X":
                 s[i.d] = _convert_f2x(s[i.a], flags)

@@ -8,6 +8,7 @@ is reproduced by calibrate().
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .archmodels import DataflowKernel
@@ -32,8 +33,8 @@ class Calibration:
             raise ValueError("calibration requires c_mul > c_div > c_add")
         for name in ("c_add", "c_mul", "c_div", "c_convert",
                      "base_vector", "base_seq", "c_tiled_barrier"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:     # also nan
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 DEFAULT_CALIBRATION = Calibration()

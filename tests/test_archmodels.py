@@ -51,6 +51,13 @@ class TestTiledLatency:
         for r in (1, 24, 100):
             assert tiled_latency(kernel.dataflow_graph(r), CFG) == 198
 
+    def test_negative_barrier_rejected(self):
+        k = kernel.dataflow_graph()
+        assert tiled_latency(k, CFG, barrier_cost=0) \
+            == tiled_latency(k, CFG) - 1
+        with pytest.raises(ValueError, match="barrier cost -1 must be >= 0"):
+            tiled_latency(k, CFG, barrier_cost=-1)
+
     def test_cycle_detected(self):
         k = DataflowKernel(nodes=[("a", OpClass.ADD_CLASS),
                                   ("b", OpClass.ADD_CLASS)],

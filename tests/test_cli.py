@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from vproc import cli, kernel
+from vproc import cli, core, kernel
 from vproc.cli import main, parse_config_text, parse_mix_spec, CliError
 
 KERNEL_ASM = None
@@ -142,6 +142,33 @@ class TestRun:
         prog.write_text("spin: JMP spin\nHALT\n")
         assert main(["run", str(prog), "--max-cycles", "50"]) == 2
 
+    def test_timeout_one_line(self, tmp_path, capsys):
+        prog = tmp_path / "p.asm"
+        prog.write_text("spin: JMP spin\nHALT\n")
+        assert main(["run", str(prog), "--max-cycles", "50"]) == 2
+        one_line_error(capsys, "max_cycles exceeded")
+
+    def test_zero_cost_loop_times_out(self, tmp_path, capsys):
+        prog = tmp_path / "p.asm"
+        prog.write_text("spin: JMP spin\nHALT\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("issue_cost = 0\n")
+        assert main(["run", str(prog), "--config", str(cfg),
+                     "--max-cycles", "50"]) == 2
+        one_line_error(capsys, "max_cycles exceeded")
+
+    def test_diagnostics_on_one_line(self, tmp_path, capsys):
+        prog = tmp_path / "p.asm"
+        prog.write_text("VLD v99, [0]\nSADD s40, s1, s2\nHALT\n")
+        assert main(["run", str(prog)]) == 1
+        one_line_error(capsys, "instr 0 (VLD): vector register index 99",
+                       "instr 1 (SADD): scalar register index 40")
+
+    def test_out_in_missing_directory(self, workdir, capsys):
+        assert main(["run", str(workdir / "kern.asm"),
+                     "--out", str(workdir / "missing" / "r.json")]) == 1
+        one_line_error(capsys, "r.json")
+
     def test_validation_exit_1(self, tmp_path, capsys):
         prog = tmp_path / "p.asm"
         prog.write_text("VLD v99, [0]\nHALT\n")
@@ -203,6 +230,51 @@ class TestDataCells:
                      "--config", str(workdir / "core.cfg"),
                      "--data", str(data)]) == 1
         one_line_error(capsys, "row 4 has 12 cells, header has 11")
+
+
+class TestInputFiles:
+    """An input file that cannot be read exits 1 with one line naming it."""
+
+    @pytest.mark.parametrize("command", [
+        ["run", "kern.asm"], ["sweep", "kern.asm", "--mixes", "8-8-8"],
+        ["compare"]])
+    def test_missing_data_file(self, workdir, capsys, command):
+        args = [str(workdir / a) if a.endswith(".asm") else a for a in command]
+        assert main(args + ["--data", str(workdir / "missing.csv"),
+                            "--out", str(workdir / "x")]) == 1
+        one_line_error(capsys, "cannot read", "missing.csv")
+
+    @pytest.mark.parametrize("name", ["kern.asm", "kern_data.csv", "core.cfg"])
+    def test_not_utf8(self, workdir, capsys, name):
+        (workdir / name).write_bytes(b"\xff\xfe bad bytes\n")
+        assert main(["run", str(workdir / "kern.asm"),
+                     "--config", str(workdir / "core.cfg"),
+                     "--data", str(workdir / "kern_data.csv"),
+                     "--out", str(workdir / "x")]) == 1
+        one_line_error(capsys, f"cannot read {workdir / name}", "utf-8")
+
+
+class TestUsage:
+    """A malformed command line is an input error: exit 1, one line."""
+
+    @pytest.mark.parametrize("argv,fragment", [
+        ([], "required: command"),
+        (["run"], "vproc run: the following arguments are required: program"),
+        (["run", "k.asm", "--max-cycles", "abc"], "invalid int value: 'abc'"),
+        (["sweep", "k.asm"], "required: --mixes"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["project", "--nope"], "unrecognized arguments: --nope"),
+    ])
+    def test_usage_error_exit_1(self, capsys, argv, fragment):
+        assert main(argv) == 1
+        one_line_error(capsys, fragment)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: vproc" in capsys.readouterr().out
 
 
 class TestSweep:
@@ -279,6 +351,59 @@ class TestCompare:
         assert json.loads(out.read_text())["architectures"]["vector"]["latency_cycles"] > 0
 
 
+    def test_data_lane_count_checked(self, workdir, capsys):
+        assert main(["kernel-gen", "--veclen", "16", "--seed", "1",
+                     "--out-prefix", str(workdir / "k16")]) == 0
+        assert main(["compare", "--data", str(workdir / "k16_data.csv"),
+                     "--out", str(workdir / "x.json")]) == 1
+        one_line_error(capsys, "data file has 16 lanes, config expects 24")
+
+    def test_one_simulation(self, workdir, monkeypatch):
+        calls = []
+        real = core.run
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(core, "run", counted)
+        assert main(["compare", "--data", str(workdir / "kern_data.csv"),
+                     "--out", str(workdir / "cmp.json")]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("barrier", ["-1", "-197", "-500"])
+    def test_negative_barrier_rejected(self, tmp_path, capsys, barrier):
+        assert main(["compare", "--barrier", barrier,
+                     "--out", str(tmp_path / "cmp.json")]) == 1
+        one_line_error(capsys, f"barrier cost {barrier} must be >= 0")
+        assert not list(tmp_path.iterdir())
+
+    def test_zero_barrier_allowed(self, tmp_path):
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--barrier", "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["architectures"]["tiled"] \
+            ["latency_cycles"] == 197
+
+    @pytest.mark.parametrize("config,barrier,fragment", [
+        ("lat_add = 0\nlat_mul = 0\nlat_div = 0\n", "0", "tiled latency 0"),
+        ("c_add = 0.1\nc_mul = 0.3\nc_div = 0.2\nbase_seq = 0\n", "1",
+         "sequential slices 0"),
+    ])
+    def test_zero_ratio_denominator_rejected(self, tmp_path, capsys, config,
+                                             barrier, fragment):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        assert main(["compare", "--config", str(cfg), "--barrier", barrier,
+                     "--out", str(tmp_path / "cmp.json")]) == 1
+        one_line_error(capsys, "cannot form ratios", fragment)
+
+    def test_non_finite_calibration_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("c_mul = inf\n")
+        assert main(["compare", "--config", str(cfg)]) == 1
+        one_line_error(capsys, "c_mul must be finite")
+
+
 class TestProject:
     def test_amdahl_inf(self, tmp_path):
         out = tmp_path / "p.json"
@@ -340,6 +465,11 @@ class TestKernelGen:
                      "--out-prefix", str(tmp_path / "k0")]) == 1
         one_line_error(capsys, "vector length 0 must be >= 1")
         assert not list(tmp_path.iterdir())
+
+    def test_out_prefix_in_missing_directory(self, tmp_path, capsys):
+        assert main(["kernel-gen",
+                     "--out-prefix", str(tmp_path / "missing" / "k")]) == 1
+        one_line_error(capsys, "k.asm")
 
     def test_data_csv_roundtrip(self, workdir):
         inputs = cli.read_data_csv(str(workdir / "kern_data.csv"))

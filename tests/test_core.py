@@ -168,6 +168,13 @@ class TestRun:
             run(p, CoreConfig(), max_cycles=100)
         assert exc.value.report.total_cycles > 100
 
+    def test_zero_cost_loop_times_out(self):
+        p = isa.assemble("spin: JMP spin\nHALT")
+        with pytest.raises(SimulationTimeout) as exc:
+            run(p, CoreConfig(issue_cost=0), max_cycles=100)
+        assert exc.value.report.total_cycles == 0
+        assert exc.value.report.instr_count == 101
+
     def test_utilization_bounds(self):
         cfg = CoreConfig()
         p, inits = kernel_setup(cfg)

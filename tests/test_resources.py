@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -75,6 +76,13 @@ class TestCalibration:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             Calibration(c_add=900.0, c_mul=350.0, c_div=750.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("c_mul", math.inf), ("base_seq", math.inf), ("base_seq", math.nan),
+        ("c_convert", math.nan)])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            dataclasses.replace(Calibration(), **{field: value})
 
     def test_calibrate_reproduces_defaults(self):
         assert calibrate() == Calibration()
