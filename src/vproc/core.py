@@ -191,29 +191,36 @@ def _convert_f2x(word: int, flags: ArithFlags) -> int:
     if x != x:                  # NaN: no meaningful value, flag and zero
         flags.overflow = True
         return 0
-    if math.isinf(x):           # out of range: from_real saturates and flags
+    if math.isinf(x):           # out of range: from_reals saturates and flags
         x = math.copysign(fx.SCALE, x)
-    return fx.from_real(x, flags).raw
+    return fx.from_reals([x], flags)[0]
 
 
 def run(p: Program, cfg: CoreConfig,
-        inputs: list[tuple[int, list[Fixed64]]] | None = None,
+        inputs: list[tuple[int, list[int]]] | None = None,
         observe: tuple[int, int] | None = None,
         max_cycles: int = MAX_CYCLES) -> ExecReport:
     """Execute a program to HALT and report cycles, utilization and memory.
     Times out past max_cycles cycles, or when one branch retires more than
     max_cycles times: every loop retires a branch on each pass, so this
-    also ends loops of zero-cost instructions."""
+    also ends loops of zero-cost instructions.
+
+    `Fixed64` carries single values a user reads or writes: the program's
+    immediates and `.data` values, and the observed `ExecReport.memory`.
+    Memory images passed to the simulator are raw words: each of `inputs`
+    is (base address, list of raw Q32.32 ints), as `kernel.data_initializers`
+    and `fixedpoint.from_reals` produce them."""
     diags = isa.validate(p, cfg)
     if diags:
         raise ValidationError(diags)
 
     state = reset(cfg)
     s, v, mem, flags = state.sregs, state.vregs, state.mem, state.flags
-    for addr, values in list(p.data_init) + list(inputs or []):
-        if addr < 0 or addr + len(values) > cfg.dmem_words:
+    data_init = [(addr, [w.raw for w in values]) for addr, values in p.data_init]
+    for addr, words in data_init + list(inputs or []):
+        if addr < 0 or addr + len(words) > cfg.dmem_words:
             raise ValidationError([f"initializer at {addr} outside data memory"])
-        mem[addr:addr + len(values)] = [w.raw for w in values]
+        mem[addr:addr + len(words)] = words
 
     table = cost_table(cfg, {i.op for i in p.instructions})
     pc_cycles = [table[i.op][1] for i in p.instructions]

@@ -8,7 +8,6 @@ from itertools import groupby
 
 from . import core, isa, resources
 from .core import CoreConfig
-from .fixedpoint import Fixed64
 from .isa import Program
 from .resources import Calibration, DEFAULT_CALIBRATION
 
@@ -32,7 +31,7 @@ class Projection:
 
 def sweep(p: Program, configs: list[CoreConfig],
           cal: Calibration = DEFAULT_CALIBRATION,
-          inputs: list[tuple[int, list[Fixed64]]] | None = None
+          inputs: list[tuple[int, list[int]]] | None = None
           ) -> list[DesignPoint]:
     """One design point per configuration, in input order.
 

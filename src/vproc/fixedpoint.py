@@ -4,13 +4,17 @@ Values are stored as 64-bit two's-complement integers scaled by 2^32.
 Every operation saturates to the representable range instead of wrapping,
 and records saturation / zero-divisor events in a sticky flag set, the way
 a hardware status register would.  The simulator works on raw words with
-`add`/`sub`/`mul`/`div`; `Fixed64` and the `fx_*` wrappers are the API.
+`add`/`sub`/`mul`/`div` and converts columns of reals with `from_reals`;
+`Fixed64`, `from_real` and the `fx_*` wrappers are the single-value API.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 import math
+import operator
 
 FRAC_BITS = 32
 WORD_BITS = 64
@@ -44,8 +48,6 @@ class Fixed64:
 
 ZERO = Fixed64(0)
 ONE = Fixed64(SCALE)
-MAX = Fixed64(RAW_MAX)
-MIN = Fixed64(RAW_MIN)
 
 
 def saturate(raw: int, flags: ArithFlags | None = None) -> int:
@@ -83,19 +85,31 @@ def div(a: int, b: int, flags: ArithFlags | None = None) -> int:
     return saturate(q, flags)
 
 
-def from_real(x: float, flags: ArithFlags | None = None) -> Fixed64:
-    """Convert a finite real to the nearest Q32.32 value (ties to even).
+def from_reals(xs: Sequence[float], flags: ArithFlags | None = None) -> list[int]:
+    """Raw words of a column of finite reals: nearest Q32.32 value, ties to
+    even.
 
-    Out-of-range inputs clamp to the nearest bound.  Non-finite input is a
-    contract violation and raises.
+    Out-of-range inputs clamp to the nearest bound; only they set overflow.
+    A non-finite input is a contract violation: the first one raises.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"cannot convert non-finite value {x!r}")
-    # Reals beyond 2^32 saturate anyway; clamping to it keeps the scaling by
-    # a power of two exact (no overflow to inf), and round() on a float is
-    # exact ties-to-even.
-    x = min(max(x, -float(SCALE)), float(SCALE))
-    return Fixed64(saturate(round(x * SCALE), flags))
+    if not all(map(math.isfinite, xs)):
+        bad = next(x for x in xs if not math.isfinite(x))
+        raise ValueError(f"cannot convert non-finite value {bad!r}")
+    scale = float(SCALE)
+    if xs and (min(xs) < -2.0**31 or max(xs) >= 2.0**31):
+        # Reals beyond 2^32 saturate anyway; clamping to it keeps the
+        # scaling by a power of two exact (no overflow to inf).
+        return [saturate(round(min(max(x, -scale), scale) * SCALE), flags)
+                for x in xs]
+    # Scaling by 2^32 is exact and round() on a float is exact ties-to-even;
+    # no word saturates, since the largest double below 2^31 scales to
+    # 2^63 - 2^10.
+    return list(map(round, map(operator.mul, xs, repeat(scale))))
+
+
+def from_real(x: float, flags: ArithFlags | None = None) -> Fixed64:
+    """Convert one finite real to the nearest Q32.32 value (see from_reals)."""
+    return Fixed64(from_reals([x], flags)[0])
 
 
 def to_real(a: Fixed64) -> float:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from . import fixedpoint as fx
 from .archmodels import DataflowKernel
 from .core import CoreConfig
-from .fixedpoint import Fixed64
 from .isa import Instruction, OpClass, Program
 
 INPUT_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h", "p", "q")
@@ -165,8 +164,9 @@ def generate_inputs(vec_len: int, seed: int) -> KernelInputs:
 
 def data_initializers(inputs: KernelInputs,
                       layout: dict[str, int] | None = None
-                      ) -> list[tuple[int, list[Fixed64]]]:
-    """Memory initializers placing the input vectors at their layout bases."""
+                      ) -> list[tuple[int, list[int]]]:
+    """Memory initializers placing the input vectors, as raw words, at their
+    layout bases."""
     layout = layout if layout is not None else default_layout(inputs.vec_len)
-    return [(layout[name], [fx.from_real(x) for x in inputs.vectors[name]])
+    return [(layout[name], fx.from_reals(inputs.vectors[name]))
             for name in INPUT_NAMES]

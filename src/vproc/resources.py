@@ -46,7 +46,15 @@ class ResourceEstimate:
     breakdown: dict[str, int]
 
 
+class CalibrationError(Exception):
+    pass
+
+
 def _estimate(breakdown: dict[str, float]) -> ResourceEstimate:
+    for name, slices in breakdown.items():
+        if not math.isfinite(slices):   # finite costs whose product overflows
+            raise CalibrationError(f"slice count of '{name}' is not finite: "
+                                   f"calibration values too large")
     rounded = {k: round(v) for k, v in breakdown.items() if v}
     return ResourceEstimate(slices=sum(rounded.values()), breakdown=rounded)
 
@@ -80,10 +88,6 @@ def estimate_tiled(k: DataflowKernel, cal: Calibration = DEFAULT_CALIBRATION) ->
     for cls, count in k.op_counts().items():
         breakdown[cls.value + "_units"] = k.replication * count * cost[cls]
     return _estimate(breakdown)
-
-
-class CalibrationError(Exception):
-    pass
 
 
 def calibrate(sym_resource_ratio: float = 4.0,

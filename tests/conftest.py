@@ -66,7 +66,7 @@ def ref_run(p: Program, cfg, inputs=()):
     v = [[0] * W for _ in range(cfg.n_vregs)]
     mem = [0] * cfg.dmem_words
     for addr, words in inputs:
-        mem[addr:addr + len(words)] = [w.raw for w in words]
+        mem[addr:addr + len(words)] = words
     flags = {"overflow": False, "div_by_zero": False}
     binary = {"ADD": ref_add, "SUB": ref_sub, "MUL": ref_mul, "DIV": ref_div}
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from vproc import cli, core, kernel
+from vproc import cli, core, fixedpoint as fx, kernel
 from vproc.cli import main, parse_config_text, parse_mix_spec, CliError
 
 KERNEL_ASM = None
@@ -196,6 +196,27 @@ class TestRun:
         assert main(["run", str(prog), "--config", str(cfg)]) == 1
         one_line_error(capsys, "observe range '4000:400' outside data memory "
                                "of 4096 words")
+
+    def test_input_words_skip_from_real(self, tmp_path, monkeypatch):
+        """Input columns reach memory as raw words: at W = 256 the one
+        from_real call is the program's LDI, not one per input word."""
+        prefix = tmp_path / "k256"
+        assert main(["kernel-gen", "--veclen", "256", "--seed", "3",
+                     "--out-prefix", str(prefix)]) == 0
+        cfg = tmp_path / "w256.cfg"
+        cfg.write_text("vec_len = 256\n")
+        calls = []
+        real = fx.from_real
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fx, "from_real", counted)
+        assert main(["run", f"{prefix}.asm", "--config", str(cfg),
+                     "--data", f"{prefix}_data.csv",
+                     "--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) <= 1
 
     def test_observe_to_end_of_memory(self, workdir):
         out = workdir / "report.json"
@@ -402,6 +423,21 @@ class TestCompare:
         cfg.write_text("c_mul = inf\n")
         assert main(["compare", "--config", str(cfg)]) == 1
         one_line_error(capsys, "c_mul must be finite")
+
+    @pytest.mark.parametrize("command,component", [
+        (["compare"], "mul_units"),
+        (["sweep", "kern.asm", "--mixes", "8-8-8"], "multipliers"),
+    ])
+    def test_overflowing_calibration_rejected(self, workdir, capsys, command,
+                                              component):
+        # Each value is finite; the slice counts they multiply into are not.
+        cfg = workdir / "c.cfg"
+        cfg.write_text("c_mul = 1e308\nc_div = 1e307\n")
+        argv = [str(workdir / a) if a.endswith(".asm") else a for a in command]
+        assert main(argv + ["--config", str(cfg),
+                            "--out", str(workdir / "o")]) == 1
+        one_line_error(capsys, f"slice count of '{component}' is not finite")
+        assert not (workdir / "o").exists()
 
 
 class TestProject:

@@ -26,7 +26,8 @@ WORD = st.text(st.characters(blacklist_categories=("Cs",),
                              blacklist_characters="\x00"), max_size=8)
 SMALL = st.integers(-2, 64).map(str)
 REAL = st.sampled_from(["0", "0.1", "1", "2.5", "100", "350", "900", "-1",
-                        "inf", "-inf", "nan", "1e400", "abc", ""])
+                        "inf", "-inf", "nan", "1e308", "1e400", "abc",
+                        ""])
 
 
 STATEMENTS = [

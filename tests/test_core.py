@@ -238,8 +238,8 @@ class TestAgainstReferenceInterpreter:
         for seed in range(60):
             rng = random.Random(seed)
             p = random_program(rng, cfg, n_instr=rng.randint(1, 30))
-            words = [fx.Fixed64(rng.randrange(-4 * fx.SCALE, 4 * fx.SCALE)
-                                if rng.random() < 0.9 else 0)
+            words = [rng.randrange(-4 * fx.SCALE, 4 * fx.SCALE)
+                     if rng.random() < 0.9 else 0
                      for _ in range(cfg.dmem_words)]
             inputs = [(0, words)]
             r = run(p, cfg, inputs=inputs, observe=(0, cfg.dmem_words))

@@ -1,7 +1,8 @@
+import math
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import vproc.fixedpoint as fx
@@ -64,6 +65,40 @@ class TestFromRealAgainstReference:
         -(2.0**31) - 2.0**-21, 0.0, -0.0])
     def test_edge_cases(self, x):
         assert_from_real_matches_reference(x)
+
+
+EDGES = [2.0**31, -(2.0**31), 2.0**31 - 2.0**-22, -(2.0**31) - 2.0**-21,
+         2.0**32, -(2.0**32), 2.0**32 + 2.0**-20, 2.0**40, -1e300,
+         sys.float_info.max, -sys.float_info.max, 5e-324, -5e-324,
+         sys.float_info.min, 0.0, -0.0, 2.0**-33, 3 * 2.0**-33, -3 * 2.0**-33,
+         5 * 2.0**-33]
+columns = st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                             st.sampled_from(EDGES)), max_size=40)
+
+
+class TestFromRealsAgainstReference:
+    """The column converter against the exact Fraction reference: the same
+    words, and overflow set iff some word clamped."""
+
+    @given(columns)
+    @example([])
+    def test_words_and_flag(self, xs):
+        flags, ref_flags = ArithFlags(), {"overflow": False}
+        assert fx.from_reals(xs, flags) == [ref_from_real(x, ref_flags)
+                                            for x in xs]
+        assert flags.overflow == ref_flags["overflow"]
+
+    @given(columns, st.sampled_from([math.inf, -math.inf, math.nan]),
+           st.data())
+    def test_first_non_finite_raises_from_real_text(self, xs, bad, data):
+        xs.insert(data.draw(st.integers(0, len(xs))), bad)
+        xs.append(-bad)         # a later non-finite value is not the one named
+        with pytest.raises(ValueError) as want:
+            fx.from_real(bad)
+        with pytest.raises(ValueError) as got:
+            fx.from_reals(xs)
+        assert str(got.value) == str(want.value) == \
+            f"cannot convert non-finite value {bad!r}"
 
 
 class TestArithmetic:

@@ -145,6 +145,17 @@ class TestGenerateInputs:
         kernel.oracle(ins)   # well-conditioned by construction
 
 
+class TestDataInitializers:
+    @pytest.mark.parametrize("W,seed", [(1, 0), (24, 42), (256, 7)])
+    def test_words_equal_per_word_conversion(self, W, seed):
+        ins = kernel.generate_inputs(W, seed)
+        ins.vectors["c"][0] = 2.0**40          # one clamped word as well
+        layout = kernel.default_layout(W)
+        assert kernel.data_initializers(ins) == [
+            (layout[name], [fx.from_real(x).raw for x in ins.vectors[name]])
+            for name in kernel.INPUT_NAMES]
+
+
 class TestAccuracy:
     def test_fixed_point_tracks_oracle(self):
         cfg = CoreConfig()

@@ -1,0 +1,35 @@
+"""Smoke test of the benchmark harness: one short run of one workload.
+
+The harness calls `kernel.data_initializers`, `core.run` and the report
+readers directly, so a change to their types can break it while the CLI
+tests pass.  The run works on a copy of the checkout in a temporary
+directory, so nothing is written into the repository.  It checks the
+outcome and the metric names, never a timing.
+"""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_vector_w256_run(tmp_path):
+    for name in ("src", "docs", "perfbench"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("results", "work-*",
+                                                      "__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "vector_w256",
+         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr     # 3: the golden gate failed
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [m["name"] for m in spec["end_to_end"]]
+    assert len(names) == 6
+    assert set(names) <= set(result["metrics"])
