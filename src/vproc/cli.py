@@ -107,6 +107,7 @@ def read_data_csv(path: str) -> kernel.KernelInputs:
     if missing:
         raise CliError(f"{path}: missing column(s) {', '.join(missing)}")
     columns: dict[str, list[float]] = {n: [] for n in header}
+    lo, hi = fx.REAL_LO, fx.REAL_HI
     for n, row in enumerate(rows[1:], start=2):
         if len(row) > len(header):
             raise CliError(f"{path}: row {n} has {len(row)} cells, "
@@ -117,9 +118,11 @@ def read_data_csv(path: str) -> kernel.KernelInputs:
                     x = float(cell)
                 except ValueError:
                     x = math.nan
-                if not math.isfinite(x):
+                if not lo <= x < hi:
+                    what = ("is not a finite number" if not math.isfinite(x)
+                            else "is outside the Q32.32 range [-2^31, 2^31)")
                     raise CliError(f"{path}: row {n}, column {name}: "
-                                   f"'{cell}' is not a finite number")
+                                   f"'{cell}' {what}")
                 columns[name].append(x)
     vectors = {n: columns[n] for n in kernel.INPUT_NAMES}
     lengths = {len(v) for v in vectors.values()}

@@ -23,6 +23,10 @@ SCALE = 1 << FRAC_BITS
 RAW_MIN = -(1 << (WORD_BITS - 1))
 RAW_MAX = (1 << (WORD_BITS - 1)) - 1
 
+# Every real in [REAL_LO, REAL_HI) converts to a word without saturating.
+REAL_LO = RAW_MIN / SCALE
+REAL_HI = -REAL_LO
+
 
 @dataclass
 class ArithFlags:
@@ -96,7 +100,7 @@ def from_reals(xs: Sequence[float], flags: ArithFlags | None = None) -> list[int
         bad = next(x for x in xs if not math.isfinite(x))
         raise ValueError(f"cannot convert non-finite value {bad!r}")
     scale = float(SCALE)
-    if xs and (min(xs) < -2.0**31 or max(xs) >= 2.0**31):
+    if xs and (min(xs) < REAL_LO or max(xs) >= REAL_HI):
         # Reals beyond 2^32 saturate anyway; clamping to it keeps the
         # scaling by a power of two exact (no overflow to inf).
         return [saturate(round(min(max(x, -scale), scale) * SCALE), flags)

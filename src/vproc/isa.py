@@ -112,14 +112,18 @@ class AssemblyError(Exception):
 
 
 def _parse_value(token: str) -> Fixed64:
-    """Immediate / data value: decimal real, or 0x-prefixed raw 64-bit word."""
+    """Immediate / data value: decimal real in [-2^31, 2^31), or 0x-prefixed
+    raw 64-bit word."""
     t = token.lower()
     if t.startswith("0x"):
         raw = int(t, 16)
         if raw > fx.RAW_MAX:        # two's-complement reinterpretation
             raw -= 1 << fx.WORD_BITS
         return Fixed64(raw)
-    return fx.from_real(float(token))
+    x = float(token)
+    if not fx.REAL_LO <= x < fx.REAL_HI:
+        raise ValueError(f"value {token} outside the word range")
+    return fx.from_real(x)
 
 
 # Operand kind -> position of its Instruction field after `op`
@@ -220,7 +224,7 @@ def assemble(source_text: str) -> Program:
 def _format_value(v: Fixed64) -> str:
     # Decimal only when it reparses to the same raw word; otherwise raw hex.
     x = fx.to_real(v)
-    if fx.from_real(x).raw == v.raw:
+    if fx.REAL_LO <= x < fx.REAL_HI and fx.from_real(x).raw == v.raw:
         return repr(x)
     return f"0x{v.raw & ((1 << fx.WORD_BITS) - 1):016X}"
 

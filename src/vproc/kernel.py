@@ -1,19 +1,13 @@
 """Synthetic benchmark kernel with a fixed per-element operation mix.
 
-Per element: 6 multiplications, 2 additions, 2 divisions and 1 inversion
-over ten input vectors and one scalar constant:
-
-    t1 = a*b;  t2 = t1*c;  t3 = d*e;   t4 = t2+t3;  t5 = t4*f
-    t6 = g*h;  t7 = t6+sk; t8 = t5*t7; t9 = t8/p;   t10 = t9/q
-    out = 1/t10
-
-The module emits the vector program, an unrolled scalar transcription, the
-dataflow graph for the tiled model, a double-precision oracle and seeded
-well-conditioned inputs.
+`KERNEL` is the one definition of the kernel; the vector program, an unrolled
+scalar transcription, the tiled model's dataflow graph and a double-precision
+oracle are derived from it.  Seeded well-conditioned inputs are made here too.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
@@ -24,9 +18,23 @@ from .isa import Instruction, OpClass, Program
 
 INPUT_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h", "p", "q")
 
+# (result, op, operands...) per element, in evaluation order, over the input
+# vectors and the scalar constant sk; the last result is stored.
+KERNEL = (("t1", "*", "a", "b"), ("t2", "*", "t1", "c"), ("t3", "*", "d", "e"),
+          ("t4", "+", "t2", "t3"), ("t5", "*", "t4", "f"), ("t6", "*", "g", "h"),
+          ("t7", "+", "t6", "sk"), ("t8", "*", "t5", "t7"), ("t9", "/", "t8", "p"),
+          ("t10", "/", "t9", "q"), ("out", "1/", "t10"))
+
+# op -> (class, mnemonic stem, double-precision function)
+_OPS = {"*": (OpClass.MUL_CLASS, "MUL", operator.mul),
+        "+": (OpClass.ADD_CLASS, "ADD", operator.add),
+        "/": (OpClass.DIV_CLASS, "DIV", operator.truediv),
+        "1/": (OpClass.DIV_CLASS, "INV", (1.0).__truediv__)}
+
 INPUT_LO = 0.5
 INPUT_HI = 2.0
 DIVISOR_BOUND = 0.25
+GUARDED = ("p", "q", "t7")    # the oracle rejects inputs where these are small
 
 
 @dataclass(frozen=True)
@@ -45,113 +53,107 @@ class LayoutError(Exception):
 
 def default_layout(vec_len: int) -> dict[str, int]:
     """Contiguous W-word regions: inputs in order, then the output."""
-    layout = {name: i * vec_len for i, name in enumerate(INPUT_NAMES)}
-    layout["out"] = len(INPUT_NAMES) * vec_len
+    return {name: i * vec_len for i, name in enumerate((*INPUT_NAMES, "out"))}
+
+
+def _checked_layout(vec_len: int, dmem_words: int) -> dict[str, int]:
+    if vec_len < 1:
+        raise LayoutError(f"vector length {vec_len} must be >= 1")
+    layout = default_layout(vec_len)
+    if (end := layout["out"] + vec_len) > dmem_words:
+        raise LayoutError(f"layout needs {end} words, memory has {dmem_words}")
     return layout
 
 
-def _check_layout(layout: dict[str, int], vec_len: int,
-                  dmem_words: int) -> None:
-    if vec_len < 1:
-        raise LayoutError(f"vector length {vec_len} must be >= 1")
-    regions = sorted((layout[name], name) for name in list(INPUT_NAMES) + ["out"])
-    prev_end = 0
-    for base, name in regions:
-        if base < prev_end:
-            raise LayoutError(f"region '{name}' at {base} overlaps the previous one")
-        prev_end = base + vec_len
-    if prev_end > dmem_words:
-        raise LayoutError(f"layout needs {prev_end} words, memory has {dmem_words}")
+def _allocate(stmts: tuple[tuple[str, ...], ...], first: int) -> dict[str, int]:
+    """Linear scan: each result takes the lowest register from `first` up
+    that is free once its operands are read for the last time."""
+    last = {}           # name -> index of its last definition or read
+    for i, (dest, _, *args) in enumerate(stmts):
+        last.update(dict.fromkeys((dest, *args), i))
+    regs, free, top = {}, set(), first  # free: unused registers below top
+    for i, (dest, _, *args) in enumerate(stmts):
+        free.update(regs[x] for x in args if x in regs and last[x] == i)
+        regs[dest] = reg = min(free, default=top)
+        free.discard(reg)
+        top = max(top, reg + 1)
+        if last[dest] == i:     # never read: free at once
+            free.add(reg)
+    return regs
 
 
-def emit_program(vec_len: int = 24, layout: dict[str, int] | None = None,
-                 s_k: float = 1.0,
+def _body(prefix: str, inputs: int, const: int, first: int
+          ) -> tuple[dict[str, int], tuple[Instruction, ...]]:
+    """Each name's register and KERNEL's instructions: inputs from `inputs` up,
+    the constant in `const`, results from `first` up (vector-scalar for sk)."""
+    reg = {**{name: inputs + i for i, name in enumerate(INPUT_NAMES)},
+           "sk": const, **_allocate(KERNEL, first)}
+    return reg, tuple(
+        Instruction(prefix + _OPS[op][1] + "S" * (prefix == "V" and args[-1] == "sk"),
+                    reg[dest], *(reg[x] for x in args))
+        for dest, op, *args in KERNEL)
+
+
+# v0..v9 = a..q, results from v10, s1 holds the constant; s1..s10 = a..q,
+# results from s11, s15 holds the constant.
+_VREG, _VBODY = _body("V", 0, 1, 10)
+_SREG, _SBODY = _body("S", 1, 15, 11)
+_OUT = KERNEL[-1][0]
+_FIRST_DIVISION = next(i for i, (_, op, *_) in enumerate(KERNEL)
+                       if _OPS[op][0] is OpClass.DIV_CLASS)
+
+
+def emit_program(vec_len: int = 24, s_k: float = 1.0,
                  dmem_words: int = CoreConfig.dmem_words) -> Program:
     """Straight-line vector realization; 24 instructions including the LDI."""
-    layout = layout if layout is not None else default_layout(vec_len)
-    _check_layout(layout, vec_len, dmem_words)
-    ins: list[Instruction] = [Instruction("LDI", d=1, imm=fx.from_real(s_k))]
-    for i, name in enumerate(INPUT_NAMES):
-        ins.append(Instruction("VLD", d=i, addr=layout[name]))
-    # v0..v9 = a..q, v10/v11 are temporaries, s1 holds the constant.
-    ins += [
-        Instruction("VMUL", d=10, a=0, b=1),    # t1 = a*b
-        Instruction("VMUL", d=10, a=10, b=2),   # t2 = t1*c
-        Instruction("VMUL", d=11, a=3, b=4),    # t3 = d*e
-        Instruction("VADD", d=10, a=10, b=11),  # t4 = t2+t3
-        Instruction("VMUL", d=10, a=10, b=5),   # t5 = t4*f
-        Instruction("VMUL", d=11, a=6, b=7),    # t6 = g*h
-        Instruction("VADDS", d=11, a=11, b=1),  # t7 = t6+sk
-        Instruction("VMUL", d=10, a=10, b=11),  # t8 = t5*t7
-        Instruction("VDIV", d=10, a=10, b=8),   # t9 = t8/p
-        Instruction("VDIV", d=10, a=10, b=9),   # t10 = t9/q
-        Instruction("VINV", d=10, a=10),        # out = 1/t10
-        Instruction("VST", addr=layout["out"], a=10),
-        Instruction("HALT"),
-    ]
-    return Program(instructions=ins)
+    layout = _checked_layout(vec_len, dmem_words)
+    return Program(instructions=[
+        Instruction("LDI", d=_VREG["sk"], imm=fx.from_real(s_k)),
+        *(Instruction("VLD", d=_VREG[name], addr=layout[name])
+          for name in INPUT_NAMES),
+        *_VBODY,
+        Instruction("VST", addr=layout["out"], a=_VREG[_OUT]),
+        Instruction("HALT")])
 
 
-def emit_scalar_program(vec_len: int = 24, layout: dict[str, int] | None = None,
-                        s_k: float = 1.0) -> Program:
+def emit_scalar_program(vec_len: int = 24, s_k: float = 1.0) -> Program:
     """Per-element scalar transcription, same operation order within a lane.
 
     The ISA has no indexed addressing, so the element loop is fully
     unrolled; the static instruction count grows linearly in W.
     """
-    layout = layout if layout is not None else default_layout(vec_len)
-    _check_layout(layout, vec_len, CoreConfig.dmem_words)
-    ins: list[Instruction] = [Instruction("LDI", d=15, imm=fx.from_real(s_k))]
+    layout = _checked_layout(vec_len, CoreConfig.dmem_words)
+    ins = [Instruction("LDI", d=_SREG["sk"], imm=fx.from_real(s_k))]
     for lane in range(vec_len):
-        for i, name in enumerate(INPUT_NAMES):
-            ins.append(Instruction("SLD", d=1 + i, addr=layout[name] + lane))
-        # s1..s10 = a..q, s11/s12 temporaries, s15 holds the constant.
-        ins += [
-            Instruction("SMUL", d=11, a=1, b=2),
-            Instruction("SMUL", d=11, a=11, b=3),
-            Instruction("SMUL", d=12, a=4, b=5),
-            Instruction("SADD", d=11, a=11, b=12),
-            Instruction("SMUL", d=11, a=11, b=6),
-            Instruction("SMUL", d=12, a=7, b=8),
-            Instruction("SADD", d=12, a=12, b=15),
-            Instruction("SMUL", d=11, a=11, b=12),
-            Instruction("SDIV", d=11, a=11, b=9),
-            Instruction("SDIV", d=11, a=11, b=10),
-            Instruction("SINV", d=11, a=11),
-            Instruction("SST", addr=layout["out"] + lane, a=11),
-        ]
+        ins += [Instruction("SLD", d=_SREG[name], addr=layout[name] + lane)
+                for name in INPUT_NAMES]
+        ins += _SBODY
+        ins.append(Instruction("SST", addr=layout["out"] + lane, a=_SREG[_OUT]))
     ins.append(Instruction("HALT"))
     return Program(instructions=ins)
 
 
 def dataflow_graph(replication: int = 24) -> DataflowKernel:
     """Per-iteration expression DAG for the tiled architecture model."""
-    MUL, ADD, DIV = OpClass.MUL_CLASS, OpClass.ADD_CLASS, OpClass.DIV_CLASS
-    nodes = [("t1", MUL), ("t2", MUL), ("t3", MUL), ("t4", ADD), ("t5", MUL),
-             ("t6", MUL), ("t7", ADD), ("t8", MUL), ("t9", DIV), ("t10", DIV),
-             ("out", DIV)]
-    edges = [("t1", "t2"), ("t2", "t4"), ("t3", "t4"), ("t4", "t5"),
-             ("t5", "t8"), ("t6", "t7"), ("t7", "t8"), ("t8", "t9"),
-             ("t9", "t10"), ("t10", "out")]
-    return DataflowKernel(nodes=nodes, edges=edges, replication=replication)
+    nodes = {dest: _OPS[op][0] for dest, op, *_ in KERNEL}
+    edges = [(x, dest) for dest, _, *args in KERNEL for x in args if x in nodes]
+    return DataflowKernel(list(nodes.items()), edges, replication)
 
 
 def oracle(inputs: KernelInputs) -> list[float]:
-    """Elementwise double-precision evaluation of the kernel expression."""
-    v = inputs.vectors
-    out = []
-    for i in range(inputs.vec_len):
-        a, b, c, d, e = v["a"][i], v["b"][i], v["c"][i], v["d"][i], v["e"][i]
-        f, g, h, p, q = v["f"][i], v["g"][i], v["h"][i], v["p"][i], v["q"][i]
-        t7 = g * h + inputs.s_k
-        for name, divisor in (("p", p), ("q", q), ("t7", t7)):
-            if abs(divisor) < DIVISOR_BOUND:
-                raise ValueError(
-                    f"lane {i}: divisor {name}={divisor} below bound "
-                    f"{DIVISOR_BOUND}; inputs rejected")
-        t5 = (a * b * c + d * e) * f
-        out.append(1.0 / (t5 * t7 / p / q))
-    return out
+    """Double-precision evaluation of KERNEL, one statement over whole
+    columns at a time; inputs with a small GUARDED value are rejected."""
+    env = {**inputs.vectors, "sk": [inputs.s_k] * inputs.vec_len}
+    for i, (dest, op, *args) in enumerate(KERNEL):
+        if i == _FIRST_DIVISION and not all(
+                all(map(DIVISOR_BOUND.__le__, map(abs, env[n]))) for n in GUARDED):
+            for lane, values in enumerate(zip(*(env[n] for n in GUARDED))):
+                for name, divisor in zip(GUARDED, values):
+                    if abs(divisor) < DIVISOR_BOUND:
+                        raise ValueError(f"lane {lane}: divisor {name}={divisor} below"
+                                         f" bound {DIVISOR_BOUND}; inputs rejected")
+        env[dest] = list(map(_OPS[op][2], *(env[x] for x in args)))
+    return env[_OUT]
 
 
 def generate_inputs(vec_len: int, seed: int) -> KernelInputs:
@@ -162,11 +164,9 @@ def generate_inputs(vec_len: int, seed: int) -> KernelInputs:
     return KernelInputs(vectors=vectors, s_k=rng.uniform(INPUT_LO, INPUT_HI))
 
 
-def data_initializers(inputs: KernelInputs,
-                      layout: dict[str, int] | None = None
-                      ) -> list[tuple[int, list[int]]]:
+def data_initializers(inputs: KernelInputs) -> list[tuple[int, list[int]]]:
     """Memory initializers placing the input vectors, as raw words, at their
-    layout bases."""
-    layout = layout if layout is not None else default_layout(inputs.vec_len)
+    default layout bases."""
+    layout = default_layout(inputs.vec_len)
     return [(layout[name], fx.from_reals(inputs.vectors[name]))
             for name in INPUT_NAMES]

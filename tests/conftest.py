@@ -1,16 +1,20 @@
 """Shared test helpers: an independent wide-integer reference for the
-fixed-point unit, reference copies of the two-pass assembler and of the
-structural validator, a reference interpreter for straight-line programs and
-a random-program generator for structural tests."""
+fixed-point unit, reference copies of the two-pass assembler, of the
+structural validator and of the hand-written kernel emitters, a reference
+interpreter for straight-line programs and a random-program generator for
+structural tests."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from vproc import fixedpoint as fx
+from vproc.archmodels import DataflowKernel
 from vproc.fixedpoint import Fixed64, RAW_MAX, RAW_MIN, SCALE
 from vproc.isa import (OPCODES, AssemblyError, Instruction, OpClass, Program,
                        _parse_value, is_vector)
+from vproc.kernel import DIVISOR_BOUND, INPUT_NAMES, default_layout
 
 # ---- independent Q32.32 reference (kept deliberately separate from the
 # ---- implementation under test; plain integer arithmetic throughout).
@@ -248,6 +252,87 @@ def ref_validate_structure(p: Program, cfg) -> list[str]:
             diags.append(f".data at {addr} (+{len(values)} words) outside "
                          f"data memory of {cfg.dmem_words}")
     return diags
+
+
+# ---- reference kernel: the vector and scalar programs, dataflow graph and
+# ---- oracle as written out by hand before they were derived from
+# ---- kernel.KERNEL (the layout argument and its check dropped).
+
+def ref_emit_program(vec_len=24, s_k=1.0):
+    layout = default_layout(vec_len)
+    ins = [Instruction("LDI", d=1, imm=fx.from_real(s_k))]
+    for i, name in enumerate(INPUT_NAMES):
+        ins.append(Instruction("VLD", d=i, addr=layout[name]))
+    # v0..v9 = a..q, v10/v11 are temporaries, s1 holds the constant.
+    ins += [
+        Instruction("VMUL", d=10, a=0, b=1),    # t1 = a*b
+        Instruction("VMUL", d=10, a=10, b=2),   # t2 = t1*c
+        Instruction("VMUL", d=11, a=3, b=4),    # t3 = d*e
+        Instruction("VADD", d=10, a=10, b=11),  # t4 = t2+t3
+        Instruction("VMUL", d=10, a=10, b=5),   # t5 = t4*f
+        Instruction("VMUL", d=11, a=6, b=7),    # t6 = g*h
+        Instruction("VADDS", d=11, a=11, b=1),  # t7 = t6+sk
+        Instruction("VMUL", d=10, a=10, b=11),  # t8 = t5*t7
+        Instruction("VDIV", d=10, a=10, b=8),   # t9 = t8/p
+        Instruction("VDIV", d=10, a=10, b=9),   # t10 = t9/q
+        Instruction("VINV", d=10, a=10),        # out = 1/t10
+        Instruction("VST", addr=layout["out"], a=10),
+        Instruction("HALT"),
+    ]
+    return Program(instructions=ins)
+
+
+def ref_emit_scalar_program(vec_len=24, s_k=1.0):
+    layout = default_layout(vec_len)
+    ins = [Instruction("LDI", d=15, imm=fx.from_real(s_k))]
+    for lane in range(vec_len):
+        for i, name in enumerate(INPUT_NAMES):
+            ins.append(Instruction("SLD", d=1 + i, addr=layout[name] + lane))
+        # s1..s10 = a..q, s11/s12 temporaries, s15 holds the constant.
+        ins += [
+            Instruction("SMUL", d=11, a=1, b=2),
+            Instruction("SMUL", d=11, a=11, b=3),
+            Instruction("SMUL", d=12, a=4, b=5),
+            Instruction("SADD", d=11, a=11, b=12),
+            Instruction("SMUL", d=11, a=11, b=6),
+            Instruction("SMUL", d=12, a=7, b=8),
+            Instruction("SADD", d=12, a=12, b=15),
+            Instruction("SMUL", d=11, a=11, b=12),
+            Instruction("SDIV", d=11, a=11, b=9),
+            Instruction("SDIV", d=11, a=11, b=10),
+            Instruction("SINV", d=11, a=11),
+            Instruction("SST", addr=layout["out"] + lane, a=11),
+        ]
+    ins.append(Instruction("HALT"))
+    return Program(instructions=ins)
+
+
+def ref_dataflow_graph(replication=24):
+    MUL, ADD, DIV = OpClass.MUL_CLASS, OpClass.ADD_CLASS, OpClass.DIV_CLASS
+    nodes = [("t1", MUL), ("t2", MUL), ("t3", MUL), ("t4", ADD), ("t5", MUL),
+             ("t6", MUL), ("t7", ADD), ("t8", MUL), ("t9", DIV), ("t10", DIV),
+             ("out", DIV)]
+    edges = [("t1", "t2"), ("t2", "t4"), ("t3", "t4"), ("t4", "t5"),
+             ("t5", "t8"), ("t6", "t7"), ("t7", "t8"), ("t8", "t9"),
+             ("t9", "t10"), ("t10", "out")]
+    return DataflowKernel(nodes=nodes, edges=edges, replication=replication)
+
+
+def ref_oracle(inputs):
+    v = inputs.vectors
+    out = []
+    for i in range(inputs.vec_len):
+        a, b, c, d, e = v["a"][i], v["b"][i], v["c"][i], v["d"][i], v["e"][i]
+        f, g, h, p, q = v["f"][i], v["g"][i], v["h"][i], v["p"][i], v["q"][i]
+        t7 = g * h + inputs.s_k
+        for name, divisor in (("p", p), ("q", q), ("t7", t7)):
+            if abs(divisor) < DIVISOR_BOUND:
+                raise ValueError(
+                    f"lane {i}: divisor {name}={divisor} below bound "
+                    f"{DIVISOR_BOUND}; inputs rejected")
+        t5 = (a * b * c + d * e) * f
+        out.append(1.0 / (t5 * t7 / p / q))
+    return out
 
 
 # ---- random straight-line programs -----------------------------------------

@@ -127,7 +127,7 @@ def test_criterion_6_kernel_numerical_accuracy():
 def test_criterion_7_structural_properties():
     rng = random.Random(77)
     shipped = [kernel.emit_program(24), kernel.emit_scalar_program(24),
-               kernel.emit_program(8, layout=kernel.default_layout(8))]
+               kernel.emit_program(8)]
     for program in shipped:
         assert isa.assemble(isa.disassemble(program)) == program
 

@@ -131,6 +131,12 @@ class TestRun:
         for g, e in zip(got, expected):
             assert abs(g - e) / abs(e) <= 1e-6
 
+    def test_data_value_outside_word_range(self, tmp_path, capsys):
+        prog = tmp_path / "p.asm"
+        prog.write_text(".data 0 1e12\nSLD s1, [0]\nSST [1], s1\nHALT\n")
+        assert main(["run", str(prog), "--observe", "0:2"]) == 1
+        one_line_error(capsys, "malformed .data directive at line 1")
+
     def test_div_by_zero_warns_but_succeeds(self, tmp_path, capsys):
         prog = tmp_path / "p.asm"
         prog.write_text("LDI s1, 1.0\nSDIV s2, s1, s0\nHALT\n")
@@ -241,6 +247,28 @@ class TestDataCells:
                                    "--data", str(data), *command[1:],
                                    "--out", str(workdir / "x")]) == 1
         one_line_error(capsys, f"row 2, column a: '{cell}' is not a finite number")
+
+    @pytest.mark.parametrize("cell,column", [("3e9", "a"), ("-2147483649", "a"),
+                                             ("2147483648", "s_k")])
+    def test_cell_outside_word_range(self, workdir, capsys, cell, column):
+        data = workdir / "kern_data.csv"
+        rows = data.read_text().splitlines()
+        rows[1] = (cell + rows[1][rows[1].index(","):] if column == "a"
+                   else rows[1][:rows[1].rindex(",") + 1] + cell)
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["run", str(workdir / "kern.asm"),
+                     "--config", str(workdir / "core.cfg"),
+                     "--data", str(data)]) == 1
+        one_line_error(capsys, f"row 2, column {column}: '{cell}' is outside "
+                               "the Q32.32 range")
+
+    def test_cell_at_word_range_bound(self, workdir):
+        data = workdir / "kern_data.csv"
+        rows = data.read_text().splitlines()
+        rows[1] = "-2147483648" + rows[1][rows[1].index(","):]
+        data.write_text("\n".join(rows) + "\n")
+        inputs = cli.read_data_csv(str(data))
+        assert kernel.data_initializers(inputs)[0][1][0] == fx.RAW_MIN
 
     def test_extra_cells(self, workdir, capsys):
         data = workdir / "kern_data.csv"
@@ -514,6 +542,13 @@ class TestKernelGen:
 
 class TestGolden:
     """The committed example outputs are reproduced byte for byte."""
+
+    def test_kernel_gen_bytes(self, tmp_path):
+        assert main(["kernel-gen", "--veclen", "24", "--seed", "42",
+                     "--out-prefix", str(tmp_path / "k")]) == 0
+        for suffix in (".asm", "_data.csv", "_expected.csv"):
+            assert (tmp_path / f"k{suffix}").read_bytes() \
+                == (DOCS / f"kernel24{suffix}").read_bytes()
 
     @pytest.mark.parametrize("name,args", [
         ("example_report.json", ["run"]),

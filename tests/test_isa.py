@@ -123,6 +123,18 @@ class TestAssemble:
         p = isa.assemble("; full line comment\n\nHALT ; trailing\n")
         assert len(p.instructions) == 1
 
+    @pytest.mark.parametrize("src", ["LDI s1, 3e9", "LDI s1, 2147483648",
+                                     "LDI s1, -2147483648.5", ".data 0 1e12"])
+    def test_decimal_outside_word_range_rejected(self, src):
+        with pytest.raises(AssemblyError) as exc:
+            isa.assemble(src)
+        assert len(exc.value.diagnostics) == 1
+
+    def test_decimal_range_bounds_exact(self):
+        p = isa.assemble("LDI s1, -2147483648\nLDI s2, 2147483647.75")
+        assert [i.imm.raw for i in p.instructions] == [fx.RAW_MIN,
+                                                       fx.RAW_MAX - (1 << 30) + 1]
+
     def test_hex_immediate(self):
         p = isa.assemble("LDI s1, 0xFFFFFFFFC0000000")
         assert p.instructions[0].imm == fx.from_real(-0.25)
@@ -199,6 +211,12 @@ class TestDisassemble:
         .data 0 1.0 2.0 0x0000000000000001
         """
         p = isa.assemble(src)
+        assert isa.assemble(isa.disassemble(p)) == p
+
+    @pytest.mark.parametrize("raw", [fx.RAW_MAX, fx.RAW_MIN])
+    def test_roundtrip_extreme_words(self, raw):
+        p = Program(instructions=[Instruction("LDI", d=1, imm=fx.Fixed64(raw))],
+                    data_init=[(0, [fx.Fixed64(raw)])])
         assert isa.assemble(isa.disassemble(p)) == p
 
     def test_roundtrip_scalar_kernel(self):

@@ -1,11 +1,18 @@
 import collections
+import itertools
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vproc.fixedpoint as fx
 from vproc import isa, kernel
 from vproc.core import CoreConfig, run
 from vproc.isa import OpClass
+
+from conftest import (ref_dataflow_graph, ref_emit_program,
+                      ref_emit_scalar_program, ref_oracle)
 
 
 def reference_eval(inputs, lane):
@@ -42,12 +49,6 @@ class TestEmitProgram:
     def test_roundtrips_through_assembler(self):
         p = kernel.emit_program(24, s_k=1.375)
         assert isa.assemble(isa.disassemble(p)) == p
-
-    def test_layout_overlap_rejected(self):
-        layout = kernel.default_layout(24)
-        layout["out"] = layout["q"]
-        with pytest.raises(kernel.LayoutError):
-            kernel.emit_program(24, layout=layout)
 
     def test_layout_must_fit_memory(self):
         with pytest.raises(kernel.LayoutError):
@@ -166,3 +167,102 @@ class TestAccuracy:
                     observe=(240, 24))
             for got, want in zip(r.memory, kernel.oracle(ins)):
                 assert abs(fx.to_real(got) - want) / abs(want) <= 1e-6
+
+
+WIDTHS = [*range(1, 65), 256]
+
+
+def _outcome(oracle, inputs):
+    try:
+        return oracle(inputs)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestAgainstHandWrittenKernel:
+    """Every form derived from KERNEL equals the hand-written reference."""
+
+    @pytest.mark.parametrize("s_k", [1.0, 0.3, -1.75, 1.375])
+    def test_programs(self, s_k):
+        for W in WIDTHS:
+            assert kernel.emit_program(W, s_k=s_k) == ref_emit_program(W, s_k)
+            assert kernel.emit_scalar_program(W, s_k=s_k) \
+                == ref_emit_scalar_program(W, s_k)
+
+    @pytest.mark.parametrize("replication", [1, 24, 256])
+    def test_dataflow_graph(self, replication):
+        got = kernel.dataflow_graph(replication)
+        want = ref_dataflow_graph(replication)
+        assert got.nodes == want.nodes
+        assert sorted(got.edges) == sorted(want.edges)
+        assert got.replication == want.replication
+
+    def test_oracle_values(self):
+        for W in WIDTHS:
+            for seed in (W, W + 1000):
+                ins = kernel.generate_inputs(W, seed)
+                assert kernel.oracle(ins) == ref_oracle(ins)
+
+    def test_oracle_error_text(self):
+        rng = random.Random(8)
+        rejected = 0
+        for _ in range(400):
+            W = rng.choice([1, 2, 5, 24, 256])
+            ins = kernel.generate_inputs(W, rng.randrange(10**6))
+            for _ in range(rng.randint(1, 3)):
+                lane, name = rng.randrange(W), rng.choice(["p", "q", "t7"])
+                value = rng.choice([0.0, -0.0, 0.1, -0.2, 0.2499,
+                                    -kernel.DIVISOR_BOUND, kernel.DIVISOR_BOUND])
+                if name == "t7":            # t7 = g*h + s_k
+                    ins.vectors["g"][lane] = value - ins.s_k
+                    ins.vectors["h"][lane] = 1.0
+                else:
+                    ins.vectors[name][lane] = value
+            want = _outcome(ref_oracle, ins)
+            rejected += isinstance(want, str)
+            assert _outcome(kernel.oracle, ins) == want
+        assert rejected > 200
+
+
+NAMES = [*kernel.INPUT_NAMES, "sk"]
+
+
+@st.composite
+def statement_lists(draw):
+    """Straight-line statements over the inputs, sk and earlier results."""
+    stmts = []
+    for i in range(draw(st.integers(1, 14))):
+        results = [dest for dest, *_ in stmts]
+        operand = st.sampled_from(NAMES)
+        if results:
+            operand = st.one_of(st.sampled_from(results), operand)
+        op = draw(st.sampled_from(["*", "+", "/", "1/"]))
+        args = draw(st.lists(operand, min_size=1 + (op != "1/"),
+                             max_size=1 + (op != "1/")))
+        stmts.append((f"r{i}", op, *args))
+    return tuple(stmts)
+
+
+class TestAllocator:
+    @settings(max_examples=300, deadline=None)
+    @given(statement_lists(), st.sampled_from([0, 10, 11]))
+    @example(kernel.KERNEL, 10)
+    def test_linear_scan_against_brute_force_liveness(self, stmts, first):
+        regs = kernel._allocate(stmts, first)
+        defined = {dest: i for i, (dest, *_) in enumerate(stmts)}
+        assert regs.keys() == defined.keys()
+        # A result is live from its definition to its last read.
+        last_read = {x: max([i for i, (_, _, *args) in enumerate(stmts)
+                             if x in args], default=d)
+                     for x, d in defined.items()}
+        for y, dy in defined.items():
+            live = {x for x, dx in defined.items() if dx < dy < last_read[x]}
+            taken = {regs[x] for x in live}
+            assert regs[y] not in taken
+            assert regs[y] == next(r for r in itertools.count(first)
+                                   if r not in taken)
+
+    def test_kernel_registers(self):
+        assert kernel._allocate(kernel.KERNEL, 10) == {
+            "t1": 10, "t2": 10, "t3": 11, "t4": 10, "t5": 10, "t6": 11,
+            "t7": 11, "t8": 10, "t9": 10, "t10": 10, "out": 10}
