@@ -218,6 +218,8 @@ def cmd_asm(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.max_cycles < 0:
+        raise CliError(f"--max-cycles {args.max_cycles} must be >= 0")
     cfg, _ = load_config(args.config)
     program = isa.assemble(_read(args.program))
     inputs = _data_inputs(args.data, cfg)
@@ -259,13 +261,13 @@ def cmd_compare(args) -> int:
     program = kernel.emit_program(cfg.vec_len, s_k=inputs.s_k,
                                   dmem_words=cfg.dmem_words)
 
-    graph = kernel.dataflow_graph(replication=cfg.vec_len)
     try:
-        tiled_lat = archmodels.tiled_latency(graph, cfg,
+        tiled_lat = archmodels.tiled_latency(kernel.KERNEL, cfg,
                                              barrier_cost=args.barrier)
     except ValueError as exc:
         raise CliError(str(exc))
-    tiled_slices = resources.estimate_tiled(graph, cal).slices
+    tiled_slices = resources.estimate_tiled(kernel.KERNEL, cfg.vec_len,
+                                            cal).slices
 
     # The sequential core is the vector core with a 1-1-1 mix: one sweep.
     seq, vec = dse.sweep(program, [archmodels.sequential_config(cfg), cfg],
@@ -326,6 +328,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_kernel_gen(args) -> int:
+    # Check the layout before drawing 10 * W inputs for it.
+    kernel.checked_layout(args.veclen, CoreConfig.dmem_words)
     inputs = kernel.generate_inputs(args.veclen, args.seed)
     program = kernel.emit_program(args.veclen, s_k=inputs.s_k)
     expected = [["out"]] + [[repr(x)] for x in kernel.oracle(inputs)]

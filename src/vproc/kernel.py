@@ -1,8 +1,9 @@
 """Synthetic benchmark kernel with a fixed per-element operation mix.
 
 `KERNEL` is the one definition of the kernel; the vector program, an unrolled
-scalar transcription, the tiled model's dataflow graph and a double-precision
-oracle are derived from it.  Seeded well-conditioned inputs are made here too.
+scalar transcription and a double-precision oracle are derived from it, and
+the tiled models in `archmodels` and `resources` read it as it stands.
+Seeded well-conditioned inputs are made here too.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import random
 from dataclasses import dataclass
 
 from . import fixedpoint as fx
-from .archmodels import DataflowKernel
 from .core import CoreConfig
 from .isa import Instruction, OpClass, Program
 
@@ -26,10 +26,10 @@ KERNEL = (("t1", "*", "a", "b"), ("t2", "*", "t1", "c"), ("t3", "*", "d", "e"),
           ("t10", "/", "t9", "q"), ("out", "1/", "t10"))
 
 # op -> (class, mnemonic stem, double-precision function)
-_OPS = {"*": (OpClass.MUL_CLASS, "MUL", operator.mul),
-        "+": (OpClass.ADD_CLASS, "ADD", operator.add),
-        "/": (OpClass.DIV_CLASS, "DIV", operator.truediv),
-        "1/": (OpClass.DIV_CLASS, "INV", (1.0).__truediv__)}
+OPS = {"*": (OpClass.MUL_CLASS, "MUL", operator.mul),
+       "+": (OpClass.ADD_CLASS, "ADD", operator.add),
+       "/": (OpClass.DIV_CLASS, "DIV", operator.truediv),
+       "1/": (OpClass.DIV_CLASS, "INV", (1.0).__truediv__)}
 
 INPUT_LO = 0.5
 INPUT_HI = 2.0
@@ -56,7 +56,8 @@ def default_layout(vec_len: int) -> dict[str, int]:
     return {name: i * vec_len for i, name in enumerate((*INPUT_NAMES, "out"))}
 
 
-def _checked_layout(vec_len: int, dmem_words: int) -> dict[str, int]:
+def checked_layout(vec_len: int, dmem_words: int) -> dict[str, int]:
+    """The default layout, or LayoutError if it is empty or overflows memory."""
     if vec_len < 1:
         raise LayoutError(f"vector length {vec_len} must be >= 1")
     layout = default_layout(vec_len)
@@ -89,7 +90,7 @@ def _body(prefix: str, inputs: int, const: int, first: int
     reg = {**{name: inputs + i for i, name in enumerate(INPUT_NAMES)},
            "sk": const, **_allocate(KERNEL, first)}
     return reg, tuple(
-        Instruction(prefix + _OPS[op][1] + "S" * (prefix == "V" and args[-1] == "sk"),
+        Instruction(prefix + OPS[op][1] + "S" * (prefix == "V" and args[-1] == "sk"),
                     reg[dest], *(reg[x] for x in args))
         for dest, op, *args in KERNEL)
 
@@ -100,13 +101,13 @@ _VREG, _VBODY = _body("V", 0, 1, 10)
 _SREG, _SBODY = _body("S", 1, 15, 11)
 _OUT = KERNEL[-1][0]
 _FIRST_DIVISION = next(i for i, (_, op, *_) in enumerate(KERNEL)
-                       if _OPS[op][0] is OpClass.DIV_CLASS)
+                       if OPS[op][0] is OpClass.DIV_CLASS)
 
 
 def emit_program(vec_len: int = 24, s_k: float = 1.0,
                  dmem_words: int = CoreConfig.dmem_words) -> Program:
     """Straight-line vector realization; 24 instructions including the LDI."""
-    layout = _checked_layout(vec_len, dmem_words)
+    layout = checked_layout(vec_len, dmem_words)
     return Program(instructions=[
         Instruction("LDI", d=_VREG["sk"], imm=fx.from_real(s_k)),
         *(Instruction("VLD", d=_VREG[name], addr=layout[name])
@@ -122,7 +123,7 @@ def emit_scalar_program(vec_len: int = 24, s_k: float = 1.0) -> Program:
     The ISA has no indexed addressing, so the element loop is fully
     unrolled; the static instruction count grows linearly in W.
     """
-    layout = _checked_layout(vec_len, CoreConfig.dmem_words)
+    layout = checked_layout(vec_len, CoreConfig.dmem_words)
     ins = [Instruction("LDI", d=_SREG["sk"], imm=fx.from_real(s_k))]
     for lane in range(vec_len):
         ins += [Instruction("SLD", d=_SREG[name], addr=layout[name] + lane)
@@ -133,16 +134,10 @@ def emit_scalar_program(vec_len: int = 24, s_k: float = 1.0) -> Program:
     return Program(instructions=ins)
 
 
-def dataflow_graph(replication: int = 24) -> DataflowKernel:
-    """Per-iteration expression DAG for the tiled architecture model."""
-    nodes = {dest: _OPS[op][0] for dest, op, *_ in KERNEL}
-    edges = [(x, dest) for dest, _, *args in KERNEL for x in args if x in nodes]
-    return DataflowKernel(list(nodes.items()), edges, replication)
-
-
 def oracle(inputs: KernelInputs) -> list[float]:
     """Double-precision evaluation of KERNEL, one statement over whole
-    columns at a time; inputs with a small GUARDED value are rejected."""
+    columns at a time; inputs with a small GUARDED value or a zero divisor
+    are rejected."""
     env = {**inputs.vectors, "sk": [inputs.s_k] * inputs.vec_len}
     for i, (dest, op, *args) in enumerate(KERNEL):
         if i == _FIRST_DIVISION and not all(
@@ -152,7 +147,13 @@ def oracle(inputs: KernelInputs) -> list[float]:
                     if abs(divisor) < DIVISOR_BOUND:
                         raise ValueError(f"lane {lane}: divisor {name}={divisor} below"
                                          f" bound {DIVISOR_BOUND}; inputs rejected")
-        env[dest] = list(map(_OPS[op][2], *(env[x] for x in args)))
+        try:
+            env[dest] = list(map(OPS[op][2], *(env[x] for x in args)))
+        except ZeroDivisionError:
+            divisor = env[args[-1]]
+            lane = divisor.index(0.0)
+            raise ValueError(f"lane {lane}: divisor {args[-1]}={divisor[lane]} is"
+                             f" zero; inputs rejected") from None
     return env[_OUT]
 
 

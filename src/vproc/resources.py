@@ -9,11 +9,13 @@ is reproduced by calibrate().
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .archmodels import DataflowKernel
 from .core import CoreConfig
 from .isa import OpClass
+from .kernel import OPS
 
 
 @dataclass(frozen=True)
@@ -80,13 +82,14 @@ def estimate_sequential(cal: Calibration = DEFAULT_CALIBRATION) -> ResourceEstim
     })
 
 
-def estimate_tiled(k: DataflowKernel, cal: Calibration = DEFAULT_CALIBRATION) -> ResourceEstimate:
-    k.topological_order()   # contract: estimates are defined only for DAG kernels
+def estimate_tiled(stmts: Iterable[tuple[str, ...]], replication: int,
+                   cal: Calibration = DEFAULT_CALIBRATION) -> ResourceEstimate:
+    """One unit per statement per replica, by class in first-appearance order."""
     cost = {OpClass.ADD_CLASS: cal.c_add, OpClass.MUL_CLASS: cal.c_mul,
             OpClass.DIV_CLASS: cal.c_div}
     breakdown: dict[str, float] = {"barrier": cal.c_tiled_barrier}
-    for cls, count in k.op_counts().items():
-        breakdown[cls.value + "_units"] = k.replication * count * cost[cls]
+    for cls, count in Counter(OPS[op][0] for _, op, *_ in stmts).items():
+        breakdown[cls.value + "_units"] = replication * count * cost[cls]
     return _estimate(breakdown)
 
 

@@ -1,8 +1,8 @@
 """Shared test helpers: an independent wide-integer reference for the
 fixed-point unit, reference copies of the two-pass assembler, of the
-structural validator and of the hand-written kernel emitters, a reference
-interpreter for straight-line programs and a random-program generator for
-structural tests."""
+structural validator and of the hand-written kernel emitters, a brute-force
+longest path, a reference interpreter for straight-line programs and a
+random-program generator for structural tests."""
 
 import random
 from fractions import Fraction
@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 from vproc import fixedpoint as fx
-from vproc.archmodels import DataflowKernel
 from vproc.fixedpoint import Fixed64, RAW_MAX, RAW_MIN, SCALE
 from vproc.isa import (OPCODES, AssemblyError, Instruction, OpClass, Program,
                        _parse_value, is_vector)
@@ -307,7 +306,7 @@ def ref_emit_scalar_program(vec_len=24, s_k=1.0):
     return Program(instructions=ins)
 
 
-def ref_dataflow_graph(replication=24):
+def ref_dataflow_graph():
     MUL, ADD, DIV = OpClass.MUL_CLASS, OpClass.ADD_CLASS, OpClass.DIV_CLASS
     nodes = [("t1", MUL), ("t2", MUL), ("t3", MUL), ("t4", ADD), ("t5", MUL),
              ("t6", MUL), ("t7", ADD), ("t8", MUL), ("t9", DIV), ("t10", DIV),
@@ -315,7 +314,28 @@ def ref_dataflow_graph(replication=24):
     edges = [("t1", "t2"), ("t2", "t4"), ("t3", "t4"), ("t4", "t5"),
              ("t5", "t8"), ("t6", "t7"), ("t7", "t8"), ("t8", "t9"),
              ("t9", "t10"), ("t10", "out")]
-    return DataflowKernel(nodes=nodes, edges=edges, replication=replication)
+    return nodes, edges
+
+
+def brute_force_longest_path(nodes, edges, cfg):
+    """Enumerate every path; intended for graphs of ~14 nodes or fewer."""
+    lat = {OpClass.ADD_CLASS: cfg.lat_add, OpClass.MUL_CLASS: cfg.lat_mul,
+           OpClass.DIV_CLASS: cfg.lat_div}
+    weight = {nid: lat[cls] for nid, cls in nodes}
+    succs = {nid: [] for nid, _ in nodes}
+    for s, d in edges:
+        succs[s].append(d)
+
+    best = 0
+    def walk(nid, acc):
+        nonlocal best
+        acc += weight[nid]
+        best = max(best, acc)
+        for nxt in succs[nid]:
+            walk(nxt, acc)
+    for nid, _ in nodes:
+        walk(nid, 0)
+    return best
 
 
 def ref_oracle(inputs):

@@ -70,11 +70,10 @@ def test_criterion_3_vector_vs_sequential():
 
 def test_criterion_4_tiled_comparisons():
     program, inits = bench()
-    graph = kernel.dataflow_graph()
-    tiled_slices = resources.estimate_tiled(graph).slices
+    tiled_slices = resources.estimate_tiled(kernel.KERNEL, 24).slices
     seq_slices = resources.estimate_sequential().slices
     vec_slices = slices((8, 8, 24))
-    tiled_lat = archmodels.tiled_latency(graph, BASE)
+    tiled_lat = archmodels.tiled_latency(kernel.KERNEL, BASE)
     seq_lat = run(program, archmodels.sequential_config(BASE),
                   inputs=inits).total_cycles
     assert 5 <= tiled_slices / seq_slices <= 15

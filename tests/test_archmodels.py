@@ -4,66 +4,42 @@ import random
 import pytest
 
 from vproc import kernel
-from vproc.archmodels import CyclicGraphError, DataflowKernel, sequential_config, tiled_latency
+from vproc.archmodels import sequential_config, tiled_latency
 from vproc.core import CoreConfig, run
 from vproc.isa import OpClass
+
+from conftest import brute_force_longest_path
 
 CFG = CoreConfig()   # lat_add = lat_mul = 1, lat_div = 64
 
 
-def brute_force_longest_path(k: DataflowKernel, cfg: CoreConfig) -> int:
-    """Enumerate every path; intended for graphs of ~12 nodes or fewer."""
-    lat = {OpClass.ADD_CLASS: cfg.lat_add, OpClass.MUL_CLASS: cfg.lat_mul,
-           OpClass.DIV_CLASS: cfg.lat_div}
-    weight = {nid: lat[cls] for nid, cls in k.nodes}
-    succs = {nid: [] for nid, _ in k.nodes}
-    for s, d in k.edges:
-        succs[s].append(d)
+OP = {OpClass.ADD_CLASS: "+", OpClass.MUL_CLASS: "*", OpClass.DIV_CLASS: "/"}
 
-    best = 0
-    def walk(nid, acc):
-        nonlocal best
-        acc += weight[nid]
-        best = max(best, acc)
-        for nxt in succs[nid]:
-            walk(nxt, acc)
-    for nid, _ in k.nodes:
-        walk(nid, 0)
-    return best
+
+def statements(nodes, edges):
+    """The graph as statements: each node reads its predecessors, or an input."""
+    return [(nid, OP[cls], *([s for s, d in edges if d == nid] or ["x"]))
+            for nid, cls in nodes]
 
 
 class TestTiledLatency:
     def test_single_node(self):
-        k = DataflowKernel(nodes=[("m", OpClass.MUL_CLASS)], edges=[])
-        assert tiled_latency(k, CFG, barrier_cost=1) == 2
+        assert tiled_latency([("m", "*", "a", "b")], CFG, barrier_cost=1) == 2
 
     def test_chain_mul_div(self):
-        k = DataflowKernel(nodes=[("m", OpClass.MUL_CLASS),
-                                  ("d", OpClass.DIV_CLASS)],
-                           edges=[("m", "d")])
-        assert tiled_latency(k, CFG) == 1 + 64 + 1
+        stmts = [("m", "*", "a", "b"), ("d", "/", "m", "p")]
+        assert tiled_latency(stmts, CFG) == 1 + 64 + 1
 
     def test_benchmark_graph_critical_path(self):
         # MUL,MUL,ADD,MUL,MUL,DIV,DIV,DIV plus the barrier
-        assert tiled_latency(kernel.dataflow_graph(), CFG) == 198
-
-    def test_replication_invariant(self):
-        for r in (1, 24, 100):
-            assert tiled_latency(kernel.dataflow_graph(r), CFG) == 198
+        assert tiled_latency(kernel.KERNEL, CFG) == 198
 
     def test_negative_barrier_rejected(self):
-        k = kernel.dataflow_graph()
+        k = kernel.KERNEL
         assert tiled_latency(k, CFG, barrier_cost=0) \
             == tiled_latency(k, CFG) - 1
         with pytest.raises(ValueError, match="barrier cost -1 must be >= 0"):
             tiled_latency(k, CFG, barrier_cost=-1)
-
-    def test_cycle_detected(self):
-        k = DataflowKernel(nodes=[("a", OpClass.ADD_CLASS),
-                                  ("b", OpClass.ADD_CLASS)],
-                           edges=[("a", "b"), ("b", "a")])
-        with pytest.raises(CyclicGraphError):
-            tiled_latency(k, CFG)
 
     def test_matches_brute_force_on_random_dags(self):
         rng = random.Random(99)
@@ -75,9 +51,9 @@ class TestTiledLatency:
             edges = [(f"n{i}", f"n{j}")
                      for i, j in itertools.combinations(range(n), 2)
                      if rng.random() < 0.3]
-            k = DataflowKernel(nodes=nodes, edges=edges)
-            expected = brute_force_longest_path(k, CFG) + 1
-            assert tiled_latency(k, CFG, barrier_cost=1) == expected
+            expected = brute_force_longest_path(nodes, edges, CFG) + 1
+            assert tiled_latency(statements(nodes, edges), CFG,
+                                 barrier_cost=1) == expected
 
 
 class TestSequentialConfig:
@@ -112,6 +88,6 @@ class TestSequentialConfig:
             edges = [(f"n{i}", f"n{j}")
                      for i, j in itertools.combinations(range(n), 2)
                      if rng.random() < 0.25]
-            k = DataflowKernel(nodes=nodes, edges=edges)
-            sequential = sum(lat[cls] for _, cls in k.nodes)
-            assert tiled_latency(k, CFG, barrier_cost=0) <= sequential
+            sequential = sum(lat[cls] for _, cls in nodes)
+            assert tiled_latency(statements(nodes, edges), CFG,
+                                 barrier_cost=0) <= sequential

@@ -313,6 +313,7 @@ class TestUsage:
         (["sweep", "k.asm"], "required: --mixes"),
         (["frobnicate"], "invalid choice: 'frobnicate'"),
         (["project", "--nope"], "unrecognized arguments: --nope"),
+        (["run", "k.asm", "--max-cycles", "-1"], "--max-cycles -1 must be >= 0"),
     ])
     def test_usage_error_exit_1(self, capsys, argv, fragment):
         assert main(argv) == 1
@@ -529,6 +530,16 @@ class TestKernelGen:
                      "--out-prefix", str(tmp_path / "k0")]) == 1
         one_line_error(capsys, "vector length 0 must be >= 1")
         assert not list(tmp_path.iterdir())
+
+    def test_layout_checked_before_inputs_drawn(self, tmp_path, capsys,
+                                                monkeypatch):
+        calls = []
+        monkeypatch.setattr(kernel, "generate_inputs",
+                            lambda *args: calls.append(args))
+        assert main(["kernel-gen", "--veclen", "400",
+                     "--out-prefix", str(tmp_path / "k")]) == 1
+        one_line_error(capsys, "layout needs 4400 words, memory has 4096")
+        assert calls == []
 
     def test_out_prefix_in_missing_directory(self, tmp_path, capsys):
         assert main(["kernel-gen",

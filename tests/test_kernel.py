@@ -7,12 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vproc.fixedpoint as fx
-from vproc import isa, kernel
+from vproc import archmodels, isa, kernel, resources
 from vproc.core import CoreConfig, run
 from vproc.isa import OpClass
+from vproc.resources import DEFAULT_CALIBRATION as CAL
 
-from conftest import (ref_dataflow_graph, ref_emit_program,
-                      ref_emit_scalar_program, ref_oracle)
+from conftest import (brute_force_longest_path, ref_dataflow_graph,
+                      ref_emit_program, ref_emit_scalar_program, ref_oracle)
+
+UNIT_COST = {OpClass.ADD_CLASS: CAL.c_add, OpClass.MUL_CLASS: CAL.c_mul,
+             OpClass.DIV_CLASS: CAL.c_div}
 
 
 def reference_eval(inputs, lane):
@@ -127,6 +131,14 @@ class TestOracle:
         with pytest.raises(ValueError, match="divisor"):
             kernel.oracle(kernel.KernelInputs(vectors=vectors, s_k=1.0))
 
+    def test_rejects_zero_divisor(self):
+        # f = 0 makes t10 = 0, which no DIVISOR_BOUND guard covers.
+        ins = kernel.generate_inputs(4, 1)
+        ins.vectors["f"][2] = 0.0
+        with pytest.raises(ValueError, match=r"^lane 2: divisor t10=0\.0 is zero;"
+                                             r" inputs rejected$"):
+            kernel.oracle(ins)
+
 
 class TestGenerateInputs:
     def test_deterministic(self):
@@ -191,11 +203,20 @@ class TestAgainstHandWrittenKernel:
 
     @pytest.mark.parametrize("replication", [1, 24, 256])
     def test_dataflow_graph(self, replication):
-        got = kernel.dataflow_graph(replication)
-        want = ref_dataflow_graph(replication)
-        assert got.nodes == want.nodes
-        assert sorted(got.edges) == sorted(want.edges)
-        assert got.replication == want.replication
+        """The tiled models read KERNEL as the hand-written graph."""
+        nodes, edges = ref_dataflow_graph()
+        rng = random.Random(9)
+        for _ in range(50):
+            lat = [0 if rng.random() < 0.2 else rng.randint(1, 100)
+                   for _ in range(3)]
+            cfg = CoreConfig(lat_add=lat[0], lat_mul=lat[1], lat_div=lat[2])
+            assert archmodels.tiled_latency(kernel.KERNEL, cfg, barrier_cost=0) \
+                == brute_force_longest_path(nodes, edges, cfg)
+        counts = collections.Counter(cls for _, cls in nodes)
+        breakdown = resources.estimate_tiled(kernel.KERNEL, replication).breakdown
+        assert breakdown.keys() == {"barrier", *(c.value + "_units" for c in counts)}
+        assert {c: breakdown[c.value + "_units"] for c in counts} \
+            == {c: round(replication * n * UNIT_COST[c]) for c, n in counts.items()}
 
     def test_oracle_values(self):
         for W in WIDTHS:
@@ -266,3 +287,30 @@ class TestAllocator:
         assert kernel._allocate(kernel.KERNEL, 10) == {
             "t1": 10, "t2": 10, "t3": 11, "t4": 10, "t5": 10, "t6": 11,
             "t7": 11, "t8": 10, "t9": 10, "t10": 10, "out": 10}
+
+
+def tiled_reference(stmts, cfg, replication):
+    """Brute-force critical path over one node per statement and one edge
+    per operand that is an earlier result, and the per-class unit slices in
+    first-appearance order."""
+    nodes = [(dest, kernel.OPS[op][0]) for dest, op, *_ in stmts]
+    edges = [(x, dest) for i, (dest, _, *args) in enumerate(stmts)
+             for x in args if x in {d for d, *_ in stmts[:i]}]
+    classes = [cls for _, cls in nodes]
+    units = {cls.value + "_units": round(replication * classes.count(cls) * UNIT_COST[cls])
+             for cls in dict.fromkeys(classes)}
+    return (brute_force_longest_path(nodes, edges, cfg),
+            {"barrier": round(CAL.c_tiled_barrier), **units})
+
+
+class TestTiledModelsOnRandomKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(statement_lists(), st.tuples(*[st.integers(0, 100)] * 3),
+           st.integers(1, 300))
+    @example(kernel.KERNEL, (1, 1, 64), 24)
+    def test_against_brute_force(self, stmts, lat, replication):
+        cfg = CoreConfig(lat_add=lat[0], lat_mul=lat[1], lat_div=lat[2])
+        path, breakdown = tiled_reference(stmts, cfg, replication)
+        assert archmodels.tiled_latency(stmts, cfg, barrier_cost=0) == path
+        got = resources.estimate_tiled(stmts, replication).breakdown
+        assert list(got.items()) == list(breakdown.items())

@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark harness: one short run of one workload.
+"""Smoke tests of the benchmark harness: short runs of two workloads.
 
 The harness calls `kernel.data_initializers`, `core.run` and the report
 readers directly, so a change to their types can break it while the CLI
@@ -16,20 +16,34 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_vector_w256_run(tmp_path):
+def run_workload(tmp_path, workload, trace):
+    """One one-second run of a workload; its result record."""
     for name in ("src", "docs", "perfbench"):
         shutil.copytree(ROOT / name, tmp_path / name,
                         ignore=shutil.ignore_patterns("results", "work-*",
                                                       "__pycache__"))
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "vector_w256",
-         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", str(trace)],
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr     # 3: the golden gate failed
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stderr
+    return result
+
+
+def test_vector_w256_run(tmp_path):
+    result = run_workload(tmp_path, "vector_w256", 0)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [m["name"] for m in spec["end_to_end"]]
     assert len(names) == 6
     assert set(names) <= set(result["metrics"])
+
+
+def test_dse_w24_traced_run(tmp_path):
+    """Only a traced run looks up the tracer's wrapped names, and only
+    dse_w24 reaches `compare` and so the tiled models."""
+    result = run_workload(tmp_path, "dse_w24", 1)
+    assert {"archmodels.tiled_latency_s", "resources.estimate_s"} \
+        <= set(result["metrics"])

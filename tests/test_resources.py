@@ -4,9 +4,7 @@ import math
 import pytest
 
 from vproc import kernel
-from vproc.archmodels import CyclicGraphError, DataflowKernel
 from vproc.core import CoreConfig
-from vproc.isa import OpClass
 from vproc.resources import (Calibration, CalibrationError, calibrate,
                              estimate_sequential, estimate_tiled,
                              estimate_vector)
@@ -55,21 +53,14 @@ class TestSequentialEstimate:
 
 class TestTiledEstimate:
     def test_benchmark_graph(self):
-        assert estimate_tiled(kernel.dataflow_graph()).slices == 200800
+        assert estimate_tiled(kernel.KERNEL, 24).slices == 200800
 
     def test_single_replica(self):
-        assert estimate_tiled(kernel.dataflow_graph(replication=1)).slices == 8750
+        assert estimate_tiled(kernel.KERNEL, 1).slices == 8750
 
     def test_ratio_to_sequential(self):
-        ratio = estimate_tiled(kernel.dataflow_graph()).slices / estimate_sequential().slices
+        ratio = estimate_tiled(kernel.KERNEL, 24).slices / estimate_sequential().slices
         assert ratio == pytest.approx(12.2, abs=0.1)
-
-    def test_cyclic_rejected(self):
-        k = DataflowKernel(nodes=[("a", OpClass.ADD_CLASS),
-                                  ("b", OpClass.MUL_CLASS)],
-                           edges=[("a", "b"), ("b", "a")])
-        with pytest.raises(CyclicGraphError):
-            estimate_tiled(k)
 
 
 class TestCalibration:
