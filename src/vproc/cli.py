@@ -241,8 +241,7 @@ def cmd_sweep(args) -> int:
     cfg, cal = load_config(args.config)
     program = isa.assemble(_read(args.program))
     inputs = _data_inputs(args.data, cfg)
-    configs = [cfg.with_mix(*mix) for mix in parse_mix_spec(args.mixes)]
-    points = dse.sweep(program, configs, cal,
+    points = dse.sweep(program, cfg, parse_mix_spec(args.mixes), cal,
                        inputs=inputs and kernel.data_initializers(inputs))
     frontier = {id(p) for p in dse.pareto(points)}
     lines = ["label,n_add,n_mul,n_div,latency_cycles,slices,on_pareto"]
@@ -269,8 +268,9 @@ def cmd_compare(args) -> int:
     tiled_slices = resources.estimate_tiled(kernel.KERNEL, cfg.vec_len,
                                             cal).slices
 
-    # The sequential core is the vector core with a 1-1-1 mix: one sweep.
-    seq, vec = dse.sweep(program, [archmodels.sequential_config(cfg), cfg],
+    # The sequential core is this core with one unit per class: one sweep.
+    seq, vec = dse.sweep(program, cfg,
+                         [archmodels.sequential_config(cfg).mix, cfg.mix],
                          cal, inputs=kernel.data_initializers(inputs))
     seq_lat, vec_lat = seq.latency_cycles, vec.latency_cycles
     seq_slices = resources.estimate_sequential(cal).slices
@@ -318,7 +318,7 @@ def cmd_project(args) -> int:
             proj = dse.throughput_projection(point, args.budget, args.clock)
             out["cores"] = proj.cores
             out["calls_per_second"] = proj.calls_per_second
-            out["clock_mhz"] = proj.clock_mhz
+            out["clock_mhz"] = args.clock
     except ValueError as exc:
         raise CliError(str(exc))
     if len(out) == 1:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import fixedpoint as fx
 from .fixedpoint import ArithFlags, Fixed64
@@ -43,9 +43,7 @@ class CoreConfig:
     def __post_init__(self) -> None:
         if self.vec_len < 1:
             raise ValueError("vec_len must be >= 1")
-        if self.mem_port_width is None:
-            self.mem_port_width = self.vec_len
-        if self.mem_port_width < 1:
+        if self.mem_port_width is not None and self.mem_port_width < 1:
             raise ValueError("mem_port_width must be >= 1")
         for name in ("n_add", "n_mul", "n_div", "lat_add", "lat_mul",
                      "lat_div", "issue_cost", "lat_convert", "n_sregs", "n_vregs"):
@@ -61,20 +59,12 @@ class CoreConfig:
         return replace(self, n_add=n_add, n_mul=n_mul, n_div=n_div)
 
     @property
+    def mix(self) -> tuple[int, int, int]:
+        return self.n_add, self.n_mul, self.n_div
+
+    @property
     def mix_label(self) -> str:
-        return f"{self.n_add}-{self.n_mul}-{self.n_div}"
-
-
-@dataclass
-class MachineState:
-    """Registers and data memory as raw Q32.32 words (plain ints)."""
-
-    sregs: list[int]
-    vregs: list[list[int]]
-    mem: list[int]
-    pc: int = 0
-    flags: ArithFlags = field(default_factory=ArithFlags)
-    cycles: int = 0
+        return "-".join(map(str, self.mix))
 
 
 @dataclass(frozen=True)
@@ -85,7 +75,6 @@ class ExecReport:
     utilization: dict[OpClass, float]
     flags: ArithFlags
     memory: list[Fixed64]
-    halted: bool
     retired: list[int]      # times each instruction retired, by PC; not reported
 
 
@@ -122,6 +111,7 @@ def cost_table(cfg: CoreConfig, ops) -> dict[str, tuple[OpClass, int, int]]:
     """(class, cycles, busy unit-cycles) of each opcode in `ops` under cfg:
     the one analytic cost model of the simulator, the sweep and instr_cost."""
     table = {}
+    port = cfg.vec_len if cfg.mem_port_width is None else cfg.mem_port_width
     for op in ops:
         cls = isa.opclass(op)
         vector = isa.is_vector(op)
@@ -130,7 +120,7 @@ def cost_table(cfg: CoreConfig, ops) -> dict[str, tuple[OpClass, int, int]]:
         elif cls is OpClass.CONVERT:
             work = busy = cfg.lat_convert
         elif cls is OpClass.MEM:
-            work = busy = waves(cfg.vec_len, cfg.mem_port_width) if vector else 1
+            work = busy = waves(cfg.vec_len, port) if vector else 1
         else:
             lat = getattr(cfg, CLASS_LAT[cls])
             if vector:
@@ -165,14 +155,6 @@ def price(counts: dict[str, int], table) -> tuple[int, dict[OpClass, int]]:
         total += n * cycles
         busy[cls] += n * work
     return total, busy
-
-
-def reset(cfg: CoreConfig) -> MachineState:
-    # s0, the hardwired zero, is held even when no scalar register is
-    # addressable (n_sregs = 0), because run() re-zeroes it every step.
-    return MachineState(sregs=[0] * max(cfg.n_sregs, 1),
-                        vregs=[[0] * cfg.vec_len for _ in range(cfg.n_vregs)],
-                        mem=[0] * cfg.dmem_words)
 
 
 # Arithmetic opcodes: raw-word operation and operand shape after the
@@ -214,8 +196,13 @@ def run(p: Program, cfg: CoreConfig,
     if diags:
         raise ValidationError(diags)
 
-    state = reset(cfg)
-    s, v, mem, flags = state.sregs, state.vregs, state.mem, state.flags
+    W = cfg.vec_len
+    # s0, the hardwired zero, is held even when no scalar register is
+    # addressable (n_sregs = 0), because the loop re-zeroes it every step.
+    s = [0] * max(cfg.n_sregs, 1)
+    v = [[0] * W for _ in range(cfg.n_vregs)]
+    mem = [0] * cfg.dmem_words
+    flags = ArithFlags()
     data_init = [(addr, [w.raw for w in values]) for addr, values in p.data_init]
     for addr, words in data_init + list(inputs or []):
         if addr < 0 or addr + len(words) > cfg.dmem_words:
@@ -225,37 +212,35 @@ def run(p: Program, cfg: CoreConfig,
     table = cost_table(cfg, {i.op for i in p.instructions})
     pc_cycles = [table[i.op][1] for i in p.instructions]
     retired = [0] * len(p.instructions)
-    halted = False
-    W = cfg.vec_len
     one = fx.SCALE
 
-    def report() -> ExecReport:
+    def report(cycles: int) -> ExecReport:
         _, busy = price(opcode_counts(p, retired), table)
         util = {}
         for cls in OpClass:
             units = getattr(cfg, CLASS_UNITS[cls]) if cls in CLASS_UNITS else 1
-            denom = state.cycles * max(units, 1)
+            denom = cycles * max(units, 1)
             util[cls] = min(1.0, busy[cls] / denom) if denom else 0.0
         lo, length = observe if observe is not None else (0, 0)
-        return ExecReport(total_cycles=state.cycles, instr_count=sum(retired),
+        return ExecReport(total_cycles=cycles, instr_count=sum(retired),
                           busy_cycles=busy, utilization=util,
                           flags=flags.copy(),
                           memory=[Fixed64(w) for w in mem[lo:lo + length]],
-                          halted=halted, retired=retired)
+                          retired=retired)
 
+    pc = cycles = 0
     while True:
-        if not (0 <= state.pc < len(p.instructions)):
-            raise SimulationFault(state.pc, "program counter out of range "
-                                            "(missing HALT?)")
-        idx = state.pc
-        i = p.instructions[idx]
-        state.cycles += pc_cycles[idx]
-        retired[idx] += 1
-        if state.cycles > max_cycles:
-            raise SimulationTimeout(report())
+        if not (0 <= pc < len(p.instructions)):
+            raise SimulationFault(pc, "program counter out of range "
+                                      "(missing HALT?)")
+        i = p.instructions[pc]
+        cycles += pc_cycles[pc]
+        retired[pc] += 1
+        if cycles > max_cycles:
+            raise SimulationTimeout(report(cycles))
 
         op = i.op
-        next_pc = idx + 1
+        next_pc = pc + 1
         try:
             if op in _ALU:
                 fn, shape = _ALU[op]
@@ -287,8 +272,8 @@ def run(p: Program, cfg: CoreConfig,
             elif op == "VMOV":
                 v[i.d] = list(v[i.a])
             elif op in ("JMP", "BZ", "BNZ"):
-                if retired[idx] > max_cycles:
-                    raise SimulationTimeout(report())
+                if retired[pc] > max_cycles:
+                    raise SimulationTimeout(report(cycles))
                 if op == "JMP" or (s[i.a] == 0) == (op == "BZ"):
                     next_pc = i.target
             elif op == "F2X":
@@ -296,15 +281,12 @@ def run(p: Program, cfg: CoreConfig,
             elif op == "X2F":
                 s[i.d] = struct.unpack("<q", struct.pack("<d", s[i.a] / fx.SCALE))[0]
             elif op == "HALT":
-                halted = True
+                break
             else:  # pragma: no cover - table and dispatch kept in sync
-                raise SimulationFault(idx, f"unimplemented opcode {op}")
+                raise SimulationFault(pc, f"unimplemented opcode {op}")
         except IndexError as exc:
-            raise SimulationFault(idx, f"memory access out of range ({op})") from exc
+            raise SimulationFault(pc, f"memory access out of range ({op})") from exc
         s[0] = 0                # s0 is a hardwired zero; writes are ignored
+        pc = next_pc
 
-        if halted:
-            break
-        state.pc = next_pc
-
-    return report()
+    return report(cycles)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 from . import core, isa, resources
 from .core import CoreConfig
@@ -25,43 +24,43 @@ class DesignPoint:
 @dataclass(frozen=True)
 class Projection:
     cores: int
-    clock_mhz: float
     calls_per_second: float
 
 
-def sweep(p: Program, configs: list[CoreConfig],
+def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
           cal: Calibration = DEFAULT_CALIBRATION,
           inputs: list[tuple[int, list[int]]] | None = None
           ) -> list[DesignPoint]:
-    """One design point per configuration, in input order.
+    """One design point per (n_add, n_mul, n_div) mix of core cfg, in input
+    order; cfg's own mix is ignored.
 
-    Values and control flow do not depend on the unit mix, so each run of
-    consecutive configurations that differ only in their mix is simulated
-    once and every mix is priced as sum(count[op] * cost(op, cfg)) (one
-    pass, many configurations: Mattson et al., IBM Syst. J., 1970).  The
-    first failing configuration raises the error its own run would.
+    Values and control flow do not depend on the unit mix, so the program
+    is simulated once, with the first mix, and every mix is priced as
+    sum(count[op] * cost(op, mix)) (one pass, many configurations: Mattson
+    et al., IBM Syst. J., 1970).  The first failing mix raises the error
+    its own run would.
     """
     classes = isa.unit_classes(p)
     points = []
-    for _, group in groupby(configs, key=lambda c: c.with_mix(0, 0, 0)):
-        counts = None
-        for cfg in group:
-            try:
-                if counts is None:
-                    report = core.run(p, cfg, inputs=inputs)
-                    counts = core.opcode_counts(p, report.retired)
-                elif diags := isa.validate_units(classes, cfg):
-                    raise core.ValidationError(diags)
-                total, _ = core.price(counts, core.cost_table(cfg, counts))
-                if total > core.MAX_CYCLES:   # for this mix's own timeout
-                    total = core.run(p, cfg, inputs=inputs).total_cycles
-            except core.ValidationError as exc:
-                raise core.ValidationError(
-                    [f"config {cfg.mix_label}: {d}" for d in exc.diagnostics])
-            est = resources.estimate_vector(cfg, cal)
-            points.append(DesignPoint(label=cfg.mix_label, n_add=cfg.n_add,
-                                      n_mul=cfg.n_mul, n_div=cfg.n_div,
-                                      latency_cycles=total, slices=est.slices))
+    counts = None
+    for mix in mixes:
+        c = cfg.with_mix(*mix)
+        try:
+            if counts is None:
+                report = core.run(p, c, inputs=inputs)
+                counts = core.opcode_counts(p, report.retired)
+            elif diags := isa.validate_units(classes, c):
+                raise core.ValidationError(diags)
+            total, _ = core.price(counts, core.cost_table(c, counts))
+            if total > core.MAX_CYCLES:     # for this mix's own timeout
+                total = core.run(p, c, inputs=inputs).total_cycles
+        except core.ValidationError as exc:
+            raise core.ValidationError(
+                [f"config {c.mix_label}: {d}" for d in exc.diagnostics])
+        est = resources.estimate_vector(c, cal)
+        points.append(DesignPoint(label=c.mix_label, n_add=c.n_add,
+                                  n_mul=c.n_mul, n_div=c.n_div,
+                                  latency_cycles=total, slices=est.slices))
     return points
 
 
@@ -103,7 +102,7 @@ def throughput_projection(point: DesignPoint, slices_budget: int,
                          f"({point.slices} slices)")
     cores = slices_budget // point.slices
     calls = cores * clock_mhz * 1e6 / point.latency_cycles
-    return Projection(cores=cores, clock_mhz=clock_mhz, calls_per_second=calls)
+    return Projection(cores=cores, calls_per_second=calls)
 
 
 def amdahl(fraction: float, kernel_speedup: float) -> float:

@@ -92,15 +92,7 @@ class Instruction:
 @dataclass
 class Program:
     instructions: list[Instruction] = field(default_factory=list)
-    labels: dict[str, int] = field(default_factory=dict)
     data_init: list[tuple[int, list[Fixed64]]] = field(default_factory=list)
-
-    def __eq__(self, other: object) -> bool:
-        # Structural equality: label *names* are presentation only.
-        if not isinstance(other, Program):
-            return NotImplemented
-        return (self.instructions == other.instructions
-                and self.data_init == other.data_init)
 
 
 class AssemblyError(Exception):
@@ -174,7 +166,8 @@ def assemble(source_text: str) -> Program:
     label_diags: list[str] = []
     diags: list[tuple[int, str]] = []          # (lineno, message)
     program = Program()
-    labels, instructions = program.labels, program.instructions
+    instructions = program.instructions
+    labels: dict[str, int] = {}
     encoded: dict[str, tuple[Instruction, str | None]] = {}  # by statement text
     fixups: list[tuple[int, int, str]] = []    # (pc, lineno, label operand)
     for lineno, line in enumerate(source_text.splitlines(), start=1):
@@ -270,10 +263,11 @@ def validate_structure(p: Program, cfg) -> list[str]:
         regs, vector, cls = _CHECKS[instr.op]
         for f, is_vreg in regs:
             reg = getattr(instr, f)
-            if is_vreg and reg >= n_vregs:
-                diags.append(f"instr {idx} ({instr.op}): vector register index "
-                             f"{reg} out of range (n_vregs={n_vregs})")
-            elif not is_vreg and reg >= n_sregs:
+            if is_vreg:
+                if not 0 <= reg < n_vregs:
+                    diags.append(f"instr {idx} ({instr.op}): vector register "
+                                 f"index {reg} out of range (n_vregs={n_vregs})")
+            elif not 0 <= reg < n_sregs:
                 diags.append(f"instr {idx} ({instr.op}): scalar register index "
                              f"{reg} out of range (n_sregs={n_sregs})")
         if (addr := instr.addr) is not None:

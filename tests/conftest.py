@@ -163,7 +163,7 @@ def ref_assemble(source_text: str) -> Program:
         stmts.append((lineno, mnemonic.upper(), operands))
         index += 1
 
-    program = Program(labels=labels)
+    program = Program()
     for lineno, mnemonic, operands in stmts:
         if mnemonic == ".data":
             try:

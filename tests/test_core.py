@@ -1,12 +1,13 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 import vproc.fixedpoint as fx
 from vproc import isa, kernel
 from vproc.core import (CoreConfig, SimulationFault, SimulationTimeout,
-                        ValidationError, instr_cost, reset, run, waves)
+                        ValidationError, instr_cost, run, waves)
 from vproc.isa import Instruction, OpClass, Program
 
 from conftest import random_program, ref_run
@@ -49,11 +50,11 @@ class TestCoreConfig:
 
     def test_no_scalar_registers_runs_vector_program(self):
         p = isa.assemble("VADD v1, v1, v1\nHALT")
-        assert run(p, CoreConfig(n_sregs=0)).halted
+        assert run(p, CoreConfig(n_sregs=0)).instr_count == 2
 
     def test_zero_units_rejected_only_when_used(self):
         cfg = CoreConfig(n_div=0)
-        assert run(isa.assemble("VADD v1, v1, v1\nHALT"), cfg).halted
+        assert run(isa.assemble("VADD v1, v1, v1\nHALT"), cfg).instr_count == 2
         with pytest.raises(ValidationError, match="no units"):
             run(isa.assemble("VINV v1, v1\nHALT"), cfg)
 
@@ -87,12 +88,19 @@ class TestInstrCost:
         narrow = CoreConfig(mem_port_width=8)
         assert instr_cost(Instruction("VLD", d=0, addr=0), narrow) == 5
 
+    def test_default_port_width_follows_replaced_vec_len(self):
+        vld = Instruction("VLD", d=0, addr=0)
+        wide = replace(CoreConfig(vec_len=8), vec_len=24)
+        assert instr_cost(vld, wide) == instr_cost(vld, CoreConfig()) == 3
+        narrow = replace(CoreConfig(vec_len=8, mem_port_width=8), vec_len=24)
+        assert instr_cost(vld, narrow) == 5
+
 
 class TestReset:
     def test_zeroed(self):
-        st = reset(CoreConfig())
-        assert all(v == 0 for v in st.mem) and len(st.mem) == 4096
-        assert st.pc == 0 and st.cycles == 0
+        r = run(isa.assemble("HALT"), CoreConfig(), observe=(0, 4096))
+        assert all(w.raw == 0 for w in r.memory) and len(r.memory) == 4096
+        assert r.total_cycles == 2 and r.instr_count == 1
 
 
 class TestRun:

@@ -42,8 +42,8 @@ class TestSweep:
 
     def test_symmetric_set(self, bench):
         program, inits = bench
-        configs = [self.base.with_mix(n, n, n) for n in (1, 2, 4, 8, 16, 24)]
-        points = sweep(program, configs, inputs=inits)
+        mixes = [(n, n, n) for n in (1, 2, 4, 8, 16, 24)]
+        points = sweep(program, self.base, mixes, inputs=inits)
         lats = [p.latency_cycles for p in points]
         slcs = [p.slices for p in points]
         assert lats == sorted(lats, reverse=True) and len(set(lats)) == 6
@@ -52,8 +52,7 @@ class TestSweep:
     def test_asymmetric_set(self, bench):
         program, inits = bench
         mixes = [(8, 8, 8), (24, 8, 8), (8, 24, 8), (8, 8, 24)]
-        points = sweep(program, [self.base.with_mix(*m) for m in mixes],
-                       inputs=inits)
+        points = sweep(program, self.base, mixes, inputs=inits)
         best = min(points[1:], key=lambda p: p.latency_cycles)
         assert best.label == "8-8-24"
 
@@ -61,19 +60,19 @@ class TestSweep:
         from vproc.core import run
         program, inits = bench
         cfg = self.base.with_mix(8, 8, 24)
-        [point] = sweep(program, [cfg], inputs=inits)
+        [point] = sweep(program, self.base, [cfg.mix], inputs=inits)
         assert point.latency_cycles == run(program, cfg, inputs=inits).total_cycles
 
     def test_invalid_config_named(self, bench):
         program, inits = bench
         with pytest.raises(ValidationError, match="8-8-0"):
-            sweep(program, [self.base.with_mix(8, 8, 0)], inputs=inits)
+            sweep(program, self.base, [(8, 8, 0)], inputs=inits)
 
 
-def per_config_sweep(p, configs, inputs=None):
-    """Reference: the sweep simulated once per configuration."""
+def per_config_sweep(p, base, mixes, inputs=None):
+    """Reference: the sweep simulated once per mix."""
     points = []
-    for cfg in configs:
+    for cfg in (base.with_mix(*m) for m in mixes):
         try:
             report = run(p, cfg, inputs=inputs)
         except ValidationError as exc:
@@ -121,7 +120,7 @@ class TestOnePassSweep:
                        lat_div=lat[2], issue_cost=issue_cost)
         p = random_program(random.Random(seed), base)
         configs = [base.with_mix(*m) for m in mixes]
-        for cfg, point in zip(configs, sweep(p, configs)):
+        for cfg, point in zip(configs, sweep(p, base, mixes)):
             report = run(p, cfg)
             assert point.latency_cycles == report.total_cycles
             counts = opcode_counts(p, report.retired)
@@ -130,22 +129,32 @@ class TestOnePassSweep:
 
     def test_one_run_for_216_mixes(self, bench, count_runs):
         program, inits = bench
-        configs = [self.base.with_mix(a, m, d)
-                   for a in SIZES for m in SIZES for d in SIZES]
-        points = sweep(program, configs, inputs=inits)
+        mixes = [(a, m, d) for a in SIZES for m in SIZES for d in SIZES]
+        points = sweep(program, self.base, mixes, inputs=inits)
         assert len(count_runs) == 1
-        assert points == per_config_sweep(program, configs, inputs=inits)
+        assert points == per_config_sweep(program, self.base, mixes,
+                                          inputs=inits)
 
-    def test_each_non_mix_change_gets_its_own_run(self, rng, count_runs):
-        narrow = replace(self.base, vec_len=16)
-        slow = replace(self.base, lat_div=3)
-        p = random_program(rng, narrow)
-        configs = [self.base.with_mix(8, 8, 8), self.base.with_mix(1, 2, 4),
-                   narrow.with_mix(8, 8, 8), narrow.with_mix(16, 1, 2),
-                   slow.with_mix(8, 8, 8), self.base.with_mix(24, 24, 24)]
-        points = sweep(p, configs)
-        assert len(count_runs) == 4
-        assert points == per_config_sweep(p, configs)
+    def test_loop_priced_exactly(self, count_runs):
+        p = isa.assemble("""
+            LDI s1, 5.0
+            VLD v1, [0]
+            VLD v2, [24]
+        loop:
+            VMUL v3, v1, v2
+            VADD v4, v3, v1
+            VDIV v5, v4, v2
+            SADDI s1, s1, -1.0
+            BNZ s1, loop
+            HALT""")
+        inits = [(0, [fx.SCALE * (k % 5 + 1) for k in range(48)])]
+        base = replace(self.base, lat_mul=3, lat_div=17)
+        mixes = [(1, 1, 1), (8, 8, 8), (8, 8, 24), (24, 1, 3), (2, 24, 24)]
+        points = sweep(p, base, mixes, inputs=inits)
+        assert len(count_runs) == 1
+        assert [pt.latency_cycles for pt in points] \
+            == [2585, 380, 210, 1110, 225]
+        assert points == per_config_sweep(p, base, mixes, inputs=inits)
 
     @pytest.mark.parametrize("mixes", [
         [(8, 8, 8), (8, 8, 0), (0, 8, 8)],
@@ -154,33 +163,34 @@ class TestOnePassSweep:
     ])
     def test_unit_count_errors_in_input_order(self, bench, mixes):
         program, inits = bench
-        configs = [self.base.with_mix(*m) for m in mixes]
-        got = outcome(sweep, program, configs, inputs=inits)
+        got = outcome(sweep, program, self.base, mixes, inputs=inits)
         assert got[0] is ValidationError
-        assert got == outcome(per_config_sweep, program, configs, inputs=inits)
+        assert got == outcome(per_config_sweep, program, self.base, mixes,
+                              inputs=inits)
 
     def test_structural_errors_of_first_config(self):
         p = isa.assemble("VLD v99, [0]\nVADD v1, v1, v1\nHALT")
-        configs = [self.base.with_mix(0, 8, 8), self.base.with_mix(8, 8, 8)]
-        got = outcome(sweep, p, configs)
+        mixes = [(0, 8, 8), (8, 8, 8)]
+        got = outcome(sweep, p, self.base, mixes)
         assert got[0] is ValidationError and got[1].startswith("config 0-8-8")
-        assert got == outcome(per_config_sweep, p, configs)
+        assert got == outcome(per_config_sweep, p, self.base, mixes)
 
     def test_initializer_error(self, bench):
         program, _ = bench
-        configs = [self.base.with_mix(8, 8, 8), self.base.with_mix(1, 1, 1)]
-        bad = [(4095, [fx.ONE, fx.ONE])]
-        got = outcome(sweep, program, configs, inputs=bad)
+        mixes = [(8, 8, 8), (1, 1, 1)]
+        bad = [(4095, [fx.SCALE, fx.SCALE])]
+        got = outcome(sweep, program, self.base, mixes, inputs=bad)
         assert got == (ValidationError, "config 8-8-8: initializer at 4095 "
                                         "outside data memory")
-        assert got == outcome(per_config_sweep, program, configs, inputs=bad)
+        assert got == outcome(per_config_sweep, program, self.base, mixes,
+                              inputs=bad)
 
     def test_fault_message(self):
         p = Program(instructions=[Instruction("LDI", d=1, imm=fx.ONE)])
-        configs = [self.base.with_mix(8, 8, 8), self.base.with_mix(1, 1, 1)]
-        got = outcome(sweep, p, configs)
+        mixes = [(8, 8, 8), (1, 1, 1)]
+        got = outcome(sweep, p, self.base, mixes)
         assert got[0] is SimulationFault
-        assert got == outcome(per_config_sweep, p, configs)
+        assert got == outcome(per_config_sweep, p, self.base, mixes)
 
     @pytest.mark.parametrize("mixes,runs", [
         ([(24, 24, 24), (8, 8, 8), (1, 1, 1), (24, 24, 24)], 2),
@@ -190,11 +200,11 @@ class TestOnePassSweep:
         # 3 vector divisions at 24 waves of 200k cycles exceed 10M at 1-1-1
         program, inits = bench
         slow = replace(self.base, lat_div=200_000)
-        configs = [slow.with_mix(*m) for m in mixes]
-        got = outcome(sweep, program, configs, inputs=inits)
+        got = outcome(sweep, program, slow, mixes, inputs=inits)
         assert len(count_runs) == runs
         assert got[0] is SimulationTimeout
-        assert got == outcome(per_config_sweep, program, configs, inputs=inits)
+        assert got == outcome(per_config_sweep, program, slow, mixes,
+                              inputs=inits)
 
 
 class TestPareto:

@@ -96,7 +96,6 @@ class TestAssemble:
     def test_backward_branch(self):
         p = isa.assemble("loop: SADDI s1, s1, -1\nBNZ s1, loop")
         assert p.instructions[1] == Instruction("BNZ", a=1, target=0)
-        assert p.labels == {"loop": 0}
 
     def test_unknown_mnemonic(self):
         with pytest.raises(AssemblyError) as exc:
@@ -156,8 +155,9 @@ class TestAssemble:
         assert p.instructions[:2] == [Instruction("BNZ", a=1, target=2)] * 2
 
     def test_label_only_lines_label_next_instruction(self):
-        p = isa.assemble("a: b:\nc:\n\nHALT\nd: e: JMP a")
-        assert p.labels == {"a": 0, "b": 0, "c": 0, "d": 1, "e": 1}
+        p = isa.assemble("a: b:\nc:\n\nHALT\nd: e: JMP a\n"
+                         "JMP a\nJMP b\nJMP c\nJMP d\nJMP e")
+        assert [i.target for i in p.instructions[2:]] == [0, 0, 0, 1, 1]
         assert p.instructions[1] == Instruction("JMP", target=0)
 
     def test_diagnostic_order(self):
@@ -185,7 +185,6 @@ class TestAssemble:
             return
         got = isa.assemble(src)
         assert got.instructions == want.instructions
-        assert got.labels == want.labels
         assert got.data_init == want.data_init
 
 
@@ -239,6 +238,20 @@ class TestValidate:
         cfg = CoreConfig(n_vregs=8)
         assert any("vector register index 9 out of range" in d
                    for d in isa.validate(p, cfg))
+
+    @pytest.mark.parametrize("instr,message", [
+        (Instruction("LDI", d=-1, imm=fx.ONE),
+         "instr 0 (LDI): scalar register index -1 out of range (n_sregs=16)"),
+        (Instruction("SADD", d=1, a=2, b=-16),
+         "instr 0 (SADD): scalar register index -16 out of range (n_sregs=16)"),
+        (Instruction("VADD", d=-1, a=0, b=1),
+         "instr 0 (VADD): vector register index -1 out of range (n_vregs=16)"),
+        (Instruction("VMULS", d=1, a=-3, b=1),
+         "instr 0 (VMULS): vector register index -3 out of range (n_vregs=16)"),
+    ])
+    def test_negative_register_rejected(self, instr, message):
+        p = Program(instructions=[instr, Instruction("HALT")])
+        assert isa.validate(p, self.cfg) == [message]
 
     def test_converter_disabled(self):
         p = isa.assemble("F2X s1, s2\nHALT")

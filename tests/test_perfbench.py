@@ -1,4 +1,4 @@
-"""Smoke tests of the benchmark harness: short runs of two workloads.
+"""Smoke tests of the benchmark harness: short runs of each workload.
 
 The harness calls `kernel.data_initializers`, `core.run` and the report
 readers directly, so a change to their types can break it while the CLI
@@ -39,6 +39,12 @@ def test_vector_w256_run(tmp_path):
     names = [m["name"] for m in spec["end_to_end"]]
     assert len(names) == 6
     assert set(names) <= set(result["metrics"])
+
+
+def test_scalar_w256_run(tmp_path):
+    """The one workload whose programs (about 5,600 instructions) push
+    dispatch, `isa.validate` and the harness's sum of `instr_cost` hard."""
+    run_workload(tmp_path, "scalar_w256", 0)
 
 
 def test_dse_w24_traced_run(tmp_path):
