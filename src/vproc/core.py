@@ -193,6 +193,9 @@ def run(p: Program, cfg: CoreConfig,
     is (base address, list of raw Q32.32 ints), as `kernel.data_initializers`
     and `fixedpoint.from_reals` produce them."""
     diags = isa.validate(p, cfg)
+    lo, length = observe if observe is not None else (0, 0)
+    if not 0 <= lo <= lo + length <= cfg.dmem_words:
+        diags.append(f"observe range {lo}:{length} outside data memory")
     if diags:
         raise ValidationError(diags)
 
@@ -221,7 +224,6 @@ def run(p: Program, cfg: CoreConfig,
             units = getattr(cfg, CLASS_UNITS[cls]) if cls in CLASS_UNITS else 1
             denom = cycles * max(units, 1)
             util[cls] = min(1.0, busy[cls] / denom) if denom else 0.0
-        lo, length = observe if observe is not None else (0, 0)
         return ExecReport(total_cycles=cycles, instr_count=sum(retired),
                           busy_cycles=busy, utilization=util,
                           flags=flags.copy(),

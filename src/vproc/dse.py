@@ -70,23 +70,16 @@ def pareto(points: list[DesignPoint]) -> list[DesignPoint]:
     Sort-and-scan, O(n log n): a point is dominated iff a strictly cheaper
     point is at least as fast, or an equally cheap point is strictly faster.
     """
-    if not points:
-        return []
-    by_slices: dict[int, int] = {}
+    best: dict[int, int] = {}   # slices -> fastest latency at that count
     for p in points:
-        if p.slices not in by_slices or p.latency_cycles < by_slices[p.slices]:
-            by_slices[p.slices] = p.latency_cycles
-    best_cheaper: dict[int, int] = {}   # slices -> min latency at strictly fewer slices
-    running = math.inf
-    for s in sorted(by_slices):
-        best_cheaper[s] = running
-        running = min(running, by_slices[s])
-    frontier = []
-    for p in points:
-        if p.latency_cycles < best_cheaper[p.slices] \
-                and p.latency_cycles <= by_slices[p.slices]:
-            frontier.append(p)
-    return frontier
+        best[p.slices] = min(p.latency_cycles, best.get(p.slices, math.inf))
+    running = math.inf          # fastest latency at fewer slices
+    for s in sorted(best):      # keep the counts faster than every cheaper one
+        if best[s] < running:
+            running = best[s]
+        else:
+            del best[s]
+    return [p for p in points if best.get(p.slices) == p.latency_cycles]
 
 
 def throughput_projection(point: DesignPoint, slices_budget: int,

@@ -247,49 +247,60 @@ def validate(p: Program, cfg) -> list[str]:
     return validate_structure(p, cfg) + validate_units(unit_classes(p), cfg)
 
 
-# mnemonic -> (register operands in signature order as (field, is a vector
-# register), is a vector op so its address spans vec_len words, class).
-_CHECKS = {m: (tuple((k[1], k[0] == "v") for k in sig if k[0] in "sv"),
-               m in VECTOR_OPS, cls)
+# mnemonic -> ((field, is a vector register) per register operand, has an address,
+# is a vector op (spans vec_len words), has a branch target, has an immediate, is
+# a conversion): flags, so the loop does no Enum member lookup (slow in CPython).
+_CHECKS = {m: (tuple((k[1], k[0] == "v") for k in sig if k[0] in "sv"), "addr" in sig,
+               m in VECTOR_OPS, "label" in sig, "imm" in sig, cls is OpClass.CONVERT)
            for m, (cls, sig) in OPCODES.items()}
+
+
+def _bad_operand(idx: int, instr: Instruction) -> str:
+    """Names the first operand that is None or mistyped, else the opcode."""
+    fields = (instr.d, instr.a, instr.b, instr.imm, instr.addr, instr.target)
+    for slot, kind in _OPERANDS.get(instr.op, ()):
+        if not isinstance(fields[slot], Fixed64 if kind == "imm" else int):
+            return (f"instr {idx} ({instr.op}): {kind} operand {fields[slot]!r} is "
+                    f"not {'a Fixed64' if kind == 'imm' else 'an int'}")
+    return f"instr {idx}: unknown opcode {instr.op!r}"
 
 
 def validate_structure(p: Program, cfg) -> list[str]:
     """The checks that do not depend on the unit mix."""
     diags: list[str] = []
-    n = len(p.instructions)
-    n_sregs, n_vregs, words = cfg.n_sregs, cfg.n_vregs, cfg.dmem_words
+    limits, spans, words = (cfg.n_sregs, cfg.n_vregs), (1, cfg.vec_len), cfg.dmem_words
     for idx, instr in enumerate(p.instructions):
-        regs, vector, cls = _CHECKS[instr.op]
-        for f, is_vreg in regs:
-            reg = getattr(instr, f)
-            if is_vreg:
-                if not 0 <= reg < n_vregs:
-                    diags.append(f"instr {idx} ({instr.op}): vector register "
-                                 f"index {reg} out of range (n_vregs={n_vregs})")
-            elif not 0 <= reg < n_sregs:
-                diags.append(f"instr {idx} ({instr.op}): scalar register index "
-                             f"{reg} out of range (n_sregs={n_sregs})")
-        if (addr := instr.addr) is not None:
-            width = cfg.vec_len if vector else 1
-            if addr < 0 or addr + width > words:
+        try:    # an unknown opcode, or a None or mistyped operand, raises
+            regs, has_addr, vector, has_target, has_imm, convert = _CHECKS[instr.op]
+            for f, is_vreg in regs:
+                if not 0 <= (reg := getattr(instr, f)) < limits[is_vreg]:
+                    bank = ("scalar", "vector")[is_vreg]
+                    diags.append(f"instr {idx} ({instr.op}): {bank} register index {reg}"
+                                 f" out of range (n_{bank[0]}regs={limits[is_vreg]})")
+            if has_addr and ((addr := instr.addr) < 0 or addr + spans[vector] > words):
                 diags.append(f"instr {idx} ({instr.op}): address {addr} "
-                             f"(+{width} words) outside data memory of {words}")
-        if instr.target is not None and not (0 <= instr.target < n):
-            diags.append(f"instr {idx} ({instr.op}): branch target "
-                         f"{instr.target} out of range")
-        if cls is OpClass.CONVERT and not cfg.enable_converter:
-            diags.append(f"instr {idx} ({instr.op}): converter disabled")
+                             f"(+{spans[vector]} words) outside data memory of {words}")
+            if has_target and not 0 <= instr.target < len(p.instructions):
+                diags.append(f"instr {idx} ({instr.op}): branch target "
+                             f"{instr.target} out of range")
+            if has_imm and not isinstance(instr.imm, Fixed64):
+                raise TypeError
+            if convert and not cfg.enable_converter:
+                diags.append(f"instr {idx} ({instr.op}): converter disabled")
+        except (KeyError, TypeError):
+            diags.append(_bad_operand(idx, instr))
     for addr, values in p.data_init:
         if addr < 0 or addr + len(values) > words:
             diags.append(f".data at {addr} (+{len(values)} words) outside "
                          f"data memory of {words}")
+        if not all(isinstance(w, Fixed64) for w in values):
+            diags.append(f".data at {addr}: values must be Fixed64 words")
     return diags
 
 
 def unit_classes(p: Program) -> list[OpClass]:
     """The arithmetic classes a program uses, in diagnostic order."""
-    used = {OPCODES[op][0] for op in {i.op for i in p.instructions}}
+    used = {OPCODES[op][0] for op in {i.op for i in p.instructions} & OPCODES.keys()}
     return sorted(used & CLASS_UNITS.keys(), key=lambda c: c.value)
 
 

@@ -1,9 +1,9 @@
 """Synthetic benchmark kernel with a fixed per-element operation mix.
 
-`KERNEL` is the one definition of the kernel; the vector program, an unrolled
-scalar transcription and a double-precision oracle are derived from it, and
-the tiled models in `archmodels` and `resources` read it as it stands.
-Seeded well-conditioned inputs are made here too.
+`KERNEL` is the one definition of the kernel, and its inputs are read off it.
+One emitter compiles it to the vector program and to an unrolled scalar
+transcription, a double-precision oracle evaluates it, and the tiled models
+in `archmodels` and `resources` read it as is.  Seeded inputs are made here.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 from . import fixedpoint as fx
 from .core import CoreConfig
-from .isa import Instruction, OpClass, Program
-
-INPUT_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h", "p", "q")
+from .isa import Instruction, OpClass, Program, opclass
 
 # (result, op, operands...) per element, in evaluation order, over the input
 # vectors and the scalar constant sk; the last result is stored.
@@ -25,11 +23,16 @@ KERNEL = (("t1", "*", "a", "b"), ("t2", "*", "t1", "c"), ("t3", "*", "d", "e"),
           ("t7", "+", "t6", "sk"), ("t8", "*", "t5", "t7"), ("t9", "/", "t8", "p"),
           ("t10", "/", "t9", "q"), ("out", "1/", "t10"))
 
+# The input vectors: each operand that is no statement's result, in order of
+# first use, except the constant sk.
+INPUT_NAMES = tuple(dict.fromkeys(
+    x for _, _, *args in KERNEL for x in args
+    if x != "sk" and x not in {dest for dest, *_ in KERNEL}))
+
 # op -> (class, mnemonic stem, double-precision function)
-OPS = {"*": (OpClass.MUL_CLASS, "MUL", operator.mul),
-       "+": (OpClass.ADD_CLASS, "ADD", operator.add),
-       "/": (OpClass.DIV_CLASS, "DIV", operator.truediv),
-       "1/": (OpClass.DIV_CLASS, "INV", (1.0).__truediv__)}
+OPS = {op: (opclass("S" + stem), stem, fn) for op, stem, fn in (
+    ("*", "MUL", operator.mul), ("+", "ADD", operator.add),
+    ("/", "DIV", operator.truediv), ("1/", "INV", (1.0).__truediv__))}
 
 INPUT_LO = 0.5
 INPUT_HI = 2.0
@@ -83,38 +86,39 @@ def _allocate(stmts: tuple[tuple[str, ...], ...], first: int) -> dict[str, int]:
     return regs
 
 
-def _body(prefix: str, inputs: int, const: int, first: int
-          ) -> tuple[dict[str, int], tuple[Instruction, ...]]:
-    """Each name's register and KERNEL's instructions: inputs from `inputs` up,
-    the constant in `const`, results from `first` up (vector-scalar for sk)."""
-    reg = {**{name: inputs + i for i, name in enumerate(INPUT_NAMES)},
-           "sk": const, **_allocate(KERNEL, first)}
-    return reg, tuple(
-        Instruction(prefix + OPS[op][1] + "S" * (prefix == "V" and args[-1] == "sk"),
-                    reg[dest], *(reg[x] for x in args))
-        for dest, op, *args in KERNEL)
-
-
-# v0..v9 = a..q, results from v10, s1 holds the constant; s1..s10 = a..q,
-# results from s11, s15 holds the constant.
-_VREG, _VBODY = _body("V", 0, 1, 10)
-_SREG, _SBODY = _body("S", 1, 15, 11)
 _OUT = KERNEL[-1][0]
 _FIRST_DIVISION = next(i for i, (_, op, *_) in enumerate(KERNEL)
                        if OPS[op][0] is OpClass.DIV_CLASS)
 
 
+def _emit(prefix: str, lanes: range, vec_len: int, s_k: float,
+          dmem_words: int) -> Program:
+    """KERNEL in `prefix` ("V" or "S") mnemonics: the constant's LDI, then, per
+    lane offset, the input loads, the statements and the result's store.
+    Registers: inputs from v0 (S: s1; s0 is zero), results after them, and
+    sk in s1 (S: s15); a V op on sk is vector-scalar."""
+    layout = checked_layout(vec_len, dmem_words)
+    first = int(prefix == "S")
+    reg = {**{name: first + i for i, name in enumerate(INPUT_NAMES)},
+           "sk": 15 if first else 1,
+           **_allocate(KERNEL, first + len(INPUT_NAMES))}
+    body = [Instruction(prefix + OPS[op][1] + "S" * (not first and args[-1] == "sk"),
+                        reg[dest], *(reg[x] for x in args))
+            for dest, op, *args in KERNEL]
+    ins = [Instruction("LDI", d=reg["sk"], imm=fx.from_real(s_k))]
+    for lane in lanes:
+        ins += [Instruction(prefix + "LD", d=reg[name], addr=layout[name] + lane)
+                for name in INPUT_NAMES]
+        ins += body
+        ins.append(Instruction(prefix + "ST", addr=layout["out"] + lane, a=reg[_OUT]))
+    ins.append(Instruction("HALT"))
+    return Program(instructions=ins)
+
+
 def emit_program(vec_len: int = 24, s_k: float = 1.0,
                  dmem_words: int = CoreConfig.dmem_words) -> Program:
     """Straight-line vector realization; 24 instructions including the LDI."""
-    layout = checked_layout(vec_len, dmem_words)
-    return Program(instructions=[
-        Instruction("LDI", d=_VREG["sk"], imm=fx.from_real(s_k)),
-        *(Instruction("VLD", d=_VREG[name], addr=layout[name])
-          for name in INPUT_NAMES),
-        *_VBODY,
-        Instruction("VST", addr=layout["out"], a=_VREG[_OUT]),
-        Instruction("HALT")])
+    return _emit("V", range(1), vec_len, s_k, dmem_words)
 
 
 def emit_scalar_program(vec_len: int = 24, s_k: float = 1.0) -> Program:
@@ -123,15 +127,7 @@ def emit_scalar_program(vec_len: int = 24, s_k: float = 1.0) -> Program:
     The ISA has no indexed addressing, so the element loop is fully
     unrolled; the static instruction count grows linearly in W.
     """
-    layout = checked_layout(vec_len, CoreConfig.dmem_words)
-    ins = [Instruction("LDI", d=_SREG["sk"], imm=fx.from_real(s_k))]
-    for lane in range(vec_len):
-        ins += [Instruction("SLD", d=_SREG[name], addr=layout[name] + lane)
-                for name in INPUT_NAMES]
-        ins += _SBODY
-        ins.append(Instruction("SST", addr=layout["out"] + lane, a=_SREG[_OUT]))
-    ins.append(Instruction("HALT"))
-    return Program(instructions=ins)
+    return _emit("S", range(vec_len), vec_len, s_k, CoreConfig.dmem_words)
 
 
 def oracle(inputs: KernelInputs) -> list[float]:
@@ -140,8 +136,7 @@ def oracle(inputs: KernelInputs) -> list[float]:
     are rejected."""
     env = {**inputs.vectors, "sk": [inputs.s_k] * inputs.vec_len}
     for i, (dest, op, *args) in enumerate(KERNEL):
-        if i == _FIRST_DIVISION and not all(
-                all(map(DIVISOR_BOUND.__le__, map(abs, env[n]))) for n in GUARDED):
+        if i == _FIRST_DIVISION:
             for lane, values in enumerate(zip(*(env[n] for n in GUARDED))):
                 for name, divisor in zip(GUARDED, values):
                     if abs(divisor) < DIVISOR_BOUND:

@@ -85,6 +85,8 @@ def estimate_sequential(cal: Calibration = DEFAULT_CALIBRATION) -> ResourceEstim
 def estimate_tiled(stmts: Iterable[tuple[str, ...]], replication: int,
                    cal: Calibration = DEFAULT_CALIBRATION) -> ResourceEstimate:
     """One unit per statement per replica, by class in first-appearance order."""
+    if replication < 1:
+        raise ValueError(f"replication {replication} must be >= 1")
     cost = {OpClass.ADD_CLASS: cal.c_add, OpClass.MUL_CLASS: cal.c_mul,
             OpClass.DIV_CLASS: cal.c_div}
     breakdown: dict[str, float] = {"barrier": cal.c_tiled_barrier}

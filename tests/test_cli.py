@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 from vproc import cli, core, fixedpoint as fx, kernel
 from vproc.cli import main, parse_config_text, parse_mix_spec, CliError
+from vproc.resources import Calibration
 
 KERNEL_ASM = None
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -51,6 +53,22 @@ class TestConfigFormat:
     def test_bad_value_rejected(self):
         with pytest.raises(CliError, match="bad value"):
             parse_config_text("vec_len = wide")
+
+
+class TestDefaultConfigFile:
+    """docs/default.cfg lists every key with its default (docs/formats.md)."""
+
+    def test_keys_are_the_config_fields(self):
+        text = (DOCS / "default.cfg").read_text(encoding="utf-8")
+        keys = [k for line in text.splitlines()
+                if (k := line.split("#", 1)[0].partition("=")[0].strip())]
+        fields = [f.name for cls in (core.CoreConfig, Calibration)
+                  for f in dataclasses.fields(cls)]
+        assert sorted(keys) == sorted(fields)
+
+    def test_loads_to_the_defaults(self):
+        assert cli.load_config(str(DOCS / "default.cfg")) \
+            == (core.CoreConfig(mem_port_width=24), Calibration())
 
 
 class TestMixSpec:

@@ -3,6 +3,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vproc.fixedpoint as fx
 from vproc import isa, kernel
@@ -165,6 +167,11 @@ class TestRun:
         with pytest.raises(ValidationError):
             run(p, CoreConfig(enable_converter=False))
 
+    @pytest.mark.parametrize("observe", [(-3, 5), (0, -1), (4090, 7)])
+    def test_observe_outside_memory_rejected(self, observe):
+        with pytest.raises(ValidationError, match="observe range"):
+            run(isa.assemble("HALT"), CoreConfig(), observe=observe)
+
     def test_missing_halt_faults(self):
         p = Program(instructions=[Instruction("LDI", d=1, imm=fx.ONE)])
         with pytest.raises(SimulationFault):
@@ -258,3 +265,43 @@ class TestAgainstReferenceInterpreter:
             seen |= {("overflow", flags["overflow"]),
                      ("div_by_zero", flags["div_by_zero"])}
         assert len(seen) == 4    # each flag was both raised and left clear
+
+
+# Instruction fields as a library caller may set them: unset, a small int
+# (negative ones included) or a fixed-point word.
+_WORD = st.builds(fx.Fixed64, st.integers(fx.RAW_MIN, fx.RAW_MAX))
+_FIELD = st.one_of(st.none(), st.integers(-4, 40), _WORD)
+_FIELD_OF = {"imm": "imm", "addr": "addr", "label": "target",
+             **{k: k[1] for k in ("sd", "sa", "sb", "vd", "va", "vb")}}
+
+
+@st.composite
+def library_program(draw):
+    """1-8 instructions over every opcode and one unknown name, and at most
+    one .data entry of ints or words.  Each field is drawn from _FIELD; in
+    about half the programs every operand a known opcode reads is then
+    redrawn with its own type (an int in 0..15, a word for an immediate),
+    so that those programs mostly pass validation and run."""
+    typed = draw(st.booleans())
+    instructions = []
+    for _ in range(draw(st.integers(1, 8))):
+        op = draw(st.sampled_from([*isa.OPCODES, "FOO"]))
+        fields = {f: draw(_FIELD) for f in ("d", "a", "b", "imm", "addr", "target")}
+        for kind in isa.OPCODES[op][1] if typed and op in isa.OPCODES else ():
+            fields[_FIELD_OF[kind]] = draw(_WORD if kind == "imm" else st.integers(0, 15))
+        instructions.append(Instruction(op, **fields))
+    values = st.lists(st.one_of(st.integers(-4, 40), _WORD), max_size=4)
+    data = draw(st.lists(st.tuples(st.integers(-4, 40), values), max_size=1))
+    return Program(instructions, data)
+
+
+class TestLibraryProgramContract:
+    @settings(max_examples=300, deadline=None)
+    @given(p=library_program())
+    def test_run_returns_or_raises_a_simulation_error(self, p):
+        """core.run on any library-built program returns a report or raises
+        one of its own errors, never a bare Python one."""
+        try:
+            run(p, CoreConfig(), max_cycles=1000)
+        except (ValidationError, SimulationFault, SimulationTimeout):
+            pass

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import vproc.fixedpoint as fx
 from vproc import isa, kernel
-from vproc.core import CoreConfig
+from vproc.core import CoreConfig, ValidationError, run
 from vproc.isa import AssemblyError, Instruction, OpClass, Program
 
 from conftest import random_program, ref_assemble, ref_validate_structure
@@ -252,6 +252,33 @@ class TestValidate:
     def test_negative_register_rejected(self, instr, message):
         p = Program(instructions=[instr, Instruction("HALT")])
         assert isa.validate(p, self.cfg) == [message]
+
+    @pytest.mark.parametrize("program,message", [
+        (Program([Instruction("SADD", d=1, a=2)]),
+         "instr 0 (SADD): sb operand None is not an int"),
+        (Program([Instruction("JMP")]),
+         "instr 0 (JMP): label operand None is not an int"),
+        (Program([Instruction("VLD", d=1)]),
+         "instr 0 (VLD): addr operand None is not an int"),
+        (Program([Instruction("LDI", d=1)]),
+         "instr 0 (LDI): imm operand None is not a Fixed64"),
+        (Program([Instruction("LDI", d=1, imm=5)]),
+         "instr 0 (LDI): imm operand 5 is not a Fixed64"),
+        (Program([], [(0, [1, 2])]),
+         ".data at 0: values must be Fixed64 words"),
+        (Program([Instruction("FOO")]),
+         "instr 0: unknown opcode 'FOO'"),
+    ], ids=["missing-b", "missing-target", "missing-addr", "missing-imm",
+            "int-imm", "int-data", "unknown-opcode"])
+    def test_library_instruction_rejected(self, program, message):
+        """A library-built program the assembler could not produce gets one
+        diagnostic, from validate and from core.run alike."""
+        program = Program([*program.instructions, Instruction("HALT")],
+                          program.data_init)
+        assert isa.validate(program, self.cfg) == [message]
+        with pytest.raises(ValidationError) as exc:
+            run(program, self.cfg)
+        assert exc.value.diagnostics == [message]
 
     def test_converter_disabled(self):
         p = isa.assemble("F2X s1, s2\nHALT")

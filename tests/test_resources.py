@@ -58,6 +58,11 @@ class TestTiledEstimate:
     def test_single_replica(self):
         assert estimate_tiled(kernel.KERNEL, 1).slices == 8750
 
+    @pytest.mark.parametrize("replication", [0, -3])
+    def test_replication_below_one_rejected(self, replication):
+        with pytest.raises(ValueError, match="replication"):
+            estimate_tiled(kernel.KERNEL, replication)
+
     def test_ratio_to_sequential(self):
         ratio = estimate_tiled(kernel.KERNEL, 24).slices / estimate_sequential().slices
         assert ratio == pytest.approx(12.2, abs=0.1)
