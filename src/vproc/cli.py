@@ -1,8 +1,8 @@
 """Command-line front end; owns the config, data, report and CSV formats.
 
 Formats (documented with examples in docs/formats.md):
-  config  - flat "key = value" lines; core and calibration keys; unknown
-            keys are errors.
+  config  - flat "key = value" lines; each key is a CoreConfig or Calibration
+            field and takes that field's type; unknown keys are errors.
   data    - CSV; header names the input vectors, one row per lane; the
             scalar constant travels in a single-row column "s_k".
   report  - JSON with a schema_version field; no timestamps, fully
@@ -27,10 +27,12 @@ from .resources import Calibration
 
 SCHEMA_VERSION = 1
 
-_CORE_KEYS = {f.name for f in dataclasses.fields(CoreConfig)}
-_CAL_KEYS = {f.name for f in dataclasses.fields(Calibration)}
-_BOOL_KEYS = {"enable_converter"}
-_FLOAT_KEYS = {"clock_mhz"} | _CAL_KEYS
+# Field type, as annotation text -> parser; a bad value raises KeyError or ValueError.
+_PARSERS = {"bool": lambda v: {"true": True, "false": False}[v.lower()],
+            "float": float, "int": int, "int | None": int}
+# config key -> (its dataclass, the parser of its value)
+_KEYS = {f.name: (cls, _PARSERS[f.type])
+         for cls in (CoreConfig, Calibration) for f in dataclasses.fields(cls)}
 
 
 class CliError(Exception):
@@ -38,8 +40,7 @@ class CliError(Exception):
 
 
 def parse_config_text(text: str) -> tuple[CoreConfig, Calibration]:
-    core_kwargs: dict = {}
-    cal_kwargs: dict = {}
+    kwargs: dict[type, dict] = {CoreConfig: {}, Calibration: {}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -48,25 +49,17 @@ def parse_config_text(text: str) -> tuple[CoreConfig, Calibration]:
             raise CliError(f"config line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key not in _KEYS:
+            raise CliError(f"config line {lineno}: unknown key '{key}'")
+        cls, parse = _KEYS[key]
         try:
-            if key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false"):
-                    raise ValueError
-                parsed = value.lower() == "true"
-            elif key in _FLOAT_KEYS:
-                parsed = float(value)
-            elif key in _CORE_KEYS:
-                parsed = int(value)
-            else:
-                raise CliError(f"config line {lineno}: unknown key '{key}'")
-        except ValueError:
+            parsed = parse(value)
+        except (KeyError, ValueError):
             raise CliError(f"config line {lineno}: bad value for '{key}'")
-        if key in _CORE_KEYS:
-            core_kwargs[key] = parsed
-        else:
-            cal_kwargs[key] = parsed
+        kwargs[cls][key] = parsed
     try:
-        return CoreConfig(**core_kwargs), Calibration(**cal_kwargs)
+        return (CoreConfig(**kwargs[CoreConfig]),
+                Calibration(**kwargs[Calibration]))
     except ValueError as exc:
         raise CliError(f"invalid configuration: {exc}")
 
@@ -386,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latency", type=int)
     p.add_argument("--slices", type=int)
     p.add_argument("--budget", type=int)
-    p.add_argument("--clock", type=float, default=100.0)
+    p.add_argument("--clock", type=float, default=CoreConfig.clock_mhz)
     p.add_argument("--fraction", type=float)
     p.add_argument("--speedup", help='kernel speedup factor or "inf"')
     p.add_argument("--out")
@@ -394,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel-gen",
                        help="emit benchmark program, inputs and oracle outputs")
-    p.add_argument("--veclen", type=int, default=24)
+    p.add_argument("--veclen", type=int, default=CoreConfig.vec_len)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_kernel_gen)

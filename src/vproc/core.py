@@ -38,7 +38,7 @@ class CoreConfig:
     enable_converter: bool = True
     lat_convert: int = 2
     dmem_words: int = 4096
-    clock_mhz: float = 100.0   # read by no model; `vproc project` takes --clock
+    clock_mhz: float = 100.0   # read by no model; default of `vproc project --clock`
 
     def __post_init__(self) -> None:
         if self.vec_len < 1:

@@ -222,18 +222,24 @@ def _format_value(v: Fixed64) -> str:
     return f"0x{v.raw & ((1 << fx.WORD_BITS) - 1):016X}"
 
 
-# Operand kind -> its canonical text.
-_TEXT = {"imm": _format_value, "addr": "[{}]".format, "label": "L{}".format,
-         **{k: (k[0] + "{}").format for k in ("sd", "sa", "sb", "vd", "va", "vb")}}
+# Operand kind -> its canonical text; `x & -1` raises for a float or None.
+_TEXT = {"imm": _format_value, "addr": lambda x: f"[{x & -1}]",
+         "label": lambda x: f"L{x & -1}",
+         **{k: lambda x, r=k[0]: f"{r}{x & -1}" for k in _FIELD if k[0] in "sv"}}
 
 
 def disassemble(p: Program) -> str:
-    """Canonical text; branch targets get synthetic labels L<index>."""
+    """Canonical text; branch targets get synthetic labels L<index>.  An
+    instruction that cannot be printed raises ValueError with the validator's
+    diagnostic."""
     targets = {i.target for i in p.instructions if i.target is not None}
     lines: list[str] = []
     for idx, instr in enumerate(p.instructions):
         fields = (instr.d, instr.a, instr.b, instr.imm, instr.addr, instr.target)
-        operands = [_TEXT[kind](fields[slot]) for slot, kind in _OPERANDS[instr.op]]
+        try:
+            operands = [_TEXT[kind](fields[slot]) for slot, kind in _OPERANDS[instr.op]]
+        except (AttributeError, KeyError, TypeError):
+            raise ValueError(_bad_operand(idx, instr)) from None
         prefix = f"L{idx}: " if idx in targets else ""
         text = instr.op if not operands else f"{instr.op} {', '.join(operands)}"
         lines.append(prefix + text)
@@ -270,17 +276,19 @@ def validate_structure(p: Program, cfg) -> list[str]:
     diags: list[str] = []
     limits, spans, words = (cfg.n_sregs, cfg.n_vregs), (1, cfg.vec_len), cfg.dmem_words
     for idx, instr in enumerate(p.instructions):
-        try:    # an unknown opcode, or a None or mistyped operand, raises
+        # An unknown opcode, or a None or mistyped operand, raises: `x & -1`
+        # is x for an int and a TypeError for a float or None, at little cost.
+        try:
             regs, has_addr, vector, has_target, has_imm, convert = _CHECKS[instr.op]
             for f, is_vreg in regs:
-                if not 0 <= (reg := getattr(instr, f)) < limits[is_vreg]:
+                if not 0 <= (reg := getattr(instr, f) & -1) < limits[is_vreg]:
                     bank = ("scalar", "vector")[is_vreg]
                     diags.append(f"instr {idx} ({instr.op}): {bank} register index {reg}"
                                  f" out of range (n_{bank[0]}regs={limits[is_vreg]})")
-            if has_addr and ((addr := instr.addr) < 0 or addr + spans[vector] > words):
+            if has_addr and not 0 <= (addr := instr.addr & -1) <= words - spans[vector]:
                 diags.append(f"instr {idx} ({instr.op}): address {addr} "
                              f"(+{spans[vector]} words) outside data memory of {words}")
-            if has_target and not 0 <= instr.target < len(p.instructions):
+            if has_target and not 0 <= (instr.target & -1) < len(p.instructions):
                 diags.append(f"instr {idx} ({instr.op}): branch target "
                              f"{instr.target} out of range")
             if has_imm and not isinstance(instr.imm, Fixed64):

@@ -115,13 +115,14 @@ def _emit(prefix: str, lanes: range, vec_len: int, s_k: float,
     return Program(instructions=ins)
 
 
-def emit_program(vec_len: int = 24, s_k: float = 1.0,
+def emit_program(vec_len: int = CoreConfig.vec_len, s_k: float = 1.0,
                  dmem_words: int = CoreConfig.dmem_words) -> Program:
     """Straight-line vector realization; 24 instructions including the LDI."""
     return _emit("V", range(1), vec_len, s_k, dmem_words)
 
 
-def emit_scalar_program(vec_len: int = 24, s_k: float = 1.0) -> Program:
+def emit_scalar_program(vec_len: int = CoreConfig.vec_len,
+                        s_k: float = 1.0) -> Program:
     """Per-element scalar transcription, same operation order within a lane.
 
     The ISA has no indexed addressing, so the element loop is fully

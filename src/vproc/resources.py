@@ -2,8 +2,8 @@
 
 Every estimate is a sum of per-component costs from a Calibration.  The
 default calibration is fitted to published resource ratios between the
-symmetric, asymmetric and sequential configurations; the fitting procedure
-is reproduced by calibrate().
+symmetric, asymmetric and sequential configurations; calibrate() reproduces
+that fit, whose targets are fixed.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .core import CoreConfig
 from .isa import OpClass
@@ -33,10 +33,9 @@ class Calibration:
     def __post_init__(self) -> None:
         if not (self.c_mul > self.c_div > self.c_add):
             raise ValueError("calibration requires c_mul > c_div > c_add")
-        for name in ("c_add", "c_mul", "c_div", "c_convert",
-                     "base_vector", "base_seq", "c_tiled_barrier"):
-            if not 0 <= getattr(self, name) < math.inf:     # also nan
-                raise ValueError(f"{name} must be finite and non-negative")
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) < math.inf:   # also nan
+                raise ValueError(f"{f.name} must be finite and non-negative")
 
 
 DEFAULT_CALIBRATION = Calibration()
@@ -95,46 +94,21 @@ def estimate_tiled(stmts: Iterable[tuple[str, ...]], replication: int,
     return _estimate(breakdown)
 
 
-def calibrate(sym_resource_ratio: float = 4.0,
-              asym_resource_ratio: float = 1.4,
-              seq_resource_ratio: float = 2.5,
-              scale: float = 2000.0,
-              split: tuple[float, float, float] = (350.0, 900.0, 750.0),
-              vec_len: int = 24,
-              max_residual: float = 0.03) -> Calibration:
-    """Fit the linear model to the published resource ratios.
+def calibrate() -> Calibration:
+    """The default calibration, fitted to the published resource ratios.
 
-    Constraints, with s = c_add + c_mul + c_div:
-      (base_vector + W*s) / (base_vector + s)            = sym_resource_ratio
-      (base_vector + 8s + (W-8)*c_div) / (base_vector + 8s) = asym_resource_ratio
-      (base_vector + 8s + (W-8)*c_div) / (base_seq + s)  = seq_resource_ratio
+    The targets are fixed: with W = CoreConfig.vec_len, the default unit
+    costs and s = c_add + c_mul + c_div,
+      (base_vector + W*s) / (base_vector + s)               = 4.0
+      (base_vector + 8s + (W-8)*c_div) / (base_vector + 8s) = 1.4
+      (base_vector + 8s + (W-8)*c_div) / (base_seq + s)     = 2.5
 
-    The caller chooses the scale s and its split; base_vector follows from
-    the symmetric constraint (rounded to a 100-slice grid), base_seq from
-    the sequential one.  Residuals above max_residual are rejected.
+    base_vector follows from the symmetric constraint (rounded to a
+    100-slice grid), base_seq from the sequential one.  The symmetric and
+    asymmetric ratios are then met to within 0.16% and 0.68%.
     """
-    c_add, c_mul, c_div = split
-    if not (c_mul > c_div > c_add > 0):
-        raise CalibrationError("split must satisfy c_mul > c_div > c_add > 0")
-    if abs((c_add + c_mul + c_div) - scale) > 1e-9:
-        raise CalibrationError("split must sum to the chosen scale")
-    if sym_resource_ratio <= 1 or sym_resource_ratio >= vec_len:
-        raise CalibrationError("symmetric ratio outside the feasible interval")
-
-    base_vector = scale * (vec_len - sym_resource_ratio) / (sym_resource_ratio - 1)
-    base_vector = round(base_vector / 100) * 100
-
-    asym_top = base_vector + 8 * scale + (vec_len - 8) * c_div
-    sym_res = abs((base_vector + vec_len * scale) / (base_vector + scale)
-                  - sym_resource_ratio) / sym_resource_ratio
-    asym_res = abs(asym_top / (base_vector + 8 * scale)
-                   - asym_resource_ratio) / asym_resource_ratio
-    if sym_res > max_residual or asym_res > max_residual:
-        raise CalibrationError(
-            f"residuals too large (sym {sym_res:.3%}, asym {asym_res:.3%})")
-
-    base_seq = asym_top / seq_resource_ratio - scale
-    if base_seq <= 0:
-        raise CalibrationError("sequential base infeasible for these targets")
-    return Calibration(c_add=c_add, c_mul=c_mul, c_div=c_div,
-                       base_vector=float(base_vector), base_seq=base_seq)
+    cal, w = Calibration(), CoreConfig.vec_len
+    s = cal.c_add + cal.c_mul + cal.c_div
+    base_vector = round(s * (w - 4.0) / (4.0 - 1) / 100) * 100
+    base_seq = (base_vector + 8 * s + (w - 8) * cal.c_div) / 2.5 - s
+    return replace(cal, base_vector=float(base_vector), base_seq=base_seq)

@@ -54,6 +54,16 @@ class TestConfigFormat:
         with pytest.raises(CliError, match="bad value"):
             parse_config_text("vec_len = wide")
 
+    def test_line_without_equals_rejected(self):
+        with pytest.raises(CliError,
+                           match="^config line 2: expected 'key = value'$"):
+            parse_config_text("vec_len = 8\nvec_len 8")
+
+    def test_bad_bool_rejected(self):
+        with pytest.raises(CliError, match="^config line 1: bad value for "
+                                           "'enable_converter'$"):
+            parse_config_text("enable_converter = yes")
+
 
 class TestDefaultConfigFile:
     """docs/default.cfg lists every key with its default (docs/formats.md)."""
@@ -160,6 +170,16 @@ class TestRun:
         prog.write_text("LDI s1, 1.0\nSDIV s2, s1, s0\nHALT\n")
         assert main(["run", str(prog), "--observe", "0:0"]) == 0
         assert "division by zero" in capsys.readouterr().err
+
+    def test_saturation_warns_but_succeeds(self, tmp_path, capsys):
+        prog = tmp_path / "p.asm"
+        prog.write_text("LDI s1, 0x7FFFFFFFFFFFFFFF\nSADD s2, s1, s1\nHALT\n")
+        assert main(["run", str(prog), "--observe", "0:0"]) == 0
+        assert "arithmetic saturation" in capsys.readouterr().err
+
+    def test_observe_without_length_rejected(self, workdir, capsys):
+        assert main(["run", str(workdir / "kern.asm"), "--observe", "5"]) == 1
+        one_line_error(capsys, "bad observe range '5', expected START:LENGTH")
 
     def test_timeout_exit_2(self, tmp_path, capsys):
         prog = tmp_path / "p.asm"
@@ -297,6 +317,16 @@ class TestDataCells:
                      "--config", str(workdir / "core.cfg"),
                      "--data", str(data)]) == 1
         one_line_error(capsys, "row 4 has 12 cells, header has 11")
+
+    def test_unequal_columns(self, workdir, capsys):
+        data = workdir / "kern_data.csv"
+        rows = data.read_text().splitlines()
+        rows[-1] = rows[-1][rows[-1].index(","):]     # last row's `a` left blank
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["run", str(workdir / "kern.asm"),
+                     "--config", str(workdir / "core.cfg"),
+                     "--data", str(data)]) == 1
+        one_line_error(capsys, "input columns have unequal lengths")
 
 
 class TestInputFiles:
@@ -500,6 +530,10 @@ class TestProject:
                      "--budget", "200000", "--clock", "100",
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["cores"] == 4
+
+    def test_nothing_to_project(self, capsys):
+        assert main(["project"]) == 1
+        one_line_error(capsys, "nothing to project")
 
     def test_undefined_amdahl(self, tmp_path, capsys):
         assert main(["project", "--fraction", "1.0", "--speedup", "inf"]) == 1

@@ -45,6 +45,11 @@ class TestCoreConfig:
         with pytest.raises(ValueError, match="clock_mhz must be finite and > 0"):
             CoreConfig(clock_mhz=clock)
 
+    @pytest.mark.parametrize("name", ["vec_len", "mem_port_width"])
+    def test_width_below_one_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            CoreConfig(**{name: 0})
+
     def test_memory_must_hold_a_word(self):
         with pytest.raises(ValueError, match="dmem_words must be >= 1"):
             CoreConfig(dmem_words=0)
@@ -161,6 +166,17 @@ class TestRun:
         r = run(p, CoreConfig(), observe=(0, 1))
         assert r.memory[0] == fx.from_real(1.5)
 
+    @pytest.mark.parametrize("pattern,raw", [(0x7FF8000000000000, 0),
+                                             (0x7FF0000000000000, fx.RAW_MAX),
+                                             (0xFFF0000000000000, fx.RAW_MIN)])
+    def test_f2x_of_nan_and_inf_sets_overflow(self, pattern, raw):
+        """NaN converts to 0, and +inf and -inf to the largest and the
+        smallest word; each sets overflow."""
+        p = isa.assemble(f"LDI s1, 0x{pattern:016X}\nF2X s2, s1\nSST [0], s2\nHALT")
+        r = run(p, CoreConfig(), observe=(0, 1))
+        assert r.memory[0].raw == raw
+        assert r.flags.overflow
+
     def test_validation_enforced(self):
         p = Program(instructions=[Instruction("F2X", d=1, a=2),
                                   Instruction("HALT")])
@@ -268,9 +284,9 @@ class TestAgainstReferenceInterpreter:
 
 
 # Instruction fields as a library caller may set them: unset, a small int
-# (negative ones included) or a fixed-point word.
+# (negative ones included), a float or a fixed-point word.
 _WORD = st.builds(fx.Fixed64, st.integers(fx.RAW_MIN, fx.RAW_MAX))
-_FIELD = st.one_of(st.none(), st.integers(-4, 40), _WORD)
+_FIELD = st.one_of(st.none(), st.integers(-4, 40), st.floats(-4, 40), _WORD)
 _FIELD_OF = {"imm": "imm", "addr": "addr", "label": "target",
              **{k: k[1] for k in ("sd", "sa", "sb", "vd", "va", "vb")}}
 
@@ -279,16 +295,19 @@ _FIELD_OF = {"imm": "imm", "addr": "addr", "label": "target",
 def library_program(draw):
     """1-8 instructions over every opcode and one unknown name, and at most
     one .data entry of ints or words.  Each field is drawn from _FIELD; in
-    about half the programs every operand a known opcode reads is then
+    about a third of the programs every operand a known opcode reads is then
     redrawn with its own type (an int in 0..15, a word for an immediate),
-    so that those programs mostly pass validation and run."""
-    typed = draw(st.booleans())
+    so that those programs mostly pass validation and run.  Another third
+    is redrawn the same way but with each int as a float, which validation
+    must reject."""
+    typed = draw(st.sampled_from([None, int, float]))
     instructions = []
     for _ in range(draw(st.integers(1, 8))):
         op = draw(st.sampled_from([*isa.OPCODES, "FOO"]))
         fields = {f: draw(_FIELD) for f in ("d", "a", "b", "imm", "addr", "target")}
         for kind in isa.OPCODES[op][1] if typed and op in isa.OPCODES else ():
-            fields[_FIELD_OF[kind]] = draw(_WORD if kind == "imm" else st.integers(0, 15))
+            fields[_FIELD_OF[kind]] = draw(_WORD if kind == "imm"
+                                           else st.integers(0, 15).map(typed))
         instructions.append(Instruction(op, **fields))
     values = st.lists(st.one_of(st.integers(-4, 40), _WORD), max_size=4)
     data = draw(st.lists(st.tuples(st.integers(-4, 40), values), max_size=1))

@@ -36,6 +36,10 @@ class TestConversions:
         with pytest.raises(ValueError):
             fx.from_real(bad)
 
+    def test_raw_outside_word_rejected(self):
+        with pytest.raises(ValueError, match="outside 64-bit range"):
+            Fixed64(RAW_MAX + 1)
+
     def test_to_real(self):
         assert fx.to_real(Fixed64(0x0000000180000000)) == 1.5
         assert fx.to_real(Fixed64(1)) == 2.0**-32

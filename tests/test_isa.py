@@ -228,6 +228,18 @@ class TestDisassemble:
             p = random_program(rng, cfg)
             assert isa.assemble(isa.disassemble(p)) == p
 
+    def test_unknown_opcode_rejected(self):
+        p = Program([Instruction("HALT"), Instruction("FOO")])
+        with pytest.raises(ValueError, match="^instr 1: unknown opcode 'FOO'$"):
+            isa.disassemble(p)
+
+    def test_missing_operand_rejected(self):
+        """Printed, it would read `SADD s1, sNone, sNone`, which does not
+        assemble."""
+        with pytest.raises(ValueError,
+                           match=r"^instr 0 \(SADD\): sa operand None is not an int$"):
+            isa.disassemble(Program([Instruction("SADD", d=1)]))
+
 
 class TestValidate:
     cfg = CoreConfig()
@@ -268,8 +280,15 @@ class TestValidate:
          ".data at 0: values must be Fixed64 words"),
         (Program([Instruction("FOO")]),
          "instr 0: unknown opcode 'FOO'"),
+        (Program([Instruction("SADD", d=1.0, a=2, b=3)]),
+         "instr 0 (SADD): sd operand 1.0 is not an int"),
+        (Program([Instruction("SLD", d=1, addr=2.0)]),
+         "instr 0 (SLD): addr operand 2.0 is not an int"),
+        (Program([Instruction("JMP", target=1.0)]),
+         "instr 0 (JMP): label operand 1.0 is not an int"),
     ], ids=["missing-b", "missing-target", "missing-addr", "missing-imm",
-            "int-imm", "int-data", "unknown-opcode"])
+            "int-imm", "int-data", "unknown-opcode", "float-register",
+            "float-addr", "float-target"])
     def test_library_instruction_rejected(self, program, message):
         """A library-built program the assembler could not produce gets one
         diagnostic, from validate and from core.run alike."""

@@ -5,9 +5,8 @@ import pytest
 
 from vproc import kernel
 from vproc.core import CoreConfig
-from vproc.resources import (Calibration, CalibrationError, calibrate,
-                             estimate_sequential, estimate_tiled,
-                             estimate_vector)
+from vproc.resources import (Calibration, calibrate, estimate_sequential,
+                             estimate_tiled, estimate_vector)
 
 CFG = CoreConfig(enable_converter=False)
 
@@ -82,14 +81,6 @@ class TestCalibration:
 
     def test_calibrate_reproduces_defaults(self):
         assert calibrate() == Calibration()
-
-    def test_calibrate_rejects_bad_split(self):
-        with pytest.raises(CalibrationError):
-            calibrate(split=(900.0, 350.0, 750.0))
-
-    def test_calibrate_rejects_infeasible_ratio(self):
-        with pytest.raises(CalibrationError):
-            calibrate(sym_resource_ratio=30.0)
 
     def test_residuals_documented(self):
         cal = Calibration()
