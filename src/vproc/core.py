@@ -75,7 +75,7 @@ class ExecReport:
     utilization: dict[OpClass, float]
     flags: ArithFlags
     memory: list[Fixed64]
-    retired: list[int]      # times each instruction retired, by PC; not reported
+    counts: dict[str, int]  # times each opcode retired; not reported
 
 
 class SimulationFault(Exception):
@@ -83,7 +83,6 @@ class SimulationFault(Exception):
 
     def __init__(self, instr_index: int, message: str):
         super().__init__(f"fault at instruction {instr_index}: {message}")
-        self.instr_index = instr_index
 
 
 class SimulationTimeout(Exception):
@@ -137,26 +136,6 @@ def instr_cost(i: Instruction, cfg: CoreConfig) -> int:
     return cost_table(cfg, (i.op,))[i.op][1]
 
 
-def opcode_counts(p: Program, retired: list[int]) -> dict[str, int]:
-    """Retire counts by PC, summed by opcode."""
-    counts: dict[str, int] = {}
-    for i, n in zip(p.instructions, retired):
-        counts[i.op] = counts.get(i.op, 0) + n
-    return counts
-
-
-def price(counts: dict[str, int], table) -> tuple[int, dict[OpClass, int]]:
-    """Total cycles and per-class busy unit-cycles of retiring counts[op]
-    instructions of each opcode, priced from a cost table."""
-    total = 0
-    busy = dict.fromkeys(OpClass, 0)
-    for op, n in counts.items():
-        cls, cycles, work = table[op]
-        total += n * cycles
-        busy[cls] += n * work
-    return total, busy
-
-
 # Arithmetic opcodes: raw-word operation and operand shape after the
 # destination ("ss", "si", "vv", "vs"; "s" and "v" are reciprocals).
 _ALU = {op: (fn, "".join(kind[0] for kind in isa.OPCODES[op][1][1:]))
@@ -182,10 +161,10 @@ def run(p: Program, cfg: CoreConfig,
         inputs: list[tuple[int, list[int]]] | None = None,
         observe: tuple[int, int] | None = None,
         max_cycles: int = MAX_CYCLES) -> ExecReport:
-    """Execute a program to HALT and report cycles, utilization and memory.
-    Times out past max_cycles cycles, or when one branch retires more than
-    max_cycles times: every loop retires a branch on each pass, so this
-    also ends loops of zero-cost instructions.
+    """Execute a program to HALT and report cycles, utilization, memory and
+    per-opcode retire counts.  Times out past max_cycles cycles, or when one
+    branch retires more than max_cycles times: every loop retires a branch on
+    each pass, so this also ends loops of zero-cost instructions.
 
     `Fixed64` carries single values a user reads or writes: the program's
     immediates and `.data` values, and the observed `ExecReport.memory`.
@@ -195,7 +174,8 @@ def run(p: Program, cfg: CoreConfig,
     diags = isa.validate(p, cfg)
     lo, length = observe if observe is not None else (0, 0)
     if not 0 <= lo <= lo + length <= cfg.dmem_words:
-        diags.append(f"observe range {lo}:{length} outside data memory")
+        diags.append(f"observe range '{lo}:{length}' outside data memory of "
+                     f"{cfg.dmem_words} words")
     if diags:
         raise ValidationError(diags)
 
@@ -218,7 +198,12 @@ def run(p: Program, cfg: CoreConfig,
     one = fx.SCALE
 
     def report(cycles: int) -> ExecReport:
-        _, busy = price(opcode_counts(p, retired), table)
+        counts: dict[str, int] = {}
+        for i, n in zip(p.instructions, retired):
+            counts[i.op] = counts.get(i.op, 0) + n
+        busy = dict.fromkeys(OpClass, 0)
+        for op, n in counts.items():
+            busy[table[op][0]] += n * table[op][2]
         util = {}
         for cls in OpClass:
             units = getattr(cfg, CLASS_UNITS[cls]) if cls in CLASS_UNITS else 1
@@ -226,9 +211,9 @@ def run(p: Program, cfg: CoreConfig,
             util[cls] = min(1.0, busy[cls] / denom) if denom else 0.0
         return ExecReport(total_cycles=cycles, instr_count=sum(retired),
                           busy_cycles=busy, utilization=util,
-                          flags=flags.copy(),
+                          flags=flags,
                           memory=[Fixed64(w) for w in mem[lo:lo + length]],
-                          retired=retired)
+                          counts=counts)
 
     pc = cycles = 0
     while True:

@@ -35,10 +35,10 @@ def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
     order; cfg's own mix is ignored.
 
     Values and control flow do not depend on the unit mix, so the program
-    is simulated once, with the first mix, and every mix is priced as
-    sum(count[op] * cost(op, mix)) (one pass, many configurations: Mattson
-    et al., IBM Syst. J., 1970).  The first failing mix raises the error
-    its own run would.
+    is simulated once, with the first mix, and every mix is priced from
+    that run's per-opcode retire counts as sum(count[op] * cost(op, mix))
+    (one pass, many configurations: Mattson et al., IBM Syst. J., 1970).
+    The first failing mix raises the error its own run would.
     """
     classes = isa.unit_classes(p)
     points = []
@@ -47,11 +47,11 @@ def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
         c = cfg.with_mix(*mix)
         try:
             if counts is None:
-                report = core.run(p, c, inputs=inputs)
-                counts = core.opcode_counts(p, report.retired)
+                counts = core.run(p, c, inputs=inputs).counts
             elif diags := isa.validate_units(classes, c):
                 raise core.ValidationError(diags)
-            total, _ = core.price(counts, core.cost_table(c, counts))
+            table = core.cost_table(c, counts)
+            total = sum(n * table[op][1] for op, n in counts.items())
             if total > core.MAX_CYCLES:     # for this mix's own timeout
                 total = core.run(p, c, inputs=inputs).total_cycles
         except core.ValidationError as exc:
@@ -82,19 +82,19 @@ def pareto(points: list[DesignPoint]) -> list[DesignPoint]:
     return [p for p in points if best.get(p.slices) == p.latency_cycles]
 
 
-def throughput_projection(point: DesignPoint, slices_budget: int,
+def throughput_projection(latency_cycles: int, slices: int, slices_budget: int,
                           clock_mhz: float) -> Projection:
     """Replicate independent cores under a slice budget."""
-    if point.latency_cycles < 1 or point.slices < 1:
-        raise ValueError(f"latency ({point.latency_cycles}) and slices "
-                         f"({point.slices}) must be >= 1")
+    if latency_cycles < 1 or slices < 1:
+        raise ValueError(f"latency ({latency_cycles}) and slices "
+                         f"({slices}) must be >= 1")
     if not (math.isfinite(clock_mhz) and clock_mhz > 0):
         raise ValueError(f"clock {clock_mhz} MHz must be finite and > 0")
-    if slices_budget < point.slices:
+    if slices_budget < slices:
         raise ValueError(f"budget {slices_budget} below one core "
-                         f"({point.slices} slices)")
-    cores = slices_budget // point.slices
-    calls = cores * clock_mhz * 1e6 / point.latency_cycles
+                         f"({slices} slices)")
+    cores = slices_budget // slices
+    calls = cores * clock_mhz * 1e6 / latency_cycles
     return Projection(cores=cores, calls_per_second=calls)
 
 
@@ -104,9 +104,8 @@ def amdahl(fraction: float, kernel_speedup: float) -> float:
         raise ValueError("fraction must be in [0, 1]")
     if not kernel_speedup >= 1.0:    # also rejects nan
         raise ValueError("kernel speedup must be >= 1")
-    if math.isinf(kernel_speedup):
-        if fraction == 1.0:
-            raise ValueError("unbounded speedup of the whole application "
-                             "is undefined")
-        return 1.0 / (1.0 - fraction)
-    return 1.0 / ((1.0 - fraction) + fraction / kernel_speedup)
+    time = (1.0 - fraction) + fraction / kernel_speedup    # f / inf is 0.0
+    if time == 0.0:             # all of it accelerated infinitely
+        raise ValueError("unbounded speedup of the whole application "
+                         "is undefined")
+    return 1.0 / time

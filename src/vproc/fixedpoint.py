@@ -35,9 +35,6 @@ class ArithFlags:
     overflow: bool = False
     div_by_zero: bool = False
 
-    def copy(self) -> "ArithFlags":
-        return ArithFlags(self.overflow, self.div_by_zero)
-
 
 @dataclass(frozen=True)
 class Fixed64:
@@ -46,6 +43,8 @@ class Fixed64:
     raw: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.raw, int):
+            raise TypeError(f"raw value {self.raw!r} is not an int")
         if not (RAW_MIN <= self.raw <= RAW_MAX):
             raise ValueError(f"raw value {self.raw:#x} outside 64-bit range")
 

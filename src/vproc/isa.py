@@ -230,8 +230,8 @@ _TEXT = {"imm": _format_value, "addr": lambda x: f"[{x & -1}]",
 
 def disassemble(p: Program) -> str:
     """Canonical text; branch targets get synthetic labels L<index>.  An
-    instruction that cannot be printed raises ValueError with the validator's
-    diagnostic."""
+    instruction or .data entry that cannot be printed raises ValueError with
+    the validator's diagnostic."""
     targets = {i.target for i in p.instructions if i.target is not None}
     lines: list[str] = []
     for idx, instr in enumerate(p.instructions):
@@ -244,6 +244,8 @@ def disassemble(p: Program) -> str:
         text = instr.op if not operands else f"{instr.op} {', '.join(operands)}"
         lines.append(prefix + text)
     for addr, values in p.data_init:
+        if bad := _bad_data(addr, values):
+            raise ValueError(bad)
         lines.append(f".data {addr} " + " ".join(_format_value(v) for v in values))
     return "\n".join(lines)
 
@@ -269,6 +271,15 @@ def _bad_operand(idx: int, instr: Instruction) -> str:
             return (f"instr {idx} ({instr.op}): {kind} operand {fields[slot]!r} is "
                     f"not {'a Fixed64' if kind == 'imm' else 'an int'}")
     return f"instr {idx}: unknown opcode {instr.op!r}"
+
+
+def _bad_data(addr, values) -> str | None:
+    """Names a .data entry's mistyped address, else its mistyped words."""
+    if not isinstance(addr, int):
+        return f".data at {addr!r}: address is not an int"
+    if not all(isinstance(w, Fixed64) for w in values):
+        return f".data at {addr}: values must be Fixed64 words"
+    return None
 
 
 def validate_structure(p: Program, cfg) -> list[str]:
@@ -298,11 +309,11 @@ def validate_structure(p: Program, cfg) -> list[str]:
         except (KeyError, TypeError):
             diags.append(_bad_operand(idx, instr))
     for addr, values in p.data_init:
-        if addr < 0 or addr + len(values) > words:
+        if bad := _bad_data(addr, values):
+            diags.append(bad)
+        elif addr < 0 or addr + len(values) > words:
             diags.append(f".data at {addr} (+{len(values)} words) outside "
                          f"data memory of {words}")
-        if not all(isinstance(w, Fixed64) for w in values):
-            diags.append(f".data at {addr}: values must be Fixed64 words")
     return diags
 
 

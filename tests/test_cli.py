@@ -539,10 +539,15 @@ class TestProject:
         assert main(["project", "--fraction", "1.0", "--speedup", "inf"]) == 1
 
     @pytest.mark.parametrize("speedup,fragment", [
-        ("abc", "bad --speedup 'abc'"), ("nan", "speedup must be >= 1")])
+        ("abc", "argument --speedup: invalid float value: 'abc'"),
+        ("nan", "speedup must be >= 1")])
     def test_bad_speedup(self, capsys, speedup, fragment):
         assert main(["project", "--fraction", "0.5", "--speedup", speedup]) == 1
         one_line_error(capsys, fragment)
+
+    def test_budget_without_core_rejected(self, capsys):
+        assert main(["project", "--budget", "200000"]) == 1
+        one_line_error(capsys, "--budget requires --latency and --slices")
 
     @pytest.mark.parametrize("clock", ["-100", "0", "nan", "inf"])
     def test_bad_clock(self, capsys, clock):

@@ -185,8 +185,11 @@ class TestRun:
 
     @pytest.mark.parametrize("observe", [(-3, 5), (0, -1), (4090, 7)])
     def test_observe_outside_memory_rejected(self, observe):
-        with pytest.raises(ValidationError, match="observe range"):
+        with pytest.raises(ValidationError) as exc:
             run(isa.assemble("HALT"), CoreConfig(), observe=observe)
+        assert exc.value.diagnostics == [
+            f"observe range '{observe[0]}:{observe[1]}' outside data memory "
+            f"of 4096 words"]
 
     def test_missing_halt_faults(self):
         p = Program(instructions=[Instruction("LDI", d=1, imm=fx.ONE)])

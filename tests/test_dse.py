@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 import vproc.fixedpoint as fx
 from vproc import core, isa, kernel
 from vproc.core import (CoreConfig, SimulationFault, SimulationTimeout,
-                        ValidationError, cost_table, opcode_counts, price, run)
+                        ValidationError, cost_table, run)
 from vproc.dse import DesignPoint, amdahl, pareto, sweep, throughput_projection
-from vproc.isa import Instruction, Program
+from vproc.isa import Instruction, OpClass, Program
 from vproc.resources import estimate_vector
 
 from conftest import random_program
@@ -123,9 +123,13 @@ class TestOnePassSweep:
         for cfg, point in zip(configs, sweep(p, base, mixes)):
             report = run(p, cfg)
             assert point.latency_cycles == report.total_cycles
-            counts = opcode_counts(p, report.retired)
-            assert price(counts, cost_table(cfg, counts)) \
-                == (report.total_cycles, report.busy_cycles)
+            table = cost_table(cfg, report.counts)
+            busy = dict.fromkeys(OpClass, 0)
+            for op, n in report.counts.items():
+                busy[table[op][0]] += n * table[op][2]
+            assert sum(n * table[op][1] for op, n in report.counts.items()) \
+                == report.total_cycles
+            assert busy == report.busy_cycles
 
     def test_one_run_for_216_mixes(self, bench, count_runs):
         program, inits = bench
@@ -234,37 +238,37 @@ class TestPareto:
 
 
 class TestThroughputProjection:
-    point = make_point(273, 41300)
+    point = (273, 41300)
 
     def test_spec_example(self):
-        proj = throughput_projection(self.point, 200000, 100.0)
+        proj = throughput_projection(*self.point, 200000, 100.0)
         assert proj.cores == 4
         assert proj.calls_per_second == pytest.approx(1.465e6, rel=1e-3)
 
     def test_exact_budget(self):
-        assert throughput_projection(self.point, 41300, 100.0).cores == 1
+        assert throughput_projection(*self.point, 41300, 100.0).cores == 1
 
     def test_budget_too_small(self):
         with pytest.raises(ValueError):
-            throughput_projection(self.point, 41299, 100.0)
+            throughput_projection(*self.point, 41299, 100.0)
 
     @pytest.mark.parametrize("latency,slices", [(0, 41300), (-5, 41300),
                                                 (273, 0), (273, -1)])
     def test_latency_and_slices_at_least_1(self, latency, slices):
         with pytest.raises(ValueError, match="must be >= 1"):
-            throughput_projection(make_point(latency, slices), 200000, 100.0)
+            throughput_projection(latency, slices, 200000, 100.0)
 
     @pytest.mark.parametrize("clock", [0.0, -100.0, math.nan, math.inf])
     def test_clock_must_be_finite_and_positive(self, clock):
         with pytest.raises(ValueError, match="must be finite and > 0"):
-            throughput_projection(self.point, 200000, clock)
+            throughput_projection(*self.point, 200000, clock)
 
     def test_cores_fit_budget(self):
         rng = random.Random(8)
         for _ in range(50):
             slices = rng.randint(1, 10**5)
             budget = rng.randint(slices, 10**6)
-            proj = throughput_projection(make_point(100, slices), budget, 100.0)
+            proj = throughput_projection(100, slices, budget, 100.0)
             assert proj.cores * slices <= budget
 
 

@@ -40,6 +40,11 @@ class TestConversions:
         with pytest.raises(ValueError, match="outside 64-bit range"):
             Fixed64(RAW_MAX + 1)
 
+    @pytest.mark.parametrize("raw", [1.5, 2.0, None, "1"])
+    def test_non_int_raw_rejected(self, raw):
+        with pytest.raises(TypeError, match=f"^raw value {raw!r} is not an int$"):
+            Fixed64(raw)
+
     def test_to_real(self):
         assert fx.to_real(Fixed64(0x0000000180000000)) == 1.5
         assert fx.to_real(Fixed64(1)) == 2.0**-32

@@ -118,6 +118,11 @@ class TestAssemble:
         with pytest.raises(AssemblyError, match="line 2"):
             isa.assemble("HALT\nSADD s1, s2, x3")
 
+    def test_address_without_brackets_rejected(self):
+        with pytest.raises(AssemblyError) as exc:
+            isa.assemble("SLD s1, 5")
+        assert exc.value.diagnostics == ["malformed operand '5' for SLD at line 1"]
+
     def test_comments_and_blanks_ignored(self):
         p = isa.assemble("; full line comment\n\nHALT ; trailing\n")
         assert len(p.instructions) == 1
@@ -240,6 +245,15 @@ class TestDisassemble:
                            match=r"^instr 0 \(SADD\): sa operand None is not an int$"):
             isa.disassemble(Program([Instruction("SADD", d=1)]))
 
+    @pytest.mark.parametrize("data,message", [
+        ([(1.0, [fx.ZERO])], ".data at 1.0: address is not an int"),
+        ([(None, [])], ".data at None: address is not an int"),
+        ([(0, [1])], ".data at 0: values must be Fixed64 words")])
+    def test_mistyped_data_rejected(self, data, message):
+        with pytest.raises(ValueError) as exc:
+            isa.disassemble(Program([Instruction("HALT")], data))
+        assert str(exc.value) == message
+
 
 class TestValidate:
     cfg = CoreConfig()
@@ -278,6 +292,10 @@ class TestValidate:
          "instr 0 (LDI): imm operand 5 is not a Fixed64"),
         (Program([], [(0, [1, 2])]),
          ".data at 0: values must be Fixed64 words"),
+        (Program([], [(1.0, [fx.ZERO])]),
+         ".data at 1.0: address is not an int"),
+        (Program([], [(None, [fx.ZERO])]),
+         ".data at None: address is not an int"),
         (Program([Instruction("FOO")]),
          "instr 0: unknown opcode 'FOO'"),
         (Program([Instruction("SADD", d=1.0, a=2, b=3)]),
@@ -287,8 +305,8 @@ class TestValidate:
         (Program([Instruction("JMP", target=1.0)]),
          "instr 0 (JMP): label operand 1.0 is not an int"),
     ], ids=["missing-b", "missing-target", "missing-addr", "missing-imm",
-            "int-imm", "int-data", "unknown-opcode", "float-register",
-            "float-addr", "float-target"])
+            "int-imm", "int-data", "float-data-addr", "none-data-addr",
+            "unknown-opcode", "float-register", "float-addr", "float-target"])
     def test_library_instruction_rejected(self, program, message):
         """A library-built program the assembler could not produce gets one
         diagnostic, from validate and from core.run alike."""
