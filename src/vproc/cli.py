@@ -23,6 +23,7 @@ import sys
 
 from . import archmodels, core, dse, fixedpoint as fx, isa, kernel, resources
 from .core import CoreConfig
+from .isa import ValidationError
 from .resources import Calibration
 
 SCHEMA_VERSION = 1
@@ -35,10 +36,6 @@ _KEYS = {f.name: (cls, _PARSERS[f.type])
          for cls in (CoreConfig, Calibration) for f in dataclasses.fields(cls)}
 
 
-class CliError(Exception):
-    pass
-
-
 def parse_config_text(text: str) -> tuple[CoreConfig, Calibration]:
     kwargs: dict[type, dict] = {CoreConfig: {}, Calibration: {}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -46,22 +43,22 @@ def parse_config_text(text: str) -> tuple[CoreConfig, Calibration]:
         if not line:
             continue
         if "=" not in line:
-            raise CliError(f"config line {lineno}: expected 'key = value'")
+            raise ValidationError(f"config line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _KEYS:
-            raise CliError(f"config line {lineno}: unknown key '{key}'")
+            raise ValidationError(f"config line {lineno}: unknown key '{key}'")
         cls, parse = _KEYS[key]
         try:
             parsed = parse(value)
         except (KeyError, ValueError):
-            raise CliError(f"config line {lineno}: bad value for '{key}'")
+            raise ValidationError(f"config line {lineno}: bad value for '{key}'")
         kwargs[cls][key] = parsed
     try:
         return (CoreConfig(**kwargs[CoreConfig]),
                 Calibration(**kwargs[Calibration]))
     except ValueError as exc:
-        raise CliError(f"invalid configuration: {exc}")
+        raise ValidationError(f"invalid configuration: {exc}")
 
 
 def load_config(path: str | None) -> tuple[CoreConfig, Calibration]:
@@ -76,7 +73,7 @@ def _read(path: str) -> str:
         with open(path, encoding="utf-8") as f:
             return f.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read {path}: {exc}")
+        raise ValidationError(f"cannot read {path}: {exc}")
 
 
 def _write_csv(path: str, rows: list[list[str]]) -> None:
@@ -94,17 +91,17 @@ def write_data_csv(path: str, inputs: kernel.KernelInputs) -> None:
 def read_data_csv(path: str) -> kernel.KernelInputs:
     rows = list(csv.reader(io.StringIO(_read(path))))
     if not rows:
-        raise CliError(f"{path}: empty data file")
+        raise ValidationError(f"{path}: empty data file")
     header = [h.strip() for h in rows[0]]
     missing = [n for n in kernel.INPUT_NAMES if n not in header]
     if missing:
-        raise CliError(f"{path}: missing column(s) {', '.join(missing)}")
+        raise ValidationError(f"{path}: missing column(s) {', '.join(missing)}")
     columns: dict[str, list[float]] = {n: [] for n in header}
     lo, hi = fx.REAL_LO, fx.REAL_HI
     for n, row in enumerate(rows[1:], start=2):
         if len(row) > len(header):
-            raise CliError(f"{path}: row {n} has {len(row)} cells, "
-                           f"header has {len(header)}")
+            raise ValidationError(f"{path}: row {n} has {len(row)} cells, "
+                                  f"header has {len(header)}")
         for name, cell in zip(header, row):
             if cell.strip():
                 try:
@@ -114,13 +111,13 @@ def read_data_csv(path: str) -> kernel.KernelInputs:
                 if not lo <= x < hi:
                     what = ("is not a finite number" if not math.isfinite(x)
                             else "is outside the Q32.32 range [-2^31, 2^31)")
-                    raise CliError(f"{path}: row {n}, column {name}: "
-                                   f"'{cell}' {what}")
+                    raise ValidationError(f"{path}: row {n}, column {name}: "
+                                          f"'{cell}' {what}")
                 columns[name].append(x)
     vectors = {n: columns[n] for n in kernel.INPUT_NAMES}
     lengths = {len(v) for v in vectors.values()}
     if len(lengths) != 1:
-        raise CliError(f"{path}: input columns have unequal lengths")
+        raise ValidationError(f"{path}: input columns have unequal lengths")
     s_k = columns.get("s_k", [1.0])
     return kernel.KernelInputs(vectors=vectors, s_k=s_k[0] if s_k else 1.0)
 
@@ -153,8 +150,8 @@ def _data_inputs(path: str | None, cfg: CoreConfig) -> kernel.KernelInputs | Non
         return None
     inputs = read_data_csv(path)
     if inputs.vec_len != cfg.vec_len:
-        raise CliError(f"data file has {inputs.vec_len} lanes, "
-                       f"config expects {cfg.vec_len}")
+        raise ValidationError(f"data file has {inputs.vec_len} lanes, "
+                              f"config expects {cfg.vec_len}")
     return inputs
 
 
@@ -165,25 +162,25 @@ def _parse_observe(spec: str | None, cfg: CoreConfig) -> tuple[int, int]:
         start, _, length = spec.partition(":")
         start, length = int(start), int(length)
     except ValueError:
-        raise CliError(f"bad observe range '{spec}', expected START:LENGTH")
+        raise ValidationError(f"bad observe range '{spec}', expected START:LENGTH")
     return start, length
 
 
 def parse_mix_spec(spec: str) -> list[tuple[int, int, int]]:
     spec = spec.strip()
     if not spec:
-        raise CliError("empty mix spec")
+        raise ValidationError("empty mix spec")
     if spec.startswith("sym:"):
         sizes = [t.strip() for t in spec[len("sym:"):].split(",") if t.strip()]
         if not sizes or not all(t.isdecimal() for t in sizes):
-            raise CliError(f"bad mix spec '{spec}'")
+            raise ValidationError(f"bad mix spec '{spec}'")
         return [(int(t),) * 3 for t in sizes]
     mixes = []
     for item in spec.split(","):
         try:        # a count other than three fails to unpack
             a, m, d = (int(x) for x in item.strip().split("-"))
         except ValueError:
-            raise CliError(f"bad mix '{item.strip()}', expected A-M-D")
+            raise ValidationError(f"bad mix '{item.strip()}', expected A-M-D")
         mixes.append((a, m, d))
     return mixes
 
@@ -192,9 +189,10 @@ def parse_mix_spec(spec: str) -> list[tuple[int, int, int]]:
 
 def cmd_asm(args) -> int:
     cfg, _ = load_config(args.config)
+    source = _read(args.program)    # its error is an `error:` line, not a listing
     try:
-        program = isa.assemble(_read(args.program))
-    except isa.AssemblyError as exc:
+        program = isa.assemble(source)
+    except ValidationError as exc:
         for d in exc.diagnostics:
             print(d, file=sys.stderr)
         return 1
@@ -209,7 +207,7 @@ def cmd_asm(args) -> int:
 
 def cmd_run(args) -> int:
     if args.max_cycles < 0:
-        raise CliError(f"--max-cycles {args.max_cycles} must be >= 0")
+        raise ValidationError(f"--max-cycles {args.max_cycles} must be >= 0")
     cfg, _ = load_config(args.config)
     program = isa.assemble(_read(args.program))
     inputs = _data_inputs(args.data, cfg)
@@ -250,11 +248,8 @@ def cmd_compare(args) -> int:
     program = kernel.emit_program(cfg.vec_len, s_k=inputs.s_k,
                                   dmem_words=cfg.dmem_words)
 
-    try:
-        tiled_lat = archmodels.tiled_latency(kernel.KERNEL, cfg,
-                                             barrier_cost=args.barrier)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    tiled_lat = archmodels.tiled_latency(kernel.KERNEL, cfg,
+                                         barrier_cost=args.barrier)
     tiled_slices = resources.estimate_tiled(kernel.KERNEL, cfg.vec_len,
                                             cal).slices
 
@@ -265,8 +260,8 @@ def cmd_compare(args) -> int:
     seq_lat, vec_lat = seq.latency_cycles, vec.latency_cycles
     seq_slices = resources.estimate_sequential(cal).slices
     if tiled_lat == 0 or seq_slices == 0:
-        raise CliError(f"cannot form ratios: tiled latency {tiled_lat} and "
-                       f"sequential slices {seq_slices} must be >= 1")
+        raise ValidationError(f"cannot form ratios: tiled latency {tiled_lat} and "
+                              f"sequential slices {seq_slices} must be >= 1")
 
     out = {
         "schema_version": SCHEMA_VERSION,
@@ -289,23 +284,19 @@ def cmd_compare(args) -> int:
 
 def cmd_project(args) -> int:
     out: dict = {"schema_version": SCHEMA_VERSION}
-    try:
-        if args.fraction is not None:
-            out["overall_speedup"] = round(
-                dse.amdahl(args.fraction, args.speedup), 6)
-            out["amdahl_fraction"] = args.fraction
-        if args.budget is not None:
-            if args.latency is None or args.slices is None:
-                raise CliError("--budget requires --latency and --slices")
-            proj = dse.throughput_projection(args.latency, args.slices,
-                                             args.budget, args.clock)
-            out["cores"] = proj.cores
-            out["calls_per_second"] = proj.calls_per_second
-            out["clock_mhz"] = args.clock
-    except ValueError as exc:
-        raise CliError(str(exc))
+    if args.fraction is not None:
+        out["overall_speedup"] = round(dse.amdahl(args.fraction, args.speedup), 6)
+        out["amdahl_fraction"] = args.fraction
+    if args.budget is not None:
+        if args.latency is None or args.slices is None:
+            raise ValidationError("--budget requires --latency and --slices")
+        proj = dse.throughput_projection(args.latency, args.slices,
+                                         args.budget, args.clock)
+        out["cores"] = proj.cores
+        out["calls_per_second"] = proj.calls_per_second
+        out["clock_mhz"] = args.clock
     if len(out) == 1:
-        raise CliError("nothing to project: give --fraction and/or --budget")
+        raise ValidationError("nothing to project: give --fraction and/or --budget")
     _write_out(args.out, json.dumps(out, indent=2))
     return 0
 
@@ -324,7 +315,7 @@ def cmd_kernel_gen(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):      # a usage error is an input error
-        raise CliError(f"{self.prog}: {message}")
+        raise ValidationError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,9 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CliError, isa.AssemblyError, kernel.LayoutError,
-            resources.CalibrationError, core.ValidationError,
-            OSError) as exc:
+    except (ValidationError, OSError) as exc:
         code, message = 1, str(exc)
     except (core.SimulationFault, core.SimulationTimeout) as exc:
         code, message = 2, str(exc)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 from . import fixedpoint as fx
 from .fixedpoint import ArithFlags, Fixed64
 from . import isa
-from .isa import CLASS_LAT, CLASS_UNITS, Instruction, OpClass, Program
+from .isa import (CLASS_LAT, CLASS_UNITS, Instruction, OpClass, Program,
+                  ValidationError)
 
 MAX_CYCLES = 10_000_000     # default cycle budget of one run
 
@@ -91,12 +92,6 @@ class SimulationTimeout(Exception):
     def __init__(self, report: ExecReport):
         super().__init__(f"max_cycles exceeded after {report.total_cycles} cycles")
         self.report = report
-
-
-class ValidationError(Exception):
-    def __init__(self, diagnostics: list[str]):
-        super().__init__("; ".join(diagnostics))
-        self.diagnostics = diagnostics
 
 
 def waves(v: int, k: int) -> int:
@@ -177,7 +172,7 @@ def run(p: Program, cfg: CoreConfig,
         diags.append(f"observe range '{lo}:{length}' outside data memory of "
                      f"{cfg.dmem_words} words")
     if diags:
-        raise ValidationError(diags)
+        raise ValidationError(*diags)
 
     W = cfg.vec_len
     # s0, the hardwired zero, is held even when no scalar register is
@@ -189,7 +184,7 @@ def run(p: Program, cfg: CoreConfig,
     data_init = [(addr, [w.raw for w in values]) for addr, values in p.data_init]
     for addr, words in data_init + list(inputs or []):
         if addr < 0 or addr + len(words) > cfg.dmem_words:
-            raise ValidationError([f"initializer at {addr} outside data memory"])
+            raise ValidationError(f"initializer at {addr} outside data memory")
         mem[addr:addr + len(words)] = words
 
     table = cost_table(cfg, {i.op for i in p.instructions})

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from . import core, isa, resources
 from .core import CoreConfig
-from .isa import Program
+from .isa import Program, ValidationError
 from .resources import Calibration, DEFAULT_CALIBRATION
 
 
@@ -49,14 +49,14 @@ def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
             if counts is None:
                 counts = core.run(p, c, inputs=inputs).counts
             elif diags := isa.validate_units(classes, c):
-                raise core.ValidationError(diags)
+                raise ValidationError(*diags)
             table = core.cost_table(c, counts)
             total = sum(n * table[op][1] for op, n in counts.items())
             if total > core.MAX_CYCLES:     # for this mix's own timeout
                 total = core.run(p, c, inputs=inputs).total_cycles
-        except core.ValidationError as exc:
-            raise core.ValidationError(
-                [f"config {c.mix_label}: {d}" for d in exc.diagnostics])
+        except ValidationError as exc:
+            raise ValidationError(
+                *(f"config {c.mix_label}: {d}" for d in exc.diagnostics))
         est = resources.estimate_vector(c, cal)
         points.append(DesignPoint(label=c.mix_label, n_add=c.n_add,
                                   n_mul=c.n_mul, n_div=c.n_div,
@@ -86,26 +86,34 @@ def throughput_projection(latency_cycles: int, slices: int, slices_budget: int,
                           clock_mhz: float) -> Projection:
     """Replicate independent cores under a slice budget."""
     if latency_cycles < 1 or slices < 1:
-        raise ValueError(f"latency ({latency_cycles}) and slices "
-                         f"({slices}) must be >= 1")
+        raise ValidationError(f"latency ({latency_cycles}) and slices "
+                              f"({slices}) must be >= 1")
     if not (math.isfinite(clock_mhz) and clock_mhz > 0):
-        raise ValueError(f"clock {clock_mhz} MHz must be finite and > 0")
+        raise ValidationError(f"clock {clock_mhz} MHz must be finite and > 0")
     if slices_budget < slices:
-        raise ValueError(f"budget {slices_budget} below one core "
-                         f"({slices} slices)")
+        raise ValidationError(f"budget {slices_budget} below one core "
+                              f"({slices} slices)")
     cores = slices_budget // slices
-    calls = cores * clock_mhz * 1e6 / latency_cycles
+    try:
+        calls = cores * clock_mhz * 1e6 / latency_cycles
+    except OverflowError:       # an int beyond the float range
+        raise ValidationError("latency or core count exceeds the float "
+                              "range") from None
+    if not math.isfinite(calls):
+        raise ValidationError("the call rate exceeds the float range")
     return Projection(cores=cores, calls_per_second=calls)
 
 
 def amdahl(fraction: float, kernel_speedup: float) -> float:
     """Whole-application speedup when `fraction` of time is accelerated."""
     if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
+        raise ValidationError("fraction must be in [0, 1]")
     if not kernel_speedup >= 1.0:    # also rejects nan
-        raise ValueError("kernel speedup must be >= 1")
+        raise ValidationError("kernel speedup must be >= 1")
     time = (1.0 - fraction) + fraction / kernel_speedup    # f / inf is 0.0
     if time == 0.0:             # all of it accelerated infinitely
-        raise ValueError("unbounded speedup of the whole application "
-                         "is undefined")
-    return 1.0 / time
+        raise ValidationError("unbounded speedup of the whole application "
+                              "is undefined")
+    if (speedup := 1.0 / time) == math.inf:     # time is subnormal
+        raise ValidationError("overall speedup exceeds the float range")
+    return speedup

@@ -95,12 +95,12 @@ class Program:
     data_init: list[tuple[int, list[Fixed64]]] = field(default_factory=list)
 
 
-class AssemblyError(Exception):
-    """Raised when assembly fails; .diagnostics lists every message."""
+class ValidationError(ValueError):
+    """Rejected input, from any module; .diagnostics lists every message."""
 
-    def __init__(self, diagnostics: list[str]):
+    def __init__(self, *diagnostics: str):
         super().__init__("; ".join(diagnostics))
-        self.diagnostics = diagnostics
+        self.diagnostics = list(diagnostics)
 
 
 def _parse_value(token: str) -> Fixed64:
@@ -210,7 +210,7 @@ def assemble(source_text: str) -> Program:
         else:
             diags.append((lineno, f"unresolved label '{label}' at line {lineno}"))
     if label_diags or diags:
-        raise AssemblyError(label_diags + [m for _, m in sorted(diags)])
+        raise ValidationError(*label_diags, *(m for _, m in sorted(diags)))
     return program
 
 
@@ -243,9 +243,10 @@ def disassemble(p: Program) -> str:
         prefix = f"L{idx}: " if idx in targets else ""
         text = instr.op if not operands else f"{instr.op} {', '.join(operands)}"
         lines.append(prefix + text)
-    for addr, values in p.data_init:
-        if bad := _bad_data(addr, values):
+    for entry in p.data_init:
+        if bad := _bad_data(entry):
             raise ValueError(bad)
+        addr, values = entry
         lines.append(f".data {addr} " + " ".join(_format_value(v) for v in values))
     return "\n".join(lines)
 
@@ -273,11 +274,16 @@ def _bad_operand(idx: int, instr: Instruction) -> str:
     return f"instr {idx}: unknown opcode {instr.op!r}"
 
 
-def _bad_data(addr, values) -> str | None:
-    """Names a .data entry's mistyped address, else its mistyped words."""
+def _bad_data(entry) -> str | None:
+    """Names a .data entry that is not an (address, words) pair, else its
+    mistyped address, else its mistyped words."""
+    if not (isinstance(entry, tuple | list) and len(entry) == 2):
+        return f".data entry {entry!r} is not an (address, words) pair"
+    addr, values = entry
     if not isinstance(addr, int):
         return f".data at {addr!r}: address is not an int"
-    if not all(isinstance(w, Fixed64) for w in values):
+    if not (isinstance(values, tuple | list)
+            and all(isinstance(w, Fixed64) for w in values)):
         return f".data at {addr}: values must be Fixed64 words"
     return None
 
@@ -308,11 +314,11 @@ def validate_structure(p: Program, cfg) -> list[str]:
                 diags.append(f"instr {idx} ({instr.op}): converter disabled")
         except (KeyError, TypeError):
             diags.append(_bad_operand(idx, instr))
-    for addr, values in p.data_init:
-        if bad := _bad_data(addr, values):
+    for entry in p.data_init:
+        if bad := _bad_data(entry):
             diags.append(bad)
-        elif addr < 0 or addr + len(values) > words:
-            diags.append(f".data at {addr} (+{len(values)} words) outside "
+        elif entry[0] < 0 or entry[0] + len(entry[1]) > words:
+            diags.append(f".data at {entry[0]} (+{len(entry[1])} words) outside "
                          f"data memory of {words}")
     return diags
 

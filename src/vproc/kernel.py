@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import fixedpoint as fx
 from .core import CoreConfig
-from .isa import Instruction, OpClass, Program, opclass
+from .isa import Instruction, OpClass, Program, ValidationError, opclass
 
 # (result, op, operands...) per element, in evaluation order, over the input
 # vectors and the scalar constant sk; the last result is stored.
@@ -50,22 +50,18 @@ class KernelInputs:
         return len(self.vectors[INPUT_NAMES[0]])
 
 
-class LayoutError(Exception):
-    pass
-
-
 def default_layout(vec_len: int) -> dict[str, int]:
     """Contiguous W-word regions: inputs in order, then the output."""
     return {name: i * vec_len for i, name in enumerate((*INPUT_NAMES, "out"))}
 
 
 def checked_layout(vec_len: int, dmem_words: int) -> dict[str, int]:
-    """The default layout, or LayoutError if it is empty or overflows memory."""
+    """The default layout, or ValidationError if it is empty or overflows memory."""
     if vec_len < 1:
-        raise LayoutError(f"vector length {vec_len} must be >= 1")
+        raise ValidationError(f"vector length {vec_len} must be >= 1")
     layout = default_layout(vec_len)
     if (end := layout["out"] + vec_len) > dmem_words:
-        raise LayoutError(f"layout needs {end} words, memory has {dmem_words}")
+        raise ValidationError(f"layout needs {end} words, memory has {dmem_words}")
     return layout
 
 

@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 
 from .core import CoreConfig
-from .isa import OpClass
+from .isa import OpClass, ValidationError
 from .kernel import OPS
 
 
@@ -47,15 +47,11 @@ class ResourceEstimate:
     breakdown: dict[str, int]
 
 
-class CalibrationError(Exception):
-    pass
-
-
 def _estimate(breakdown: dict[str, float]) -> ResourceEstimate:
     for name, slices in breakdown.items():
         if not math.isfinite(slices):   # finite costs whose product overflows
-            raise CalibrationError(f"slice count of '{name}' is not finite: "
-                                   f"calibration values too large")
+            raise ValidationError(f"slice count of '{name}' is not finite: "
+                                  f"calibration values too large")
     rounded = {k: round(v) for k, v in breakdown.items() if v}
     return ResourceEstimate(slices=sum(rounded.values()), breakdown=rounded)
 

@@ -11,8 +11,8 @@ import pytest
 
 from vproc import fixedpoint as fx
 from vproc.fixedpoint import Fixed64, RAW_MAX, RAW_MIN, SCALE
-from vproc.isa import (OPCODES, AssemblyError, Instruction, OpClass, Program,
-                       _parse_value, is_vector)
+from vproc.isa import (OPCODES, Instruction, OpClass, Program,
+                       ValidationError, _parse_value, is_vector)
 from vproc.kernel import DIVISOR_BOUND, INPUT_NAMES, default_layout
 
 # ---- independent Q32.32 reference (kept deliberately separate from the
@@ -214,7 +214,7 @@ def ref_assemble(source_text: str) -> Program:
             program.instructions.append(Instruction(op=mnemonic, **fields))
 
     if diagnostics:
-        raise AssemblyError(diagnostics)
+        raise ValidationError(*diagnostics)
     return program
 
 

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from vproc import cli, core, fixedpoint as fx, kernel
-from vproc.cli import main, parse_config_text, parse_mix_spec, CliError
+from vproc.cli import main, parse_config_text, parse_mix_spec
+from vproc.isa import ValidationError
 from vproc.resources import Calibration
 
 KERNEL_ASM = None
@@ -47,21 +48,21 @@ class TestConfigFormat:
         assert cal.c_div == 600.0
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(CliError, match="unknown key 'vec_lenn'"):
+        with pytest.raises(ValidationError, match="unknown key 'vec_lenn'"):
             parse_config_text("vec_lenn = 8")
 
     def test_bad_value_rejected(self):
-        with pytest.raises(CliError, match="bad value"):
+        with pytest.raises(ValidationError, match="bad value"):
             parse_config_text("vec_len = wide")
 
     def test_line_without_equals_rejected(self):
-        with pytest.raises(CliError,
+        with pytest.raises(ValidationError,
                            match="^config line 2: expected 'key = value'$"):
             parse_config_text("vec_len = 8\nvec_len 8")
 
     def test_bad_bool_rejected(self):
-        with pytest.raises(CliError, match="^config line 1: bad value for "
-                                           "'enable_converter'$"):
+        with pytest.raises(ValidationError, match="^config line 1: bad value for "
+                                                  "'enable_converter'$"):
             parse_config_text("enable_converter = yes")
 
 
@@ -89,16 +90,16 @@ class TestMixSpec:
         assert parse_mix_spec("sym:1,8,24") == [(1, 1, 1), (8, 8, 8), (24, 24, 24)]
 
     def test_empty_rejected(self):
-        with pytest.raises(CliError):
+        with pytest.raises(ValidationError):
             parse_mix_spec("  ")
 
     def test_malformed_rejected(self):
-        with pytest.raises(CliError):
+        with pytest.raises(ValidationError):
             parse_mix_spec("8-8")
 
     @pytest.mark.parametrize("spec", ["sym:", "sym:8,x", "sym:-1"])
     def test_malformed_sym_rejected(self, spec):
-        with pytest.raises(CliError, match="bad mix spec"):
+        with pytest.raises(ValidationError, match="bad mix spec"):
             parse_mix_spec(spec)
 
 
@@ -561,6 +562,21 @@ class TestProject:
         assert main(["project", "--latency", str(latency), "--slices",
                      str(slices), "--budget", "200000"]) == 1
         one_line_error(capsys, "must be >= 1")
+
+    @pytest.mark.parametrize("argv", [
+        ["--latency", "275", "--slices", "41300", "--budget", "200000",
+         "--clock", "1e308"],
+        ["--latency", "275", "--slices", "41300", "--budget", "1" + "0" * 400],
+        ["--latency", "1" + "0" * 400, "--slices", "41300", "--budget", "200000"],
+        ["--fraction", "1.0", "--speedup", "1.7976931348623157e308"],
+    ], ids=["clock-1e308", "budget-400-digits", "latency-400-digits",
+            "speedup-max-float"])
+    def test_rate_beyond_float_range_rejected(self, capsys, argv):
+        """Never `Infinity` (not JSON) on stdout, nor an OverflowError."""
+        assert main(["project", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exceeds the float range" in err and len(err) < 80   # no echo
 
 
 class TestKernelGen:

@@ -2,21 +2,26 @@
 
 Whatever the subcommand, options and files, `vproc` exits 0, 1 or 2, never
 with a traceback, and each failure outside `asm` (whose diagnostic listing
-is its output) is exactly one `error:` line on stderr.
+is its output) is exactly one `error:` line on stderr.  The JSON that `run`,
+`compare` and `project` write on success is strict JSON: no `Infinity` or
+`NaN`.
 
 Size-like values (vec_len, dmem_words, register counts, --veclen) stay at
 or below 64 and --max-cycles at or below 10**4: the aim is the error path,
-not large memories.  `sweep` gets branch-free programs only, because its
+not large memories.  The integers that size no memory and bound no loop
+(project's --latency, --slices and --budget, compare's --barrier) also take
+400-digit values.  `sweep` gets branch-free programs only, because its
 simulations run under core.run's default cycle limit of 10**7.
 """
 
 import io
+import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vproc.cli import main
 from vproc.kernel import INPUT_NAMES
@@ -25,6 +30,7 @@ from vproc.kernel import INPUT_NAMES
 WORD = st.text(st.characters(blacklist_categories=("Cs",),
                              blacklist_characters="\x00"), max_size=8)
 SMALL = st.integers(-2, 64).map(str)
+HUGE = st.integers(10**399, 10**400 - 1)
 REAL = st.sampled_from(["0", "0.1", "1", "2.5", "100", "350", "900", "-1",
                         "inf", "-inf", "nan", "1e308", "1e400", "abc",
                         ""])
@@ -119,9 +125,9 @@ OPTIONS = {
     "sweep": [("--config", INPUT), ("--data", INPUT), ("--mixes", MIXES),
               ("--out", OUT)],
     "compare": [("--config", INPUT), ("--data", INPUT),
-                ("--barrier", st.integers(-300, 300).map(str)),
+                ("--barrier", (st.integers(-300, 300) | HUGE).map(str)),
                 ("--out", OUT)],
-    "project": [(flag, st.integers(-5, 300_000).map(str))
+    "project": [(flag, (st.integers(-5, 300_000) | HUGE).map(str))
                 for flag in ("--latency", "--slices", "--budget")]
                + [("--clock", REAL), ("--fraction", REAL),
                   ("--speedup", REAL), ("--out", OUT)],
@@ -162,17 +168,29 @@ def invocation(draw):
 
 
 def invoke(argv):
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+    """Exit code, stdout (None after --help, whose usage text is no report)
+    and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         try:
             rc = main(argv)
         except SystemExit as exc:       # --help
-            rc = exc.code
-    return rc, err.getvalue()
+            return exc.code, None, err.getvalue()
+    return rc, out.getvalue(), err.getvalue()
+
+
+def not_json(constant):
+    raise AssertionError(f"{constant} in a JSON report")
+
+
+NO_FILES = {"@prog": b"", "@config": b"", "@data": b""}
+PROJECT = ["project", "--latency", "275", "--slices", "41300", "--budget"]
 
 
 @settings(max_examples=200, deadline=None)
 @given(invocation())
+@example(("project", PROJECT + ["200000", "--clock", "1e308"], NO_FILES))
+@example(("project", PROJECT + [str(10**400)], NO_FILES))
 def test_exit_codes_and_one_error_line(case):
     command, argv, files = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -187,9 +205,13 @@ def test_exit_codes_and_one_error_line(case):
         cwd = os.getcwd()       # a relative output path lands in tmp
         os.chdir(tmp)
         try:
-            rc, err = invoke([paths.get(a, a) for a in argv])
+            rc, out, err = invoke([paths.get(a, a) for a in argv])
         finally:
             os.chdir(cwd)
+        if rc == 0 and out is not None and command in ("run", "compare", "project"):
+            # The report went to stdout, or else to the --out file.
+            text = out or Path(paths["@out"]).read_text(encoding="utf-8")
+            json.loads(text, parse_constant=not_json)
     assert rc in (0, 1, 2)
     assert "Traceback" not in err
     if rc != 0 and command != "asm":

@@ -77,7 +77,7 @@ def per_config_sweep(p, base, mixes, inputs=None):
             report = run(p, cfg, inputs=inputs)
         except ValidationError as exc:
             raise ValidationError(
-                [f"config {cfg.mix_label}: {d}" for d in exc.diagnostics])
+                *[f"config {cfg.mix_label}: {d}" for d in exc.diagnostics])
         points.append(DesignPoint(cfg.mix_label, cfg.n_add, cfg.n_mul, cfg.n_div,
                                   report.total_cycles,
                                   estimate_vector(cfg).slices))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import vproc.fixedpoint as fx
 from vproc import isa, kernel
 from vproc.core import CoreConfig, ValidationError, run
-from vproc.isa import AssemblyError, Instruction, OpClass, Program
+from vproc.isa import Instruction, OpClass, Program
 
 from conftest import random_program, ref_assemble, ref_validate_structure
 
@@ -98,28 +98,28 @@ class TestAssemble:
         assert p.instructions[1] == Instruction("BNZ", a=1, target=0)
 
     def test_unknown_mnemonic(self):
-        with pytest.raises(AssemblyError) as exc:
+        with pytest.raises(ValidationError) as exc:
             isa.assemble("VFOO v0, v1")
         assert "unknown mnemonic 'VFOO' at line 1" in exc.value.diagnostics[0]
 
     def test_duplicate_label(self):
-        with pytest.raises(AssemblyError, match="duplicate label"):
+        with pytest.raises(ValidationError, match="duplicate label"):
             isa.assemble("x: HALT\nx: HALT")
 
     def test_unresolved_label(self):
-        with pytest.raises(AssemblyError, match="unresolved label 'nowhere'"):
+        with pytest.raises(ValidationError, match="unresolved label 'nowhere'"):
             isa.assemble("JMP nowhere")
 
     def test_operand_count_checked(self):
-        with pytest.raises(AssemblyError, match="expects 3"):
+        with pytest.raises(ValidationError, match="expects 3"):
             isa.assemble("VADD v0, v1")
 
     def test_malformed_operand_reports_line(self):
-        with pytest.raises(AssemblyError, match="line 2"):
+        with pytest.raises(ValidationError, match="line 2"):
             isa.assemble("HALT\nSADD s1, s2, x3")
 
     def test_address_without_brackets_rejected(self):
-        with pytest.raises(AssemblyError) as exc:
+        with pytest.raises(ValidationError) as exc:
             isa.assemble("SLD s1, 5")
         assert exc.value.diagnostics == ["malformed operand '5' for SLD at line 1"]
 
@@ -130,7 +130,7 @@ class TestAssemble:
     @pytest.mark.parametrize("src", ["LDI s1, 3e9", "LDI s1, 2147483648",
                                      "LDI s1, -2147483648.5", ".data 0 1e12"])
     def test_decimal_outside_word_range_rejected(self, src):
-        with pytest.raises(AssemblyError) as exc:
+        with pytest.raises(ValidationError) as exc:
             isa.assemble(src)
         assert len(exc.value.diagnostics) == 1
 
@@ -167,7 +167,7 @@ class TestAssemble:
 
     def test_diagnostic_order(self):
         src = "JMP nowhere\nVFOO\n9x: HALT\nHALT\nHALT s1\nq: HALT\nq:"
-        with pytest.raises(AssemblyError) as exc:
+        with pytest.raises(ValidationError) as exc:
             isa.assemble(src)
         assert exc.value.diagnostics == [
             "malformed label '9x' at line 3", "duplicate label 'q' at line 7",
@@ -183,8 +183,8 @@ class TestAssemble:
     def test_matches_two_pass_reference(self, src):
         try:
             want = ref_assemble(src)
-        except AssemblyError as exc:
-            with pytest.raises(AssemblyError) as got:
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
                 isa.assemble(src)
             assert got.value.diagnostics == exc.diagnostics
             return
@@ -316,6 +316,26 @@ class TestValidate:
         with pytest.raises(ValidationError) as exc:
             run(program, self.cfg)
         assert exc.value.diagnostics == [message]
+
+    @pytest.mark.parametrize("data,message", [
+        ([(0, None)], ".data at 0: values must be Fixed64 words"),
+        ([(0, 5)], ".data at 0: values must be Fixed64 words"),
+        ([(0,)], ".data entry (0,) is not an (address, words) pair"),
+        ([5], ".data entry 5 is not an (address, words) pair"),
+        ([(0, [fx.ONE], 3)], ".data entry (0, [Fixed64(raw=4294967296)], 3) "
+                             "is not an (address, words) pair"),
+    ], ids=["none-words", "int-words", "no-words", "bare-int", "triple"])
+    def test_malformed_data_entry_rejected(self, data, message):
+        """An entry that is not an (address, words) pair is a diagnostic of
+        validate, core.run and disassemble, not a bare unpacking error."""
+        program = Program([Instruction("HALT")], data)
+        assert isa.validate(program, self.cfg) == [message]
+        with pytest.raises(ValidationError) as exc:
+            run(program, self.cfg)
+        assert exc.value.diagnostics == [message]
+        with pytest.raises(ValueError) as exc:
+            isa.disassemble(program)
+        assert str(exc.value) == message
 
     def test_converter_disabled(self):
         p = isa.assemble("F2X s1, s2\nHALT")

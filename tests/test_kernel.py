@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import vproc.fixedpoint as fx
 from vproc import archmodels, isa, kernel, resources
 from vproc.core import CoreConfig, run
-from vproc.isa import OpClass
+from vproc.isa import OpClass, ValidationError
 from vproc.resources import DEFAULT_CALIBRATION as CAL
 
 from conftest import (brute_force_longest_path, ref_dataflow_graph,
@@ -55,19 +55,19 @@ class TestEmitProgram:
         assert isa.assemble(isa.disassemble(p)) == p
 
     def test_layout_must_fit_memory(self):
-        with pytest.raises(kernel.LayoutError):
+        with pytest.raises(ValidationError):
             kernel.emit_program(512)   # 11 * 512 words > 4096
 
     def test_layout_checked_against_given_memory(self):
         assert kernel.emit_program(400, dmem_words=8192).instructions  # 4400 words
-        with pytest.raises(kernel.LayoutError, match="memory has 4399"):
+        with pytest.raises(ValidationError, match="memory has 4399"):
             kernel.emit_program(400, dmem_words=4399)
 
     @pytest.mark.parametrize("emit", [kernel.emit_program,
                                       kernel.emit_scalar_program])
     @pytest.mark.parametrize("vec_len", [0, -1])
     def test_empty_vectors_rejected(self, emit, vec_len):
-        with pytest.raises(kernel.LayoutError, match="must be >= 1"):
+        with pytest.raises(ValidationError, match="must be >= 1"):
             emit(vec_len)
 
 
