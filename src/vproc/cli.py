@@ -89,7 +89,10 @@ def write_data_csv(path: str, inputs: kernel.KernelInputs) -> None:
 
 
 def read_data_csv(path: str) -> kernel.KernelInputs:
-    rows = list(csv.reader(io.StringIO(_read(path))))
+    try:
+        rows = list(csv.reader(io.StringIO(_read(path))))
+    except csv.Error as exc:        # a cell beyond csv's field size limit
+        raise ValidationError(f"{path}: {exc}")
     if not rows:
         raise ValidationError(f"{path}: empty data file")
     header = [h.strip() for h in rows[0]]
@@ -172,9 +175,12 @@ def parse_mix_spec(spec: str) -> list[tuple[int, int, int]]:
         raise ValidationError("empty mix spec")
     if spec.startswith("sym:"):
         sizes = [t.strip() for t in spec[len("sym:"):].split(",") if t.strip()]
-        if not sizes or not all(t.isdecimal() for t in sizes):
+        try:        # int() also rejects more digits than its limit
+            if not sizes or not all(t.isdecimal() for t in sizes):
+                raise ValueError
+            return [(int(t),) * 3 for t in sizes]
+        except ValueError:
             raise ValidationError(f"bad mix spec '{spec}'")
-        return [(int(t),) * 3 for t in sizes]
     mixes = []
     for item in spec.split(","):
         try:        # a count other than three fails to unpack
@@ -243,6 +249,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg, cal = load_config(args.config)
+    # Check the layout before reading or drawing 10 * W inputs for it.
+    kernel.checked_layout(cfg.vec_len, cfg.dmem_words)
     inputs = (_data_inputs(args.data, cfg)
               or kernel.generate_inputs(cfg.vec_len, seed=0))
     program = kernel.emit_program(cfg.vec_len, s_k=inputs.s_k,

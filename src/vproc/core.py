@@ -19,6 +19,7 @@ from .isa import (CLASS_LAT, CLASS_UNITS, Instruction, OpClass, Program,
                   ValidationError)
 
 MAX_CYCLES = 10_000_000     # default cycle budget of one run
+MAX_STATE_WORDS = 1 << 20   # bound on dmem_words + n_vregs * vec_len + n_sregs
 
 
 @dataclass
@@ -52,6 +53,9 @@ class CoreConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.dmem_words < 1:
             raise ValueError("dmem_words must be >= 1")
+        if self.dmem_words + self.n_vregs * self.vec_len + self.n_sregs > MAX_STATE_WORDS:
+            raise ValueError(f"dmem_words + n_vregs * vec_len + n_sregs must "
+                             f"be <= {MAX_STATE_WORDS} words")
         if not (math.isfinite(self.clock_mhz) and self.clock_mhz > 0):
             raise ValueError(f"clock_mhz must be finite and > 0, "
                              f"got {self.clock_mhz}")
@@ -131,14 +135,11 @@ def instr_cost(i: Instruction, cfg: CoreConfig) -> int:
     return cost_table(cfg, (i.op,))[i.op][1]
 
 
-# Arithmetic opcodes: raw-word operation and operand shape after the
-# destination ("ss", "si", "vv", "vs"; "s" and "v" are reciprocals).
-_ALU = {op: (fn, "".join(kind[0] for kind in isa.OPCODES[op][1][1:]))
-        for op, fn in (("SADD", fx.add), ("SSUB", fx.sub), ("SADDI", fx.add),
-                       ("SMUL", fx.mul), ("SDIV", fx.div), ("SINV", fx.div),
-                       ("VADD", fx.add), ("VSUB", fx.sub), ("VADDS", fx.add),
-                       ("VSUBS", fx.sub), ("VMUL", fx.mul), ("VMULS", fx.mul),
-                       ("VDIV", fx.div), ("VDIVS", fx.div), ("VINV", fx.div))}
+# Arithmetic opcodes: raw-word operation by the stem after the S/V prefix, and
+# operand shape after the destination ("ss", "si", "vv", "vs"; "s", "v": 1/x).
+_STEMS = {"ADD": fx.add, "SUB": fx.sub, "MUL": fx.mul, "DIV": fx.div, "INV": fx.div}
+_ALU = {op: (_STEMS[op[1:4]], "".join(kind[0] for kind in sig[1:]))
+        for op, (cls, sig) in isa.OPCODES.items() if cls in CLASS_UNITS}
 
 
 def _convert_f2x(word: int, flags: ArithFlags) -> int:

@@ -57,10 +57,8 @@ def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
         except ValidationError as exc:
             raise ValidationError(
                 *(f"config {c.mix_label}: {d}" for d in exc.diagnostics))
-        est = resources.estimate_vector(c, cal)
-        points.append(DesignPoint(label=c.mix_label, n_add=c.n_add,
-                                  n_mul=c.n_mul, n_div=c.n_div,
-                                  latency_cycles=total, slices=est.slices))
+        points.append(DesignPoint(c.mix_label, *c.mix, total,
+                                  resources.estimate_vector(c, cal).slices))
     return points
 
 

@@ -1,20 +1,23 @@
 """Linear slice-count model for all three architectures.
 
-Every estimate is a sum of per-component costs from a Calibration.  The
-default calibration is fitted to published resource ratios between the
-symmetric, asymmetric and sequential configurations; calibrate() reproduces
-that fit, whose targets are fixed.
+One formula prices them all: a base plus, per arithmetic class, units ×
+that class's unit cost from a Calibration, each term rounded.  The default
+calibration is fitted to published resource ratios between the symmetric,
+asymmetric and sequential configurations; calibrate() reproduces that fit,
+whose targets are fixed.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 from .core import CoreConfig
-from .isa import OpClass, ValidationError
+from .isa import CLASS_UNITS, ValidationError
 from .kernel import OPS
 
 
@@ -39,55 +42,44 @@ class Calibration:
 
 
 DEFAULT_CALIBRATION = Calibration()
+_UNIT_COSTS = attrgetter(*("c_" + cls.value for cls in CLASS_UNITS))
 
 
 @dataclass(frozen=True)
 class ResourceEstimate:
     slices: int
-    breakdown: dict[str, int]
 
 
-def _estimate(breakdown: dict[str, float]) -> ResourceEstimate:
-    for name, slices in breakdown.items():
-        if not math.isfinite(slices):   # finite costs whose product overflows
-            raise ValidationError(f"slice count of '{name}' is not finite: "
-                                  f"calibration values too large")
-    rounded = {k: round(v) for k, v in breakdown.items() if v}
-    return ResourceEstimate(slices=sum(rounded.values()), breakdown=rounded)
+def _estimate(base: float, units: Iterable[int], cal: Calibration,
+              converter: bool = False) -> ResourceEstimate:
+    """round(base) + Σ round(n × c_<class>) + round(c_convert) if present."""
+    slices = round(base) + (round(cal.c_convert) if converter else 0)
+    for cls, n, cost in zip(CLASS_UNITS, units, _UNIT_COSTS(cal)):
+        # A count beyond the float range, or a product beyond it, is not finite.
+        term = n * cost if n <= sys.float_info.max else math.inf
+        if not math.isfinite(term):
+            raise ValidationError(f"slice count of '{cls.value}_units' is not "
+                                  f"finite: calibration values too large")
+        slices += round(term)
+    return ResourceEstimate(slices)
 
 
 def estimate_vector(cfg: CoreConfig, cal: Calibration = DEFAULT_CALIBRATION) -> ResourceEstimate:
-    breakdown = {
-        "base": cal.base_vector,
-        "adders": cfg.n_add * cal.c_add,
-        "multipliers": cfg.n_mul * cal.c_mul,
-        "dividers": cfg.n_div * cal.c_div,
-    }
-    if cfg.enable_converter:
-        breakdown["converter"] = cal.c_convert
-    return _estimate(breakdown)
+    return _estimate(cal.base_vector, cfg.mix, cal, cfg.enable_converter)
 
 
 def estimate_sequential(cal: Calibration = DEFAULT_CALIBRATION) -> ResourceEstimate:
-    return _estimate({
-        "base": cal.base_seq,
-        "adder": cal.c_add,
-        "multiplier": cal.c_mul,
-        "divider": cal.c_div,
-    })
+    return _estimate(cal.base_seq, (1, 1, 1), cal)
 
 
 def estimate_tiled(stmts: Iterable[tuple[str, ...]], replication: int,
                    cal: Calibration = DEFAULT_CALIBRATION) -> ResourceEstimate:
-    """One unit per statement per replica, by class in first-appearance order."""
+    """The barrier plus one unit per statement per replica, by class."""
     if replication < 1:
         raise ValueError(f"replication {replication} must be >= 1")
-    cost = {OpClass.ADD_CLASS: cal.c_add, OpClass.MUL_CLASS: cal.c_mul,
-            OpClass.DIV_CLASS: cal.c_div}
-    breakdown: dict[str, float] = {"barrier": cal.c_tiled_barrier}
-    for cls, count in Counter(OPS[op][0] for _, op, *_ in stmts).items():
-        breakdown[cls.value + "_units"] = replication * count * cost[cls]
-    return _estimate(breakdown)
+    counts = Counter(OPS[op][0] for _, op, *_ in stmts)
+    return _estimate(cal.c_tiled_barrier,
+                     (replication * counts[cls] for cls in CLASS_UNITS), cal)
 
 
 def calibrate() -> Calibration:

@@ -65,6 +65,15 @@ class TestConfigFormat:
                                                   "'enable_converter'$"):
             parse_config_text("enable_converter = yes")
 
+    def test_memory_beyond_bound_rejected(self, tmp_path, capsys):
+        prog, cfg = tmp_path / "p.asm", tmp_path / "c.cfg"
+        prog.write_text("HALT\n")
+        cfg.write_text(f"dmem_words = {10**20}\n")
+        assert main(["run", str(prog), "--config", str(cfg),
+                     "--observe", "0:0"]) == 1
+        one_line_error(capsys, "invalid configuration",
+                       f"must be <= {core.MAX_STATE_WORDS} words")
+
 
 class TestDefaultConfigFile:
     """docs/default.cfg lists every key with its default (docs/formats.md)."""
@@ -101,6 +110,11 @@ class TestMixSpec:
     def test_malformed_sym_rejected(self, spec):
         with pytest.raises(ValidationError, match="bad mix spec"):
             parse_mix_spec(spec)
+
+    @pytest.mark.parametrize("prefix", ["sym:", "1-1-"])
+    def test_too_many_digits_rejected(self, prefix):
+        with pytest.raises(ValidationError, match="bad mix"):
+            parse_mix_spec(prefix + "9" * 5000)
 
 
 class TestAsm:
@@ -319,6 +333,26 @@ class TestDataCells:
                      "--data", str(data)]) == 1
         one_line_error(capsys, "row 4 has 12 cells, header has 11")
 
+    def test_missing_columns(self, workdir, capsys):
+        data = workdir / "kern_data.csv"
+        rows = data.read_text().splitlines()
+        rows[0] = rows[0].replace(",c,", ",cc,").replace(",q,", ",qq,")
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["run", str(workdir / "kern.asm"),
+                     "--config", str(workdir / "core.cfg"),
+                     "--data", str(data)]) == 1
+        one_line_error(capsys, f"{data}: missing column(s) c, q")
+
+    def test_cell_beyond_csv_field_limit(self, workdir, capsys):
+        data = workdir / "kern_data.csv"
+        rows = data.read_text().splitlines()
+        rows[1] = "1" * 200_000 + rows[1][rows[1].index(","):]
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["run", str(workdir / "kern.asm"),
+                     "--config", str(workdir / "core.cfg"),
+                     "--data", str(data)]) == 1
+        one_line_error(capsys, f"{data}: field larger than field limit")
+
     def test_unequal_columns(self, workdir, capsys):
         data = workdir / "kern_data.csv"
         rows = data.read_text().splitlines()
@@ -413,6 +447,13 @@ class TestSweep:
                      "--mixes", mixes, "--out", str(workdir / "x.csv")]) == 1
         one_line_error(capsys, fragment)
 
+    def test_unit_count_beyond_float_range(self, tmp_path, capsys):
+        prog = tmp_path / "halt.asm"
+        prog.write_text("HALT\n")
+        assert main(["sweep", str(prog), "--mixes", "1-1-" + "9" * 400,
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        one_line_error(capsys, "slice count of 'div_units' is not finite")
+
     def test_data_lane_count_checked(self, workdir, capsys):
         assert main(["kernel-gen", "--veclen", "16", "--seed", "1",
                      "--out-prefix", str(workdir / "k16")]) == 0
@@ -449,6 +490,18 @@ class TestCompare:
         assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["architectures"]["vector"]["latency_cycles"] > 0
 
+
+    def test_layout_checked_before_inputs_drawn(self, tmp_path, capsys,
+                                                monkeypatch):
+        calls = []
+        monkeypatch.setattr(kernel, "generate_inputs",
+                            lambda *args, **kwargs: calls.append(args))
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("vec_len = 200000\nn_vregs = 0\n")
+        assert main(["compare", "--config", str(cfg),
+                     "--out", str(tmp_path / "cmp.json")]) == 1
+        one_line_error(capsys, "layout needs 2200000 words, memory has 4096")
+        assert calls == []
 
     def test_data_lane_count_checked(self, workdir, capsys):
         assert main(["kernel-gen", "--veclen", "16", "--seed", "1",
@@ -504,7 +557,7 @@ class TestCompare:
 
     @pytest.mark.parametrize("command,component", [
         (["compare"], "mul_units"),
-        (["sweep", "kern.asm", "--mixes", "8-8-8"], "multipliers"),
+        (["sweep", "kern.asm", "--mixes", "8-8-8"], "mul_units"),
     ])
     def test_overflowing_calibration_rejected(self, workdir, capsys, command,
                                               component):

@@ -6,12 +6,13 @@ is its output) is exactly one `error:` line on stderr.  The JSON that `run`,
 `compare` and `project` write on success is strict JSON: no `Infinity` or
 `NaN`.
 
-Size-like values (vec_len, dmem_words, register counts, --veclen) stay at
-or below 64 and --max-cycles at or below 10**4: the aim is the error path,
-not large memories.  The integers that size no memory and bound no loop
-(project's --latency, --slices and --budget, compare's --barrier) also take
-400-digit values.  `sweep` gets branch-free programs only, because its
-simulations run under core.run's default cycle limit of 10**7.
+Config integers, unit counts in --mixes and the data cells also take
+values far out of range: 400-digit integers, which the bound on a core's
+memory and registers or the slice model rejects, and a cell longer than
+the csv module's field limit.  --veclen stays at or below 64 and
+--max-cycles at or below 10**4: the aim is the error path, not large
+memories.  `sweep` gets branch-free programs only, because its simulations
+run under core.run's default cycle limit of 10**7.
 """
 
 import io
@@ -73,7 +74,8 @@ INT_KEYS = ["vec_len", "n_vregs", "n_sregs", "n_add", "n_mul", "n_div",
 REAL_KEYS = ["clock_mhz", "c_add", "c_mul", "c_div", "c_convert",
              "base_vector", "base_seq", "c_tiled_barrier"]
 CONFIG_LINE = st.one_of(
-    st.tuples(st.sampled_from(INT_KEYS), SMALL | st.sampled_from(["x", "1.5"])),
+    st.tuples(st.sampled_from(INT_KEYS),
+              SMALL | HUGE.map(str) | st.sampled_from(["x", "1.5"])),
     st.tuples(st.sampled_from(REAL_KEYS), REAL),
     st.tuples(st.just("enable_converter"),
               st.sampled_from(["true", "false", "TRUE", "maybe"])),
@@ -83,6 +85,7 @@ CONFIG = st.lists(CONFIG_LINE, max_size=6).map("\n".join)
 
 CELL = st.sampled_from(["1.25", "0.5", "-2", "0", "1e400", "nan", "inf",
                         "abc", "", '"1\n2"', "0x10"])
+LONG_CELL = "1" * 131_073      # one character past csv's field size limit
 
 
 @st.composite
@@ -96,7 +99,7 @@ def data_csv(draw):
     rows = [[base] * len(names) for _ in range(lanes)]
     for _ in range(draw(st.integers(0, 3)) if rows else 0):
         row = rows[draw(st.integers(0, lanes - 1))]
-        cell = draw(CELL)
+        cell = draw(CELL | st.just(LONG_CELL))
         if draw(st.booleans()):
             row.append(cell)
         else:
@@ -113,9 +116,11 @@ def contents(text):
 # Placeholders in argv, replaced by paths once the files are written.
 INPUT = st.sampled_from(["@file", "@file", "@file", "@missing", "@dir"])
 OUT = st.sampled_from(["@out", "@out", "-", "@nodir/out", "@dir"])
+COUNT = SMALL | HUGE.map(str)
 MIXES = st.one_of(
-    st.lists(st.tuples(SMALL, SMALL, SMALL).map("-".join),
+    st.lists(st.tuples(COUNT, COUNT, COUNT).map("-".join),
              min_size=1, max_size=4).map(",".join),
+    st.lists(COUNT, min_size=1, max_size=4).map(lambda c: "sym:" + ",".join(c)),
     st.sampled_from(["sym:1,2,4", "sym:", "8-8", "", "sym:8,x"]), WORD)
 OPTIONS = {
     "asm": [("--config", INPUT), ("--check-only", None)],
@@ -184,13 +189,22 @@ def not_json(constant):
 
 
 NO_FILES = {"@prog": b"", "@config": b"", "@data": b""}
+HALT = {**NO_FILES, "@prog": b"HALT"}
 PROJECT = ["project", "--latency", "275", "--slices", "41300", "--budget"]
+RUN_HALT = ["run", "@prog", "--max-cycles", "10", "--observe", "0:0"]
+LONG_ROW = ",".join([*INPUT_NAMES, "s_k"]) + "\n" + LONG_CELL
 
 
 @settings(max_examples=200, deadline=None)
 @given(invocation())
 @example(("project", PROJECT + ["200000", "--clock", "1e308"], NO_FILES))
 @example(("project", PROJECT + [str(10**400)], NO_FILES))
+@example(("sweep", ["sweep", "@prog", "--mixes", "1-1-" + "9" * 400], HALT))
+@example(("sweep", ["sweep", "@prog", "--mixes", "sym:" + "9" * 5000], HALT))
+@example(("run", RUN_HALT + ["--config", "@config"],
+          {**HALT, "@config": f"dmem_words = {10**20}".encode()}))
+@example(("run", RUN_HALT + ["--data", "@data"],
+          {**HALT, "@data": LONG_ROW.encode()}))
 def test_exit_codes_and_one_error_line(case):
     command, argv, files = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import vproc.fixedpoint as fx
 from vproc import isa, kernel
-from vproc.core import (CoreConfig, SimulationFault, SimulationTimeout,
-                        ValidationError, instr_cost, run, waves)
+from vproc.core import (MAX_STATE_WORDS, CoreConfig, SimulationFault,
+                        SimulationTimeout, ValidationError, instr_cost, run,
+                        waves)
 from vproc.isa import Instruction, OpClass, Program
 
 from conftest import random_program, ref_run
@@ -54,6 +55,19 @@ class TestCoreConfig:
         with pytest.raises(ValueError, match="dmem_words must be >= 1"):
             CoreConfig(dmem_words=0)
         assert CoreConfig(dmem_words=1, n_sregs=0, n_vregs=0).dmem_words == 1
+
+    def test_state_words_bounded(self):
+        # 16 scalar and 16 vector registers of 24 lanes, the rest memory
+        words = MAX_STATE_WORDS - 16 - 16 * 24
+        assert CoreConfig(dmem_words=words).dmem_words == words
+        with pytest.raises(ValueError, match=f"must be <= {MAX_STATE_WORDS}"):
+            CoreConfig(dmem_words=words + 1)
+
+    @pytest.mark.parametrize("field", ["dmem_words", "n_vregs", "n_sregs",
+                                       "vec_len"])
+    def test_huge_size_rejected(self, field):
+        with pytest.raises(ValueError, match="must be <="):
+            CoreConfig(**{field: 10**20})
 
     def test_no_scalar_registers_runs_vector_program(self):
         p = isa.assemble("VADD v1, v1, v1\nHALT")

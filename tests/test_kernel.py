@@ -213,10 +213,9 @@ class TestAgainstHandWrittenKernel:
             assert archmodels.tiled_latency(kernel.KERNEL, cfg, barrier_cost=0) \
                 == brute_force_longest_path(nodes, edges, cfg)
         counts = collections.Counter(cls for _, cls in nodes)
-        breakdown = resources.estimate_tiled(kernel.KERNEL, replication).breakdown
-        assert breakdown.keys() == {"barrier", *(c.value + "_units" for c in counts)}
-        assert {c: breakdown[c.value + "_units"] for c in counts} \
-            == {c: round(replication * n * UNIT_COST[c]) for c, n in counts.items()}
+        assert resources.estimate_tiled(kernel.KERNEL, replication).slices \
+            == round(CAL.c_tiled_barrier) + sum(
+                round(replication * n * UNIT_COST[c]) for c, n in counts.items())
 
     def test_oracle_values(self):
         for W in WIDTHS:
@@ -291,16 +290,16 @@ class TestAllocator:
 
 def tiled_reference(stmts, cfg, replication):
     """Brute-force critical path over one node per statement and one edge
-    per operand that is an earlier result, and the per-class unit slices in
-    first-appearance order."""
+    per operand that is an earlier result, and the slices of the barrier
+    plus one unit per statement per replica."""
     nodes = [(dest, kernel.OPS[op][0]) for dest, op, *_ in stmts]
     edges = [(x, dest) for i, (dest, _, *args) in enumerate(stmts)
              for x in args if x in {d for d, *_ in stmts[:i]}]
     classes = [cls for _, cls in nodes]
-    units = {cls.value + "_units": round(replication * classes.count(cls) * UNIT_COST[cls])
-             for cls in dict.fromkeys(classes)}
-    return (brute_force_longest_path(nodes, edges, cfg),
-            {"barrier": round(CAL.c_tiled_barrier), **units})
+    slices = round(CAL.c_tiled_barrier) + sum(
+        round(replication * classes.count(cls) * cost)
+        for cls, cost in UNIT_COST.items())
+    return brute_force_longest_path(nodes, edges, cfg), slices
 
 
 class TestTiledModelsOnRandomKernels:
@@ -310,7 +309,6 @@ class TestTiledModelsOnRandomKernels:
     @example(kernel.KERNEL, (1, 1, 64), 24)
     def test_against_brute_force(self, stmts, lat, replication):
         cfg = CoreConfig(lat_add=lat[0], lat_mul=lat[1], lat_div=lat[2])
-        path, breakdown = tiled_reference(stmts, cfg, replication)
+        path, slices = tiled_reference(stmts, cfg, replication)
         assert archmodels.tiled_latency(stmts, cfg, barrier_cost=0) == path
-        got = resources.estimate_tiled(stmts, replication).breakdown
-        assert list(got.items()) == list(breakdown.items())
+        assert resources.estimate_tiled(stmts, replication).slices == slices

@@ -2,13 +2,21 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vproc import kernel
 from vproc.core import CoreConfig
+from vproc.isa import ValidationError
 from vproc.resources import (Calibration, calibrate, estimate_sequential,
                              estimate_tiled, estimate_vector)
 
 CFG = CoreConfig(enable_converter=False)
+
+
+def formula(base, n_add, n_mul, n_div, cal, converter=False):
+    """base + units × unit cost per class (+ converter), each term rounded."""
+    return (round(base) + round(n_add * cal.c_add) + round(n_mul * cal.c_mul)
+            + round(n_div * cal.c_div) + (round(cal.c_convert) if converter else 0))
 
 
 class TestVectorEstimate:
@@ -31,19 +39,17 @@ class TestVectorEstimate:
         with_conv = estimate_vector(CoreConfig(enable_converter=True))
         without = estimate_vector(CFG)
         assert with_conv.slices - without.slices == 800
-        assert "converter" in with_conv.breakdown
-        assert "converter" not in without.breakdown
+        assert without.slices == 13300 + 8 * (350 + 900 + 750)
 
     def test_breakdown_sums_to_total(self):
         est = estimate_vector(CoreConfig(n_add=3, n_mul=7, n_div=11))
-        assert sum(est.breakdown.values()) == est.slices
+        assert est.slices == 13300 + 3 * 350 + 7 * 900 + 11 * 750 + 800
 
 
 class TestSequentialEstimate:
     def test_default(self):
-        est = estimate_sequential()
-        assert est.slices == 16520
-        assert "convert" not in " ".join(est.breakdown)
+        est = estimate_sequential()     # one unit per class, no converter
+        assert est.slices == 16520 == 14520 + 350 + 900 + 750
 
     def test_vector_over_sequential_ratio(self):
         vec = estimate_vector(CFG.with_mix(8, 8, 24)).slices
@@ -65,6 +71,57 @@ class TestTiledEstimate:
     def test_ratio_to_sequential(self):
         ratio = estimate_tiled(kernel.KERNEL, 24).slices / estimate_sequential().slices
         assert ratio == pytest.approx(12.2, abs=0.1)
+
+
+CALIBRATIONS = st.builds(
+    lambda costs, rest: Calibration(*costs, *rest),
+    # c_add < c_div < c_mul, as Calibration requires
+    st.lists(st.floats(0, 1e6), min_size=3, max_size=3, unique=True)
+    .map(sorted).map(lambda c: (c[0], c[2], c[1])),
+    st.tuples(*[st.floats(0, 1e6)] * 4))
+COUNTS = st.integers(0, 10**6)
+
+
+class TestAgainstFormula:
+    """Every estimator is base + Σ round(units × unit cost), written out."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(CALIBRATIONS, st.tuples(COUNTS, COUNTS, COUNTS), st.booleans())
+    def test_vector(self, cal, mix, converter):
+        cfg = CoreConfig(enable_converter=converter).with_mix(*mix)
+        assert estimate_vector(cfg, cal).slices \
+            == formula(cal.base_vector, *mix, cal, converter)
+
+    @settings(max_examples=100, deadline=None)
+    @given(CALIBRATIONS)
+    def test_sequential(self, cal):
+        assert estimate_sequential(cal).slices \
+            == formula(cal.base_seq, 1, 1, 1, cal)
+
+    @settings(max_examples=200, deadline=None)
+    @given(CALIBRATIONS, st.lists(st.sampled_from(sorted(kernel.OPS))),
+           st.integers(1, 10**4))
+    def test_tiled(self, cal, ops, replication):
+        stmts = [(f"r{i}", op, "a", "b") for i, op in enumerate(ops)]
+        classes = [kernel.OPS[op][0].value for op in ops]
+        assert estimate_tiled(stmts, replication, cal).slices \
+            == formula(cal.c_tiled_barrier,
+                       *(replication * classes.count(c) for c in ("add", "mul", "div")),
+                       cal)
+
+    @pytest.mark.parametrize("mix,cal,component", [
+        ((8, 8, 8), Calibration(c_mul=1e308, c_div=1e307), "mul_units"),
+        ((1, 1, 10**400), Calibration(), "div_units"),      # int beyond float
+        ((10**306, 1, 1), Calibration(), "add_units"),      # product beyond float
+    ])
+    def test_non_finite_term_named(self, mix, cal, component):
+        with pytest.raises(ValidationError,
+                           match=f"slice count of '{component}' is not finite"):
+            estimate_vector(CFG.with_mix(*mix), cal)
+
+    def test_non_finite_tiled_term_named(self):
+        with pytest.raises(ValidationError, match="'add_units' is not finite"):
+            estimate_tiled(kernel.KERNEL, 10**400)
 
 
 class TestCalibration:
