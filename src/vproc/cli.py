@@ -198,17 +198,16 @@ def cmd_asm(args) -> int:
     source = _read(args.program)    # its error is an `error:` line, not a listing
     try:
         program = isa.assemble(source)
+        if not args.check_only:
+            for idx, line in enumerate(isa.disassemble(program).splitlines()):
+                print(f"{idx:4d}  {line}")
+        if diags := isa.validate(program, cfg):
+            raise ValidationError(*diags)
     except ValidationError as exc:
         for d in exc.diagnostics:
             print(d, file=sys.stderr)
         return 1
-    diags = isa.validate(program, cfg)
-    if not args.check_only:
-        for idx, line in enumerate(isa.disassemble(program).splitlines()):
-            print(f"{idx:4d}  {line}")
-    for d in diags:
-        print(d, file=sys.stderr)
-    return 1 if diags else 0
+    return 0
 
 
 def cmd_run(args) -> int:
@@ -253,8 +252,7 @@ def cmd_compare(args) -> int:
     kernel.checked_layout(cfg.vec_len, cfg.dmem_words)
     inputs = (_data_inputs(args.data, cfg)
               or kernel.generate_inputs(cfg.vec_len, seed=0))
-    program = kernel.emit_program(cfg.vec_len, s_k=inputs.s_k,
-                                  dmem_words=cfg.dmem_words)
+    program = kernel.emit_program(cfg.vec_len, s_k=inputs.s_k)
 
     tiled_lat = archmodels.tiled_latency(kernel.KERNEL, cfg,
                                          barrier_cost=args.barrier)
@@ -310,8 +308,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_kernel_gen(args) -> int:
-    # Check the layout before drawing 10 * W inputs for it.
-    kernel.checked_layout(args.veclen, CoreConfig.dmem_words)
+    # Check the layout fits some core before drawing 10 * W inputs for it.
+    kernel.checked_layout(args.veclen, core.MAX_STATE_WORDS)
     inputs = kernel.generate_inputs(args.veclen, args.seed)
     program = kernel.emit_program(args.veclen, s_k=inputs.s_k)
     expected = [["out"]] + [[repr(x)] for x in kernel.oracle(inputs)]

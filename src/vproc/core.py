@@ -44,21 +44,21 @@ class CoreConfig:
 
     def __post_init__(self) -> None:
         if self.vec_len < 1:
-            raise ValueError("vec_len must be >= 1")
+            raise ValidationError("vec_len must be >= 1")
         if self.mem_port_width is not None and self.mem_port_width < 1:
-            raise ValueError("mem_port_width must be >= 1")
+            raise ValidationError("mem_port_width must be >= 1")
         for name in ("n_add", "n_mul", "n_div", "lat_add", "lat_mul",
                      "lat_div", "issue_cost", "lat_convert", "n_sregs", "n_vregs"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ValidationError(f"{name} must be >= 0")
         if self.dmem_words < 1:
-            raise ValueError("dmem_words must be >= 1")
+            raise ValidationError("dmem_words must be >= 1")
         if self.dmem_words + self.n_vregs * self.vec_len + self.n_sregs > MAX_STATE_WORDS:
-            raise ValueError(f"dmem_words + n_vregs * vec_len + n_sregs must "
-                             f"be <= {MAX_STATE_WORDS} words")
+            raise ValidationError(f"dmem_words + n_vregs * vec_len + n_sregs must "
+                                  f"be <= {MAX_STATE_WORDS} words")
         if not (math.isfinite(self.clock_mhz) and self.clock_mhz > 0):
-            raise ValueError(f"clock_mhz must be finite and > 0, "
-                             f"got {self.clock_mhz}")
+            raise ValidationError(f"clock_mhz must be finite and > 0, "
+                                  f"got {self.clock_mhz}")
 
     def with_mix(self, n_add: int, n_mul: int, n_div: int) -> "CoreConfig":
         return replace(self, n_add=n_add, n_mul=n_mul, n_div=n_div)
@@ -84,7 +84,7 @@ class ExecReport:
 
 
 class SimulationFault(Exception):
-    """Illegal access or control flow during execution."""
+    """Control flow leaving the program during execution."""
 
     def __init__(self, instr_index: int, message: str):
         super().__init__(f"fault at instruction {instr_index}: {message}")
@@ -101,7 +101,7 @@ class SimulationTimeout(Exception):
 def waves(v: int, k: int) -> int:
     """Scheduling rounds to push V elements through K units."""
     if v < 1 or k < 1:
-        raise ValueError("waves() requires positive element and unit counts")
+        raise ValidationError("waves() requires positive element and unit counts")
     return -(-v // k)
 
 
@@ -224,51 +224,48 @@ def run(p: Program, cfg: CoreConfig,
 
         op = i.op
         next_pc = pc + 1
-        try:
-            if op in _ALU:
-                fn, shape = _ALU[op]
-                if shape == "vv":
-                    v[i.d] = [fn(x, y, flags) for x, y in zip(v[i.a], v[i.b])]
-                elif shape == "vs":
-                    y = s[i.b]
-                    v[i.d] = [fn(x, y, flags) for x in v[i.a]]
-                elif shape == "v":
-                    v[i.d] = [fn(one, x, flags) for x in v[i.a]]
-                elif shape == "ss":
-                    s[i.d] = fn(s[i.a], s[i.b], flags)
-                elif shape == "si":
-                    s[i.d] = fn(s[i.a], i.imm.raw, flags)
-                else:
-                    s[i.d] = fn(one, s[i.a], flags)
-            elif op == "SLD":
-                s[i.d] = mem[i.addr]
-            elif op == "SST":
-                mem[i.addr] = s[i.a]
-            elif op == "LDI":
-                s[i.d] = i.imm.raw
-            elif op == "SMOV":
-                s[i.d] = s[i.a]
-            elif op == "VLD":
-                v[i.d] = mem[i.addr:i.addr + W]
-            elif op == "VST":
-                mem[i.addr:i.addr + W] = v[i.a]
-            elif op == "VMOV":
-                v[i.d] = list(v[i.a])
-            elif op in ("JMP", "BZ", "BNZ"):
-                if retired[pc] > max_cycles:
-                    raise SimulationTimeout(report(cycles))
-                if op == "JMP" or (s[i.a] == 0) == (op == "BZ"):
-                    next_pc = i.target
-            elif op == "F2X":
-                s[i.d] = _convert_f2x(s[i.a], flags)
-            elif op == "X2F":
-                s[i.d] = struct.unpack("<q", struct.pack("<d", s[i.a] / fx.SCALE))[0]
-            elif op == "HALT":
-                break
-            else:  # pragma: no cover - table and dispatch kept in sync
-                raise SimulationFault(pc, f"unimplemented opcode {op}")
-        except IndexError as exc:
-            raise SimulationFault(pc, f"memory access out of range ({op})") from exc
+        if op in _ALU:
+            fn, shape = _ALU[op]
+            if shape == "vv":
+                v[i.d] = [fn(x, y, flags) for x, y in zip(v[i.a], v[i.b])]
+            elif shape == "vs":
+                y = s[i.b]
+                v[i.d] = [fn(x, y, flags) for x in v[i.a]]
+            elif shape == "v":
+                v[i.d] = [fn(one, x, flags) for x in v[i.a]]
+            elif shape == "ss":
+                s[i.d] = fn(s[i.a], s[i.b], flags)
+            elif shape == "si":
+                s[i.d] = fn(s[i.a], i.imm.raw, flags)
+            else:
+                s[i.d] = fn(one, s[i.a], flags)
+        elif op == "SLD":
+            s[i.d] = mem[i.addr]
+        elif op == "SST":
+            mem[i.addr] = s[i.a]
+        elif op == "LDI":
+            s[i.d] = i.imm.raw
+        elif op == "SMOV":
+            s[i.d] = s[i.a]
+        elif op == "VLD":
+            v[i.d] = mem[i.addr:i.addr + W]
+        elif op == "VST":
+            mem[i.addr:i.addr + W] = v[i.a]
+        elif op == "VMOV":
+            v[i.d] = list(v[i.a])
+        elif op in ("JMP", "BZ", "BNZ"):
+            if retired[pc] > max_cycles:
+                raise SimulationTimeout(report(cycles))
+            if op == "JMP" or (s[i.a] == 0) == (op == "BZ"):
+                next_pc = i.target
+        elif op == "F2X":
+            s[i.d] = _convert_f2x(s[i.a], flags)
+        elif op == "X2F":
+            s[i.d] = struct.unpack("<q", struct.pack("<d", s[i.a] / fx.SCALE))[0]
+        elif op == "HALT":
+            break
+        else:  # pragma: no cover - table and dispatch kept in sync
+            raise SimulationFault(pc, f"unimplemented opcode {op}")
         s[0] = 0                # s0 is a hardwired zero; writes are ignored
         pc = next_pc
 

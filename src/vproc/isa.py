@@ -95,12 +95,20 @@ class Program:
     data_init: list[tuple[int, list[Fixed64]]] = field(default_factory=list)
 
 
+MAX_DIAGNOSTIC = 300   # characters; a longer message keeps both ends (the reason)
+
+
+def _bounded(text: str) -> str:
+    keep = (MAX_DIAGNOSTIC - 5) // 2
+    return text if len(text) <= MAX_DIAGNOSTIC else f"{text[:keep]} ... {text[-keep:]}"
+
+
 class ValidationError(ValueError):
     """Rejected input, from any module; .diagnostics lists every message."""
 
     def __init__(self, *diagnostics: str):
-        super().__init__("; ".join(diagnostics))
-        self.diagnostics = list(diagnostics)
+        self.diagnostics = [_bounded(d) for d in diagnostics]
+        super().__init__(_bounded("; ".join(self.diagnostics)))
 
 
 def _parse_value(token: str) -> Fixed64:
@@ -230,8 +238,8 @@ _TEXT = {"imm": _format_value, "addr": lambda x: f"[{x & -1}]",
 
 def disassemble(p: Program) -> str:
     """Canonical text; branch targets get synthetic labels L<index>.  An
-    instruction or .data entry that cannot be printed raises ValueError with
-    the validator's diagnostic."""
+    instruction or .data entry that cannot be printed raises ValidationError
+    with the validator's diagnostic."""
     targets = {i.target for i in p.instructions if i.target is not None}
     lines: list[str] = []
     for idx, instr in enumerate(p.instructions):
@@ -239,13 +247,13 @@ def disassemble(p: Program) -> str:
         try:
             operands = [_TEXT[kind](fields[slot]) for slot, kind in _OPERANDS[instr.op]]
         except (AttributeError, KeyError, TypeError):
-            raise ValueError(_bad_operand(idx, instr)) from None
+            raise ValidationError(_bad_operand(idx, instr)) from None
         prefix = f"L{idx}: " if idx in targets else ""
         text = instr.op if not operands else f"{instr.op} {', '.join(operands)}"
         lines.append(prefix + text)
     for entry in p.data_init:
         if bad := _bad_data(entry):
-            raise ValueError(bad)
+            raise ValidationError(bad)
         addr, values = entry
         lines.append(f".data {addr} " + " ".join(_format_value(v) for v in values))
     return "\n".join(lines)

@@ -51,18 +51,16 @@ class KernelInputs:
 
 
 def default_layout(vec_len: int) -> dict[str, int]:
-    """Contiguous W-word regions: inputs in order, then the output."""
+    """Contiguous W-word regions, W >= 1: inputs in order, then the output."""
+    if vec_len < 1:
+        raise ValidationError(f"vector length {vec_len} must be >= 1")
     return {name: i * vec_len for i, name in enumerate((*INPUT_NAMES, "out"))}
 
 
-def checked_layout(vec_len: int, dmem_words: int) -> dict[str, int]:
-    """The default layout, or ValidationError if it is empty or overflows memory."""
-    if vec_len < 1:
-        raise ValidationError(f"vector length {vec_len} must be >= 1")
-    layout = default_layout(vec_len)
-    if (end := layout["out"] + vec_len) > dmem_words:
+def checked_layout(vec_len: int, dmem_words: int) -> None:
+    """ValidationError unless the default layout fits in dmem_words words."""
+    if (end := default_layout(vec_len)["out"] + vec_len) > dmem_words:
         raise ValidationError(f"layout needs {end} words, memory has {dmem_words}")
-    return layout
 
 
 def _allocate(stmts: tuple[tuple[str, ...], ...], first: int) -> dict[str, int]:
@@ -87,13 +85,12 @@ _FIRST_DIVISION = next(i for i, (_, op, *_) in enumerate(KERNEL)
                        if OPS[op][0] is OpClass.DIV_CLASS)
 
 
-def _emit(prefix: str, lanes: range, vec_len: int, s_k: float,
-          dmem_words: int) -> Program:
+def _emit(prefix: str, lanes: range, vec_len: int, s_k: float) -> Program:
     """KERNEL in `prefix` ("V" or "S") mnemonics: the constant's LDI, then, per
     lane offset, the input loads, the statements and the result's store.
     Registers: inputs from v0 (S: s1; s0 is zero), results after them, and
     sk in s1 (S: s15); a V op on sk is vector-scalar."""
-    layout = checked_layout(vec_len, dmem_words)
+    layout = default_layout(vec_len)
     first = int(prefix == "S")
     reg = {**{name: first + i for i, name in enumerate(INPUT_NAMES)},
            "sk": 15 if first else 1,
@@ -111,20 +108,20 @@ def _emit(prefix: str, lanes: range, vec_len: int, s_k: float,
     return Program(instructions=ins)
 
 
-def emit_program(vec_len: int = CoreConfig.vec_len, s_k: float = 1.0,
-                 dmem_words: int = CoreConfig.dmem_words) -> Program:
-    """Straight-line vector realization; 24 instructions including the LDI."""
-    return _emit("V", range(1), vec_len, s_k, dmem_words)
+def emit_program(vec_len: int = CoreConfig.vec_len, s_k: float = 1.0) -> Program:
+    """Straight-line vector realization; 24 instructions including the LDI.
+    It names no memory size: `isa.validate` decides which cores hold it."""
+    return _emit("V", range(1), vec_len, s_k)
 
 
 def emit_scalar_program(vec_len: int = CoreConfig.vec_len,
                         s_k: float = 1.0) -> Program:
     """Per-element scalar transcription, same operation order within a lane.
 
-    The ISA has no indexed addressing, so the element loop is fully
-    unrolled; the static instruction count grows linearly in W.
+    The ISA has no indexed addressing, so the element loop is unrolled into
+    22 * W + 2 instructions.  Like `emit_program`, it names no memory size.
     """
-    return _emit("S", range(vec_len), vec_len, s_k, CoreConfig.dmem_words)
+    return _emit("S", range(vec_len), vec_len, s_k)
 
 
 def oracle(inputs: KernelInputs) -> list[float]:
@@ -137,15 +134,15 @@ def oracle(inputs: KernelInputs) -> list[float]:
             for lane, values in enumerate(zip(*(env[n] for n in GUARDED))):
                 for name, divisor in zip(GUARDED, values):
                     if abs(divisor) < DIVISOR_BOUND:
-                        raise ValueError(f"lane {lane}: divisor {name}={divisor} below"
-                                         f" bound {DIVISOR_BOUND}; inputs rejected")
+                        raise ValidationError(f"lane {lane}: divisor {name}={divisor} below"
+                                              f" bound {DIVISOR_BOUND}; inputs rejected")
         try:
             env[dest] = list(map(OPS[op][2], *(env[x] for x in args)))
         except ZeroDivisionError:
             divisor = env[args[-1]]
             lane = divisor.index(0.0)
-            raise ValueError(f"lane {lane}: divisor {args[-1]}={divisor[lane]} is"
-                             f" zero; inputs rejected") from None
+            raise ValidationError(f"lane {lane}: divisor {args[-1]}={divisor[lane]} is"
+                                  f" zero; inputs rejected") from None
     return env[_OUT]
 
 

@@ -35,10 +35,10 @@ class Calibration:
 
     def __post_init__(self) -> None:
         if not (self.c_mul > self.c_div > self.c_add):
-            raise ValueError("calibration requires c_mul > c_div > c_add")
+            raise ValidationError("calibration requires c_mul > c_div > c_add")
         for f in fields(self):
             if not 0 <= getattr(self, f.name) < math.inf:   # also nan
-                raise ValueError(f"{f.name} must be finite and non-negative")
+                raise ValidationError(f"{f.name} must be finite and non-negative")
 
 
 DEFAULT_CALIBRATION = Calibration()
@@ -55,11 +55,10 @@ def _estimate(base: float, units: Iterable[int], cal: Calibration,
     """round(base) + Σ round(n × c_<class>) + round(c_convert) if present."""
     slices = round(base) + (round(cal.c_convert) if converter else 0)
     for cls, n, cost in zip(CLASS_UNITS, units, _UNIT_COSTS(cal)):
-        # A count beyond the float range, or a product beyond it, is not finite.
         term = n * cost if n <= sys.float_info.max else math.inf
         if not math.isfinite(term):
-            raise ValidationError(f"slice count of '{cls.value}_units' is not "
-                                  f"finite: calibration values too large")
+            raise ValidationError(f"slice count of '{cls.value}_units' is not finite: the unit "
+                                  f"count or its product with c_{cls.value} overflows a float")
         slices += round(term)
     return ResourceEstimate(slices)
 
@@ -76,7 +75,7 @@ def estimate_tiled(stmts: Iterable[tuple[str, ...]], replication: int,
                    cal: Calibration = DEFAULT_CALIBRATION) -> ResourceEstimate:
     """The barrier plus one unit per statement per replica, by class."""
     if replication < 1:
-        raise ValueError(f"replication {replication} must be >= 1")
+        raise ValidationError(f"replication {replication} must be >= 1")
     counts = Counter(OPS[op][0] for _, op, *_ in stmts)
     return _estimate(cal.c_tiled_barrier,
                      (replication * counts[cls] for cls in CLASS_UNITS), cal)

@@ -662,10 +662,31 @@ class TestKernelGen:
         calls = []
         monkeypatch.setattr(kernel, "generate_inputs",
                             lambda *args: calls.append(args))
-        assert main(["kernel-gen", "--veclen", "400",
+        assert main(["kernel-gen", "--veclen", "100000",
                      "--out-prefix", str(tmp_path / "k")]) == 1
-        one_line_error(capsys, "layout needs 4400 words, memory has 4096")
+        one_line_error(capsys, "layout needs 1100000 words, memory has 1048576")
         assert calls == []
+
+    def test_layout_checked_against_each_core(self, tmp_path, capsys):
+        """kernel-gen emits W = 400 (4400 words); the core that runs it decides
+        whether it fits."""
+        prefix = str(tmp_path / "k")
+        assert main(["kernel-gen", "--veclen", "400", "--out-prefix", prefix]) == 0
+        big, small = tmp_path / "big.cfg", tmp_path / "small.cfg"
+        big.write_text("vec_len = 400\ndmem_words = 4400\n")
+        small.write_text("vec_len = 400\n")
+        out = tmp_path / "r.json"
+        assert main(["run", prefix + ".asm", "--config", str(big),
+                     "--data", prefix + "_data.csv", "--out", str(out)]) == 0
+        got = json.loads(out.read_text())["memory"]
+        expected = kernel.oracle(cli.read_data_csv(prefix + "_data.csv"))
+        assert len(got) == 400
+        for g, e in zip(got, expected):
+            assert abs(g - e) / abs(e) <= 1e-6
+        assert main(["run", prefix + ".asm", "--config", str(small),
+                     "--data", prefix + "_data.csv"]) == 1
+        one_line_error(capsys, "instr 22 (VST): address 4000 (+400 words) "
+                               "outside data memory of 4096")
 
     def test_out_prefix_in_missing_directory(self, tmp_path, capsys):
         assert main(["kernel-gen",

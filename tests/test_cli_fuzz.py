@@ -2,9 +2,10 @@
 
 Whatever the subcommand, options and files, `vproc` exits 0, 1 or 2, never
 with a traceback, and each failure outside `asm` (whose diagnostic listing
-is its output) is exactly one `error:` line on stderr.  The JSON that `run`,
-`compare` and `project` write on success is strict JSON: no `Infinity` or
-`NaN`.
+is its output) is exactly one `error:` line on stderr.  No stderr line
+outgrows `isa.MAX_DIAGNOSTIC`, however long the input it echoes.  The JSON
+that `run`, `compare` and `project` write on success is strict JSON: no
+`Infinity` or `NaN`.
 
 Config integers, unit counts in --mixes and the data cells also take
 values far out of range: 400-digit integers, which the bound on a core's
@@ -25,6 +26,7 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 from vproc.cli import main
+from vproc.isa import MAX_DIAGNOSTIC
 from vproc.kernel import INPUT_NAMES
 
 # Command-line text as the OS delivers it: no NUL, no lone surrogates.
@@ -192,7 +194,9 @@ NO_FILES = {"@prog": b"", "@config": b"", "@data": b""}
 HALT = {**NO_FILES, "@prog": b"HALT"}
 PROJECT = ["project", "--latency", "275", "--slices", "41300", "--budget"]
 RUN_HALT = ["run", "@prog", "--max-cycles", "10", "--observe", "0:0"]
-LONG_ROW = ",".join([*INPUT_NAMES, "s_k"]) + "\n" + LONG_CELL
+HEADER = ",".join([*INPUT_NAMES, "s_k"]) + "\n"
+LONG_ROW = HEADER + LONG_CELL
+WIDE_ROW = HEADER + "1" * 100_000   # within the field limit; 1e99999 is inf
 
 
 @settings(max_examples=200, deadline=None)
@@ -205,6 +209,11 @@ LONG_ROW = ",".join([*INPUT_NAMES, "s_k"]) + "\n" + LONG_CELL
           {**HALT, "@config": f"dmem_words = {10**20}".encode()}))
 @example(("run", RUN_HALT + ["--data", "@data"],
           {**HALT, "@data": LONG_ROW.encode()}))
+@example(("run", RUN_HALT + ["--data", "@data"],
+          {**HALT, "@data": WIDE_ROW.encode()}))
+@example(("run", RUN_HALT, {**NO_FILES, "@prog": b"X" * 60_000}))
+@example(("run", RUN_HALT + ["--config", "@config"],
+          {**HALT, "@config": b"k" * 50_000 + b" = 1"}))
 def test_exit_codes_and_one_error_line(case):
     command, argv, files = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -228,6 +237,8 @@ def test_exit_codes_and_one_error_line(case):
             json.loads(text, parse_constant=not_json)
     assert rc in (0, 1, 2)
     assert "Traceback" not in err
+    lines = err.splitlines()
     if rc != 0 and command != "asm":
-        lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
+    # Echoed input is elided: no diagnostic line outgrows the bound.
+    assert all(len(line) <= len("error: ") + MAX_DIAGNOSTIC for line in lines)

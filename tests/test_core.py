@@ -308,36 +308,78 @@ _FIELD_OF = {"imm": "imm", "addr": "addr", "label": "target",
              **{k: k[1] for k in ("sd", "sa", "sb", "vd", "va", "vb")}}
 
 
+def _edge_ints(cfg: CoreConfig, op: str, kind: str, n: int, edge: str):
+    """Ints for one operand under cfg: within its range (a register bank,
+    the addresses whose span fits data memory, the n instruction indices;
+    0 if it is empty), or, for the `edge` kind, the last value in that range
+    or the first past it."""
+    span = cfg.vec_len if isa.is_vector(op) else 1
+    past = {"s": cfg.n_sregs, "v": cfg.n_vregs, "l": n,
+            "a": max(cfg.dmem_words - span + 1, 0)}[kind[0]]
+    last = max(past - 1, 0)
+    return st.sampled_from([last, past]) if kind[0] == edge else st.integers(0, last)
+
+
 @st.composite
-def library_program(draw):
+def library_program(draw, cfg: CoreConfig | None = None):
     """1-8 instructions over every opcode and one unknown name, and at most
     one .data entry of ints or words.  Each field is drawn from _FIELD; in
     about a third of the programs every operand a known opcode reads is then
     redrawn with its own type (an int in 0..15, a word for an immediate),
     so that those programs mostly pass validation and run.  Another third
     is redrawn the same way but with each int as a float, which validation
-    must reject."""
-    typed = draw(st.sampled_from([None, int, float]))
+    must reject.
+
+    Given a core, every program is redrawn with ints from `_edge_ints`, one
+    drawn kind of operand at the edge of its range, and has no unknown
+    opcode and no .data entry, which would hide that edge from the run."""
+    if cfg is None:
+        typed, ops = draw(st.sampled_from([None, int, float])), [*isa.OPCODES, "FOO"]
+    else:
+        typed, ops, edge = int, [*isa.OPCODES], draw(st.sampled_from("sval"))
+    n = draw(st.integers(1, 8))
     instructions = []
-    for _ in range(draw(st.integers(1, 8))):
-        op = draw(st.sampled_from([*isa.OPCODES, "FOO"]))
+    for _ in range(n):
+        op = draw(st.sampled_from(ops))
         fields = {f: draw(_FIELD) for f in ("d", "a", "b", "imm", "addr", "target")}
         for kind in isa.OPCODES[op][1] if typed and op in isa.OPCODES else ():
-            fields[_FIELD_OF[kind]] = draw(_WORD if kind == "imm"
-                                           else st.integers(0, 15).map(typed))
+            if kind == "imm":
+                value = _WORD
+            elif cfg is None:
+                value = st.integers(0, 15).map(typed)
+            else:
+                value = _edge_ints(cfg, op, kind, n, edge)
+            fields[_FIELD_OF[kind]] = draw(value)
         instructions.append(Instruction(op, **fields))
+    if cfg is not None:
+        return Program(instructions)
     values = st.lists(st.one_of(st.integers(-4, 40), _WORD), max_size=4)
     data = draw(st.lists(st.tuples(st.integers(-4, 40), values), max_size=1))
     return Program(instructions, data)
 
 
+# Small cores, so that operands often hit the end of a register bank or of
+# data memory; an observe range around that memory.
+SMALL_CONFIG = st.builds(
+    CoreConfig, vec_len=st.integers(1, 8), n_sregs=st.integers(0, 4),
+    n_vregs=st.integers(0, 4), dmem_words=st.integers(1, 48),
+    n_add=st.integers(0, 3), n_mul=st.integers(0, 3), n_div=st.integers(0, 3),
+    enable_converter=st.booleans())
+OBSERVE = st.none() | st.tuples(st.integers(-2, 50), st.integers(-2, 50))
+
+
 class TestLibraryProgramContract:
     @settings(max_examples=300, deadline=None)
-    @given(p=library_program())
-    def test_run_returns_or_raises_a_simulation_error(self, p):
+    @given(p=library_program(), observe=OBSERVE,
+           small=SMALL_CONFIG.flatmap(lambda c: st.tuples(st.just(c), library_program(c))))
+    def test_run_returns_or_raises_a_simulation_error(self, p, small, observe):
         """core.run on any library-built program returns a report or raises
-        one of its own errors, never a bare Python one."""
-        try:
-            run(p, CoreConfig(), max_cycles=1000)
-        except (ValidationError, SimulationFault, SimulationTimeout):
-            pass
+        one of its own errors, never a bare Python one: once isa.validate
+        passes, no register, address or branch target is out of range."""
+        cfg, small_p = small
+        for prog, core_cfg, window in ((p, CoreConfig(), None),
+                                       (small_p, cfg, observe)):
+            try:
+                run(prog, core_cfg, observe=window, max_cycles=1000)
+            except (ValidationError, SimulationFault, SimulationTimeout):
+                pass

@@ -12,7 +12,7 @@ import pkgutil
 import pytest
 
 import vproc
-from vproc import cli, dse, isa, kernel, resources
+from vproc import cli, core, dse, isa, kernel, resources
 from vproc.archmodels import tiled_latency
 from vproc.core import CoreConfig
 from vproc.isa import ValidationError
@@ -39,8 +39,13 @@ def test_three_exception_classes():
     lambda: dse.amdahl(2.0, 1.0),
     lambda: cli.parse_mix_spec(""),
     lambda: cli.parse_config_text("x"),
+    lambda: CoreConfig(vec_len=0),
+    lambda: Calibration(c_add=-1.0),
+    lambda: resources.estimate_tiled(kernel.KERNEL, 0),
+    lambda: core.waves(24, 0),
 ], ids=["assembly", "layout-overflow", "layout-empty", "calibration",
-        "barrier", "amdahl", "mix-spec", "config"])
+        "barrier", "amdahl", "mix-spec", "config", "core-field",
+        "calibration-field", "replication", "waves"])
 def test_rejected_input_raises_validation_error(trigger):
     with pytest.raises(ValidationError) as exc:
         trigger()

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -55,13 +56,24 @@ class TestEmitProgram:
         assert isa.assemble(isa.disassemble(p)) == p
 
     def test_layout_must_fit_memory(self):
-        with pytest.raises(ValidationError):
-            kernel.emit_program(512)   # 11 * 512 words > 4096
+        """The program names no memory size; isa.validate rejects its
+        11 * 512 = 5632-word layout on the default 4096-word core."""
+        p = kernel.emit_program(512)
+        assert "instr 22 (VST): address 5120 (+24 words) outside data memory " \
+               "of 4096" in isa.validate(p, CoreConfig())
+        assert "instr 22 (VST): address 5120 (+512 words) outside data memory " \
+               "of 4096" in isa.validate(p, CoreConfig(vec_len=512))
 
     def test_layout_checked_against_given_memory(self):
-        assert kernel.emit_program(400, dmem_words=8192).instructions  # 4400 words
+        p = kernel.emit_program(400)   # 4400 words
+        wide = CoreConfig(vec_len=400)
+        assert isa.validate(p, replace(wide, dmem_words=8192)) == []
+        assert isa.validate(p, replace(wide, dmem_words=4400)) == []
+        assert "instr 22 (VST): address 4000 (+400 words) outside data memory " \
+               "of 4399" in isa.validate(p, replace(wide, dmem_words=4399))
+        kernel.checked_layout(400, 4400)
         with pytest.raises(ValidationError, match="memory has 4399"):
-            kernel.emit_program(400, dmem_words=4399)
+            kernel.checked_layout(400, 4399)
 
     @pytest.mark.parametrize("emit", [kernel.emit_program,
                                       kernel.emit_scalar_program])
