@@ -20,6 +20,9 @@ from .isa import (CLASS_LAT, CLASS_UNITS, Instruction, OpClass, Program,
 
 MAX_CYCLES = 10_000_000     # default cycle budget of one run
 MAX_STATE_WORDS = 1 << 20   # bound on dmem_words + n_vregs * vec_len + n_sregs
+_INT_LEAST = {"vec_len": 1, "mem_port_width": 1, **dict.fromkeys((
+    "n_add", "n_mul", "n_div", "lat_add", "lat_mul", "lat_div", "issue_cost",
+    "lat_convert", "n_sregs", "n_vregs"), 0), "dmem_words": 1}
 
 
 @dataclass
@@ -43,22 +46,22 @@ class CoreConfig:
     clock_mhz: float = 100.0   # read by no model; default of `vproc project --clock`
 
     def __post_init__(self) -> None:
-        if self.vec_len < 1:
-            raise ValidationError("vec_len must be >= 1")
-        if self.mem_port_width is not None and self.mem_port_width < 1:
-            raise ValidationError("mem_port_width must be >= 1")
-        for name in ("n_add", "n_mul", "n_div", "lat_add", "lat_mul",
-                     "lat_div", "issue_cost", "lat_convert", "n_sregs", "n_vregs"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-        if self.dmem_words < 1:
-            raise ValidationError("dmem_words must be >= 1")
+        for name, least in _INT_LEAST.items():
+            if type(value := getattr(self, name)) is not int or value < least:
+                if value is None and name == "mem_port_width":
+                    continue
+                raise ValidationError(f"{name} must be >= {least}" + (
+                    "" if type(value) is int else f", got {value!r}: not an int"))
+        if type(converter := self.enable_converter) is not bool:
+            raise ValidationError(f"enable_converter must be a bool, got {converter!r}")
         if self.dmem_words + self.n_vregs * self.vec_len + self.n_sregs > MAX_STATE_WORDS:
             raise ValidationError(f"dmem_words + n_vregs * vec_len + n_sregs must "
                                   f"be <= {MAX_STATE_WORDS} words")
-        if not (math.isfinite(self.clock_mhz) and self.clock_mhz > 0):
-            raise ValidationError(f"clock_mhz must be finite and > 0, "
-                                  f"got {self.clock_mhz}")
+        if type(clock := self.clock_mhz) not in (int, float):
+            raise ValidationError(f"clock_mhz must be finite and > 0, got {clock!r}: "
+                                  f"not an int or float")
+        if not (math.isfinite(clock) and clock > 0):
+            raise ValidationError(f"clock_mhz must be finite and > 0, got {clock}")
 
     def with_mix(self, n_add: int, n_mul: int, n_div: int) -> "CoreConfig":
         return replace(self, n_add=n_add, n_mul=n_mul, n_div=n_div)
@@ -135,13 +138,6 @@ def instr_cost(i: Instruction, cfg: CoreConfig) -> int:
     return cost_table(cfg, (i.op,))[i.op][1]
 
 
-# Arithmetic opcodes: raw-word operation by the stem after the S/V prefix, and
-# operand shape after the destination ("ss", "si", "vv", "vs"; "s", "v": 1/x).
-_STEMS = {"ADD": fx.add, "SUB": fx.sub, "MUL": fx.mul, "DIV": fx.div, "INV": fx.div}
-_ALU = {op: (_STEMS[op[1:4]], "".join(kind[0] for kind in sig[1:]))
-        for op, (cls, sig) in isa.OPCODES.items() if cls in CLASS_UNITS}
-
-
 def _convert_f2x(word: int, flags: ArithFlags) -> int:
     """Reinterpret the register as an IEEE binary64 pattern and convert."""
     x = struct.unpack("<d", struct.pack("<q", word))[0]
@@ -153,6 +149,17 @@ def _convert_f2x(word: int, flags: ArithFlags) -> int:
     return fx.from_reals([x], flags)[0]
 
 
+# Every op that writes a register from registers -> (raw-word function, keyed
+# by the stem after S/V or by a conversion's name; operand shape after the
+# destination: "ss", "si", "vv", "vs", or unary "s", "v", called as f(x, flags)).
+_FUNCS = {"ADD": fx.add, "SUB": fx.sub, "MUL": fx.mul, "DIV": fx.div, "MOV": lambda x, flags: x,
+          "INV": lambda x, flags: fx.div(fx.SCALE, x, flags), "F2X": _convert_f2x,
+          "X2F": lambda x, flags: struct.unpack("<q", struct.pack("<d", x / fx.SCALE))[0]}
+_ALU = {op: (_FUNCS[stem], "".join(kind[0] for kind in sig[1:]))
+        for op, (cls, sig) in isa.OPCODES.items()
+        if (stem := op if cls is OpClass.CONVERT else op[1:4]) in _FUNCS}
+
+
 def run(p: Program, cfg: CoreConfig,
         inputs: list[tuple[int, list[int]]] | None = None,
         observe: tuple[int, int] | None = None,
@@ -160,7 +167,8 @@ def run(p: Program, cfg: CoreConfig,
     """Execute a program to HALT and report cycles, utilization, memory and
     per-opcode retire counts.  Times out past max_cycles cycles, or when one
     branch retires more than max_cycles times: every loop retires a branch on
-    each pass, so this also ends loops of zero-cost instructions.
+    each pass, so this also ends loops of zero-cost instructions.  One
+    ValidationError names every bad input before the run starts.
 
     `Fixed64` carries single values a user reads or writes: the program's
     immediates and `.data` values, and the observed `ExecReport.memory`.
@@ -172,6 +180,8 @@ def run(p: Program, cfg: CoreConfig,
     if not 0 <= lo <= lo + length <= cfg.dmem_words:
         diags.append(f"observe range '{lo}:{length}' outside data memory of "
                      f"{cfg.dmem_words} words")
+    diags += [f"initializer at {addr} outside data memory" for addr, words in
+              inputs or () if addr < 0 or addr + len(words) > cfg.dmem_words]
     if diags:
         raise ValidationError(*diags)
 
@@ -183,15 +193,14 @@ def run(p: Program, cfg: CoreConfig,
     mem = [0] * cfg.dmem_words
     flags = ArithFlags()
     data_init = [(addr, [w.raw for w in values]) for addr, values in p.data_init]
-    for addr, words in data_init + list(inputs or []):
-        if addr < 0 or addr + len(words) > cfg.dmem_words:
-            raise ValidationError(f"initializer at {addr} outside data memory")
+    for addr, words in [*data_init, *(inputs or ())]:
         mem[addr:addr + len(words)] = words
 
     table = cost_table(cfg, {i.op for i in p.instructions})
-    pc_cycles = [table[i.op][1] for i in p.instructions]
-    retired = [0] * len(p.instructions)
-    one = fx.SCALE
+    # An end marker (an op no table knows) spares the loop a pc range test.
+    code = [*p.instructions, Instruction("")]
+    pc_cycles = [table[i.op][1] for i in p.instructions] + [0]
+    retired = [0] * len(code)
 
     def report(cycles: int) -> ExecReport:
         counts: dict[str, int] = {}
@@ -202,21 +211,16 @@ def run(p: Program, cfg: CoreConfig,
             busy[table[op][0]] += n * table[op][2]
         util = {}
         for cls in OpClass:
-            units = getattr(cfg, CLASS_UNITS[cls]) if cls in CLASS_UNITS else 1
-            denom = cycles * max(units, 1)
-            util[cls] = min(1.0, busy[cls] / denom) if denom else 0.0
-        return ExecReport(total_cycles=cycles, instr_count=sum(retired),
-                          busy_cycles=busy, utilization=util,
-                          flags=flags,
+            denom = cycles * (getattr(cfg, CLASS_UNITS[cls]) if cls in CLASS_UNITS else 1)
+            util[cls] = busy[cls] / denom if denom else 0.0
+        return ExecReport(total_cycles=cycles, instr_count=sum(counts.values()),
+                          busy_cycles=busy, utilization=util, flags=flags,
                           memory=[Fixed64(w) for w in mem[lo:lo + length]],
                           counts=counts)
 
     pc = cycles = 0
     while True:
-        if not (0 <= pc < len(p.instructions)):
-            raise SimulationFault(pc, "program counter out of range "
-                                      "(missing HALT?)")
-        i = p.instructions[pc]
+        i = code[pc]
         cycles += pc_cycles[pc]
         retired[pc] += 1
         if cycles > max_cycles:
@@ -232,40 +236,32 @@ def run(p: Program, cfg: CoreConfig,
                 y = s[i.b]
                 v[i.d] = [fn(x, y, flags) for x in v[i.a]]
             elif shape == "v":
-                v[i.d] = [fn(one, x, flags) for x in v[i.a]]
+                v[i.d] = [fn(x, flags) for x in v[i.a]]
             elif shape == "ss":
                 s[i.d] = fn(s[i.a], s[i.b], flags)
             elif shape == "si":
                 s[i.d] = fn(s[i.a], i.imm.raw, flags)
             else:
-                s[i.d] = fn(one, s[i.a], flags)
+                s[i.d] = fn(s[i.a], flags)
         elif op == "SLD":
             s[i.d] = mem[i.addr]
         elif op == "SST":
             mem[i.addr] = s[i.a]
         elif op == "LDI":
             s[i.d] = i.imm.raw
-        elif op == "SMOV":
-            s[i.d] = s[i.a]
         elif op == "VLD":
             v[i.d] = mem[i.addr:i.addr + W]
         elif op == "VST":
             mem[i.addr:i.addr + W] = v[i.a]
-        elif op == "VMOV":
-            v[i.d] = list(v[i.a])
         elif op in ("JMP", "BZ", "BNZ"):
             if retired[pc] > max_cycles:
                 raise SimulationTimeout(report(cycles))
             if op == "JMP" or (s[i.a] == 0) == (op == "BZ"):
                 next_pc = i.target
-        elif op == "F2X":
-            s[i.d] = _convert_f2x(s[i.a], flags)
-        elif op == "X2F":
-            s[i.d] = struct.unpack("<q", struct.pack("<d", s[i.a] / fx.SCALE))[0]
         elif op == "HALT":
             break
-        else:  # pragma: no cover - table and dispatch kept in sync
-            raise SimulationFault(pc, f"unimplemented opcode {op}")
+        else:                   # the end marker
+            raise SimulationFault(pc, "program counter out of range (missing HALT?)")
         s[0] = 0                # s0 is a hardwired zero; writes are ignored
         pc = next_pc
 

@@ -34,6 +34,10 @@ class Calibration:
     c_tiled_barrier: float = 400.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if type(value := getattr(self, f.name)) not in (int, float):
+                raise ValidationError(f"{f.name} must be finite and non-negative, "
+                                      f"got {value!r}: not an int or float")
         if not (self.c_mul > self.c_div > self.c_add):
             raise ValidationError("calibration requires c_mul > c_div > c_add")
         for f in fields(self):

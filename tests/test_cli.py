@@ -343,6 +343,13 @@ class TestDataCells:
                      "--data", str(data)]) == 1
         one_line_error(capsys, f"{data}: missing column(s) c, q")
 
+    def test_empty_data_file(self, workdir, capsys):
+        data = workdir / "empty.csv"
+        data.write_text("")
+        assert main(["run", str(workdir / "kern.asm"),
+                     "--data", str(data)]) == 1
+        assert capsys.readouterr().err == f"error: {data}: empty data file\n"
+
     def test_cell_beyond_csv_field_limit(self, workdir, capsys):
         data = workdir / "kern_data.csv"
         rows = data.read_text().splitlines()

@@ -69,6 +69,28 @@ class TestCoreConfig:
         with pytest.raises(ValueError, match="must be <="):
             CoreConfig(**{field: 10**20})
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n_add": 1.5}, "n_add must be >= 0, got 1.5: not an int"),
+        ({"vec_len": 2.5}, "vec_len must be >= 1, got 2.5: not an int"),
+        ({"issue_cost": "2"}, "issue_cost must be >= 0, got '2': not an int"),
+        ({"dmem_words": True}, "dmem_words must be >= 1, got True: not an int"),
+        ({"mem_port_width": 8.0}, "mem_port_width must be >= 1, got 8.0: not an int"),
+        ({"clock_mhz": "100"},
+         "clock_mhz must be finite and > 0, got '100': not an int or float"),
+        ({"clock_mhz": True},
+         "clock_mhz must be finite and > 0, got True: not an int or float"),
+        ({"enable_converter": "no"}, "enable_converter must be a bool, got 'no'"),
+        ({"enable_converter": 1}, "enable_converter must be a bool, got 1")],
+        ids=["n_add", "vec_len", "issue_cost", "dmem_words", "mem_port_width",
+             "clock_mhz-str", "clock_mhz-bool", "converter-str", "converter-int"])
+    def test_mistyped_field_rejected(self, kwargs, message):
+        with pytest.raises(ValidationError) as exc:
+            CoreConfig(**kwargs)
+        assert exc.value.diagnostics == [message]
+
+    def test_int_clock_accepted(self):
+        assert CoreConfig(clock_mhz=100).clock_mhz == 100
+
     def test_no_scalar_registers_runs_vector_program(self):
         p = isa.assemble("VADD v1, v1, v1\nHALT")
         assert run(p, CoreConfig(n_sregs=0)).instr_count == 2
@@ -207,8 +229,34 @@ class TestRun:
 
     def test_missing_halt_faults(self):
         p = Program(instructions=[Instruction("LDI", d=1, imm=fx.ONE)])
-        with pytest.raises(SimulationFault):
+        with pytest.raises(SimulationFault, match=r"^fault at instruction 1: program "
+                           r"counter out of range \(missing HALT\?\)$"):
             run(p, CoreConfig())
+
+    def test_empty_program(self):
+        with pytest.raises(SimulationFault, match="fault at instruction 0: "):
+            run(Program(), CoreConfig())
+        with pytest.raises(SimulationTimeout) as exc:  # the marker's 0 cycles > -1
+            run(Program(), CoreConfig(), max_cycles=-1)
+        assert exc.value.report.total_cycles == exc.value.report.instr_count == 0
+
+    @pytest.mark.parametrize("op", isa.OPCODES)
+    def test_every_opcode_dispatched(self, op):
+        """Each opcode, in range and followed by HALT (a branch's target),
+        retires once: the loop dispatches it, so it does not reach the
+        end-of-program fault."""
+        i = Instruction(op, d=1, a=1, b=1, imm=fx.ONE, addr=0, target=1)
+        r = run(Program([i, Instruction("HALT")]), CoreConfig())
+        assert r.counts[op] == 1 and r.instr_count == 1 + (op != "HALT")
+
+    def test_every_bad_input_named(self):
+        p = Program([Instruction("SADD", d=16, a=1, b=1), Instruction("HALT")])
+        with pytest.raises(ValidationError) as exc:
+            run(p, CoreConfig(), inputs=[(4095, [0, 0])], observe=(4090, 7))
+        assert exc.value.diagnostics == [
+            "instr 0 (SADD): scalar register index 16 out of range (n_sregs=16)",
+            "observe range '4090:7' outside data memory of 4096 words",
+            "initializer at 4095 outside data memory"]
 
     def test_timeout_carries_partial_report(self):
         p = isa.assemble("spin: JMP spin\nHALT")

@@ -43,9 +43,12 @@ def test_three_exception_classes():
     lambda: Calibration(c_add=-1.0),
     lambda: resources.estimate_tiled(kernel.KERNEL, 0),
     lambda: core.waves(24, 0),
+    lambda: CoreConfig(n_add=1.5),
+    lambda: Calibration(c_add="350"),
 ], ids=["assembly", "layout-overflow", "layout-empty", "calibration",
         "barrier", "amdahl", "mix-spec", "config", "core-field",
-        "calibration-field", "replication", "waves"])
+        "calibration-field", "replication", "waves", "core-type",
+        "calibration-type"])
 def test_rejected_input_raises_validation_error(trigger):
     with pytest.raises(ValidationError) as exc:
         trigger()

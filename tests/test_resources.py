@@ -136,6 +136,14 @@ class TestCalibration:
         with pytest.raises(ValueError, match="must be finite"):
             dataclasses.replace(Calibration(), **{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("c_add", "350"), ("c_mul", None), ("base_seq", True)])
+    def test_mistyped_rejected(self, field, value):
+        with pytest.raises(ValidationError) as exc:
+            dataclasses.replace(Calibration(), **{field: value})
+        assert exc.value.diagnostics == [f"{field} must be finite and non-negative, "
+                                         f"got {value!r}: not an int or float"]
+
     def test_calibrate_reproduces_defaults(self):
         assert calibrate() == Calibration()
 
