@@ -20,6 +20,7 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 
 from . import archmodels, core, dse, fixedpoint as fx, isa, kernel, resources
 from .core import CoreConfig
@@ -49,6 +50,8 @@ def parse_config_text(text: str) -> tuple[CoreConfig, Calibration]:
         if key not in _KEYS:
             raise ValidationError(f"config line {lineno}: unknown key '{key}'")
         cls, parse = _KEYS[key]
+        if key in kwargs[cls]:
+            raise ValidationError(f"config line {lineno}: duplicate key '{key}'")
         try:
             parsed = parse(value)
         except (KeyError, ValueError):
@@ -96,6 +99,9 @@ def read_data_csv(path: str) -> kernel.KernelInputs:
     if not rows:
         raise ValidationError(f"{path}: empty data file")
     header = [h.strip() for h in rows[0]]
+    repeated = [n for n, k in Counter(header).items() if n and k > 1]
+    if repeated:
+        raise ValidationError(f"{path}: duplicate column(s) {', '.join(repeated)}")
     missing = [n for n in kernel.INPUT_NAMES if n not in header]
     if missing:
         raise ValidationError(f"{path}: missing column(s) {', '.join(missing)}")
@@ -210,16 +216,21 @@ def cmd_asm(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
+def _max_cycles(args) -> int:
     if args.max_cycles < 0:
         raise ValidationError(f"--max-cycles {args.max_cycles} must be >= 0")
+    return args.max_cycles
+
+
+def cmd_run(args) -> int:
+    max_cycles = _max_cycles(args)
     cfg, _ = load_config(args.config)
     program = isa.assemble(_read(args.program))
     inputs = _data_inputs(args.data, cfg)
     observe = _parse_observe(args.observe, cfg)
     report = core.run(program, cfg,
                       inputs=inputs and kernel.data_initializers(inputs),
-                      observe=observe, max_cycles=args.max_cycles)
+                      observe=observe, max_cycles=max_cycles)
     _write_out(args.out, json.dumps(_report_dict(report), indent=2))
     if report.flags.div_by_zero:
         print("warning: division by zero occurred during execution",
@@ -231,11 +242,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    max_cycles = _max_cycles(args)
     cfg, cal = load_config(args.config)
     program = isa.assemble(_read(args.program))
     inputs = _data_inputs(args.data, cfg)
     points = dse.sweep(program, cfg, parse_mix_spec(args.mixes), cal,
-                       inputs=inputs and kernel.data_initializers(inputs))
+                       inputs=inputs and kernel.data_initializers(inputs),
+                       max_cycles=max_cycles)
     frontier = {id(p) for p in dse.pareto(points)}
     lines = ["label,n_add,n_mul,n_div,latency_cycles,slices,on_pareto"]
     for p in points:
@@ -351,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data")
     p.add_argument("--mixes", required=True,
                    help='"A-M-D,A-M-D,..." or "sym:1,2,4,..."')
+    p.add_argument("--max-cycles", type=int, default=core.MAX_CYCLES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 

@@ -25,7 +25,7 @@ _INT_LEAST = {"vec_len": 1, "mem_port_width": 1, **dict.fromkeys((
     "lat_convert", "n_sregs", "n_vregs"), 0), "dmem_words": 1}
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoreConfig:
     """Compile-time parameters of one core instance."""
 

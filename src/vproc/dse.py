@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from . import core, isa, resources
 from .core import CoreConfig
-from .isa import Program, ValidationError
+from .isa import CLASS_UNITS, OpClass, Program, ValidationError
 from .resources import Calibration, DEFAULT_CALIBRATION
 
 
@@ -29,36 +29,65 @@ class Projection:
 
 def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
           cal: Calibration = DEFAULT_CALIBRATION,
-          inputs: list[tuple[int, list[int]]] | None = None
-          ) -> list[DesignPoint]:
+          inputs: list[tuple[int, list[int]]] | None = None,
+          max_cycles: int = core.MAX_CYCLES) -> list[DesignPoint]:
     """One design point per (n_add, n_mul, n_div) mix of core cfg, in input
     order; cfg's own mix is ignored.
 
     Values and control flow do not depend on the unit mix, so the program
-    is simulated once, with the first mix, and every mix is priced from
-    that run's per-opcode retire counts as sum(count[op] * cost(op, mix))
-    (one pass, many configurations: Mattson et al., IBM Syst. J., 1970).
-    The first failing mix raises the error its own run would.
+    is simulated once, with the first mix (one pass, many configurations:
+    Mattson et al., IBM Syst. J., 1970).  An instruction's cost depends
+    only on its own class's unit count k_c, and each slice term on one
+    class, so a mix costs
+
+        cycles = F + Σ_c T_c(k_c)       slices = B + Σ_c round(k_c × c_c)
+
+    where F is the cycles of the CONTROL, MEM and CONVERT ops and B the
+    slices of the core with no units.  Each (class, unit count) term is
+    priced once, from the retire counts and core.cost_table of the first
+    mix that brings it; a mix whose terms are all priced is a sum of
+    lookups.  The first failing mix raises the error its own run would,
+    and a mix over max_cycles is run again for its own timeout.
     """
     classes = isa.unit_classes(p)
+    base = resources.estimate_vector(cfg.with_mix(0, 0, 0), cal).slices
+    counts = fixed = None
+    # (unit field, type of count, count) -> that class's term.  The type is
+    # in the key because True and 1.0 hash as 1 but are not unit counts; the
+    # field name, not the OpClass, because an Enum hashes in Python code.
+    cycles: dict[tuple, int] = {}
+    slices: dict[tuple, int] = {}   # priced after its mix's timeout check
     points = []
-    counts = None
     for mix in mixes:
-        c = cfg.with_mix(*mix)
-        try:
-            if counts is None:
-                counts = core.run(p, c, inputs=inputs).counts
-            elif diags := isa.validate_units(classes, c):
-                raise ValidationError(*diags)
-            table = core.cost_table(c, counts)
-            total = sum(n * table[op][1] for op, n in counts.items())
-            if total > core.MAX_CYCLES:     # for this mix's own timeout
-                total = core.run(p, c, inputs=inputs).total_cycles
-        except ValidationError as exc:
-            raise ValidationError(
-                *(f"config {c.mix_label}: {d}" for d in exc.diagnostics))
-        points.append(DesignPoint(c.mix_label, *c.mix, total,
-                                  resources.estimate_vector(c, cal).slices))
+        keys = [(f, type(n), n) for f, n in zip(CLASS_UNITS.values(), mix)]
+        # A mix of other than three counts goes to with_mix for its error.
+        new = len(mix) != 3 or not all(k in cycles for k in keys)
+        if new:
+            c = cfg.with_mix(*mix)
+            try:
+                if counts is None:
+                    counts = core.run(p, c, inputs=inputs,
+                                      max_cycles=max_cycles).counts
+                elif diags := isa.validate_units(classes, c):
+                    raise ValidationError(*diags)
+                table = core.cost_table(c, counts)
+            except ValidationError as exc:
+                raise ValidationError(
+                    *(f"config {c.mix_label}: {d}" for d in exc.diagnostics))
+            split = dict.fromkeys(OpClass, 0)
+            for op, n in counts.items():
+                split[table[op][0]] += n * table[op][1]
+            fixed = sum(n for cls, n in split.items() if cls not in CLASS_UNITS)
+            cycles.update(zip(keys, map(split.get, CLASS_UNITS)))
+        total = fixed + sum(cycles[k] for k in keys)
+        if total > max_cycles:      # for this mix's own timeout
+            total = core.run(p, cfg.with_mix(*mix), inputs=inputs,
+                             max_cycles=max_cycles).total_cycles
+        if new:
+            slices.update((k, resources.unit_slices(cls, k[2], cal))
+                          for k, cls in zip(keys, CLASS_UNITS))
+        points.append(DesignPoint("-".join(map(str, mix)), *mix, total,
+                                  base + sum(slices[k] for k in keys)))
     return points
 
 

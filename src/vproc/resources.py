@@ -14,10 +14,9 @@ import sys
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
-from operator import attrgetter
 
 from .core import CoreConfig
-from .isa import CLASS_UNITS, ValidationError
+from .isa import CLASS_UNITS, OpClass, ValidationError
 from .kernel import OPS
 
 
@@ -46,7 +45,6 @@ class Calibration:
 
 
 DEFAULT_CALIBRATION = Calibration()
-_UNIT_COSTS = attrgetter(*("c_" + cls.value for cls in CLASS_UNITS))
 
 
 @dataclass(frozen=True)
@@ -54,17 +52,22 @@ class ResourceEstimate:
     slices: int
 
 
+def unit_slices(cls: OpClass, n: int, cal: Calibration) -> int:
+    """round(n × c_<class>): one unit class's term of every slice count."""
+    cost = getattr(cal, "c_" + cls.value)
+    term = n * cost if n <= sys.float_info.max else math.inf
+    if not math.isfinite(term):
+        raise ValidationError(f"slice count of '{cls.value}_units' is not finite: the unit "
+                              f"count or its product with c_{cls.value} overflows a float")
+    return round(term)
+
+
 def _estimate(base: float, units: Iterable[int], cal: Calibration,
               converter: bool = False) -> ResourceEstimate:
-    """round(base) + Σ round(n × c_<class>) + round(c_convert) if present."""
-    slices = round(base) + (round(cal.c_convert) if converter else 0)
-    for cls, n, cost in zip(CLASS_UNITS, units, _UNIT_COSTS(cal)):
-        term = n * cost if n <= sys.float_info.max else math.inf
-        if not math.isfinite(term):
-            raise ValidationError(f"slice count of '{cls.value}_units' is not finite: the unit "
-                                  f"count or its product with c_{cls.value} overflows a float")
-        slices += round(term)
-    return ResourceEstimate(slices)
+    """round(base) + Σ unit_slices + round(c_convert) if present."""
+    return ResourceEstimate(round(base) + (round(cal.c_convert) if converter else 0)
+                            + sum(unit_slices(cls, n, cal)
+                                  for cls, n in zip(CLASS_UNITS, units)))
 
 
 def estimate_vector(cfg: CoreConfig, cal: Calibration = DEFAULT_CALIBRATION) -> ResourceEstimate:

@@ -60,6 +60,16 @@ class TestConfigFormat:
                            match="^config line 2: expected 'key = value'$"):
             parse_config_text("vec_len = 8\nvec_len 8")
 
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        with pytest.raises(ValidationError,
+                           match="^config line 2: duplicate key 'vec_len'$"):
+            parse_config_text("vec_len = 4\nvec_len = 8")
+        prog, cfg = tmp_path / "p.asm", tmp_path / "c.cfg"
+        prog.write_text("HALT\n")
+        cfg.write_text("vec_len = 4\nc_add = 300\nc_add = 300\n")
+        assert main(["run", str(prog), "--config", str(cfg)]) == 1
+        one_line_error(capsys, "config line 3: duplicate key 'c_add'")
+
     def test_bad_bool_rejected(self):
         with pytest.raises(ValidationError, match="^config line 1: bad value for "
                                                   "'enable_converter'$"):
@@ -343,6 +353,17 @@ class TestDataCells:
                      "--data", str(data)]) == 1
         one_line_error(capsys, f"{data}: missing column(s) c, q")
 
+    def test_duplicate_columns(self, workdir, capsys):
+        data = workdir / "kern_data.csv"
+        rows = data.read_text().splitlines()
+        rows[0] += ",a,,q,,a"       # blank header cells name no column
+        rows[1] = "x" + rows[1][rows[1].index(","):]    # no row is read
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["run", str(workdir / "kern.asm"),
+                     "--config", str(workdir / "core.cfg"),
+                     "--data", str(data)]) == 1
+        one_line_error(capsys, f"{data}: duplicate column(s) a, q")
+
     def test_empty_data_file(self, workdir, capsys):
         data = workdir / "empty.csv"
         data.write_text("")
@@ -460,6 +481,17 @@ class TestSweep:
         assert main(["sweep", str(prog), "--mixes", "1-1-" + "9" * 400,
                      "--out", str(tmp_path / "x.csv")]) == 1
         one_line_error(capsys, "slice count of 'div_units' is not finite")
+
+    def test_max_cycles(self, tmp_path, capsys):
+        prog = tmp_path / "spin.asm"
+        prog.write_text("spin: JMP spin\nHALT\n")
+        argv = ["sweep", str(prog), "--mixes", "8-8-8",
+                "--out", str(tmp_path / "x.csv")]
+        assert main([*argv, "--max-cycles", "100"]) == 2
+        one_line_error(capsys, "max_cycles exceeded after 102 cycles")
+        assert main([*argv, "--max-cycles", "-1"]) == 1
+        assert capsys.readouterr().err \
+            == "error: --max-cycles -1 must be >= 0\n"
 
     def test_data_lane_count_checked(self, workdir, capsys):
         assert main(["kernel-gen", "--veclen", "16", "--seed", "1",

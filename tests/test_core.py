@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +87,12 @@ class TestCoreConfig:
         with pytest.raises(ValidationError) as exc:
             CoreConfig(**kwargs)
         assert exc.value.diagnostics == [message]
+
+    def test_checked_fields_cannot_be_reassigned(self):
+        cfg = CoreConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.dmem_words = 10**20
+        assert run(isa.assemble("HALT"), cfg).instr_count == 1
 
     def test_int_clock_accepted(self):
         assert CoreConfig(clock_mhz=100).clock_mhz == 100

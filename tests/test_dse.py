@@ -160,6 +160,35 @@ class TestOnePassSweep:
             == [2585, 380, 210, 1110, 225]
         assert points == per_config_sweep(p, base, mixes, inputs=inits)
 
+    @pytest.mark.parametrize("seed", [3, 19])
+    def test_sample_of_full_grid(self, bench, seed):
+        program, inits = bench
+        rng = random.Random(seed)
+        base = replace(self.base, lat_add=rng.randint(0, 70),
+                       lat_mul=rng.randint(0, 70), lat_div=rng.randint(0, 70),
+                       issue_cost=rng.randint(0, 4))
+        mixes = [tuple(rng.randint(1, 24) for _ in range(3)) for _ in range(40)]
+        assert sweep(program, base, mixes, inputs=inits) \
+            == per_config_sweep(program, base, mixes, inputs=inits)
+
+    def test_one_config_per_priced_term(self, bench, monkeypatch):
+        program, inits = bench
+        builds = []
+        check = CoreConfig.__post_init__
+        monkeypatch.setattr(CoreConfig, "__post_init__",
+                            lambda cfg: builds.append(cfg) or check(cfg))
+        mixes = [(a, m, d) for a in SIZES for m in SIZES for d in SIZES]
+        sweep(program, self.base, mixes, inputs=inits)
+        assert len(builds) <= 1 + 3 * len(SIZES)
+
+    @pytest.mark.parametrize("count", [True, 1.0])
+    def test_mistyped_count_not_priced(self, bench, count):
+        program, inits = bench
+        got = outcome(sweep, program, self.base, [(1, 1, 1), (count, 1, 1)],
+                      inputs=inits)
+        assert got == (ValidationError,
+                       f"n_add must be >= 0, got {count!r}: not an int")
+
     @pytest.mark.parametrize("mixes", [
         [(8, 8, 8), (8, 8, 0), (0, 8, 8)],
         [(8, 8, 8), (32, 8, 8), (8, 8, 0)],
@@ -209,6 +238,21 @@ class TestOnePassSweep:
         assert got[0] is SimulationTimeout
         assert got == outcome(per_config_sweep, program, slow, mixes,
                               inputs=inits)
+
+    def test_max_cycles(self, bench, count_runs):
+        program, inits = bench
+        mixes = [(24, 24, 24), (8, 8, 8), (1, 1, 1)]
+        lat = [pt.latency_cycles for pt in sweep(program, self.base, mixes,
+                                                 inputs=inits)]
+        assert lat == sorted(lat)
+        got = outcome(sweep, program, self.base, mixes, inputs=inits,
+                      max_cycles=lat[2] - 1)
+        assert got == (SimulationTimeout,
+                       f"max_cycles exceeded after {lat[2]} cycles")
+        assert len(count_runs) == 3     # one per sweep, and 1-1-1's own run
+        got = outcome(sweep, program, self.base, mixes, inputs=inits,
+                      max_cycles=lat[0] - 1)
+        assert got[0] is SimulationTimeout and len(count_runs) == 4
 
 
 class TestPareto:
