@@ -9,13 +9,16 @@ Formats (documented with examples in docs/formats.md):
             deterministic for given inputs.
 Exit codes: 0 success, 1 user/input error, 2 simulation fault or timeout;
 main() is the one place that maps errors to them.
+main() builds its argument parser once per process and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -99,15 +102,23 @@ def read_data_csv(path: str) -> kernel.KernelInputs:
     if not rows:
         raise ValidationError(f"{path}: empty data file")
     header = [h.strip() for h in rows[0]]
-    repeated = [n for n, k in Counter(header).items() if n and k > 1]
-    if repeated:
+    if repeated := [n for n, k in Counter(header).items() if n and k > 1]:
         raise ValidationError(f"{path}: duplicate column(s) {', '.join(repeated)}")
-    missing = [n for n in kernel.INPUT_NAMES if n not in header]
-    if missing:
+    if missing := [n for n in kernel.INPUT_NAMES if n not in header]:
         raise ValidationError(f"{path}: missing column(s) {', '.join(missing)}")
     columns: dict[str, list[float]] = {n: [] for n in header}
     lo, hi = fx.REAL_LO, fx.REAL_HI
-    for n, row in enumerate(rows[1:], start=2):
+    body = rows[1:]
+    if {len(row) for row in body} == {len(header)}:     # a column at a time
+        try:
+            for name, cells in zip(header, zip(*body)):
+                xs = columns[name] = list(map(float, filter(str.strip, cells)))
+                if xs and not (lo <= min(xs) <= max(xs) < hi) or math.isnan(sum(xs)):
+                    raise ValueError
+            body = []           # every cell read: nothing left to scan
+        except ValueError:      # the row-major scan names the first bad cell
+            columns = {n: [] for n in header}
+    for n, row in enumerate(body, start=2):
         if len(row) > len(header):
             raise ValidationError(f"{path}: row {n} has {len(row)} cells, "
                                   f"header has {len(header)}")
@@ -124,11 +135,10 @@ def read_data_csv(path: str) -> kernel.KernelInputs:
                                           f"'{cell}' {what}")
                 columns[name].append(x)
     vectors = {n: columns[n] for n in kernel.INPUT_NAMES}
-    lengths = {len(v) for v in vectors.values()}
-    if len(lengths) != 1:
+    if len({len(v) for v in vectors.values()}) != 1:
         raise ValidationError(f"{path}: input columns have unequal lengths")
-    s_k = columns.get("s_k", [1.0])
-    return kernel.KernelInputs(vectors=vectors, s_k=s_k[0] if s_k else 1.0)
+    s_k = columns.get("s_k") or [1.0]
+    return kernel.KernelInputs(vectors=vectors, s_k=s_k[0])
 
 
 def _report_dict(report: core.ExecReport) -> dict:
@@ -146,11 +156,9 @@ def _report_dict(report: core.ExecReport) -> dict:
 
 
 def _write_out(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text if text.endswith("\n") else text + "\n")
+    with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
+          else open(path, "w", encoding="utf-8")) as f:
+        f.write(text if text.endswith("\n") else text + "\n")
 
 
 def _data_inputs(path: str | None, cfg: CoreConfig) -> kernel.KernelInputs | None:
@@ -232,12 +240,10 @@ def cmd_run(args) -> int:
                       inputs=inputs and kernel.data_initializers(inputs),
                       observe=observe, max_cycles=max_cycles)
     _write_out(args.out, json.dumps(_report_dict(report), indent=2))
-    if report.flags.div_by_zero:
-        print("warning: division by zero occurred during execution",
-              file=sys.stderr)
-    if report.flags.overflow:
-        print("warning: arithmetic saturation occurred during execution",
-              file=sys.stderr)
+    for raised, what in [(report.flags.div_by_zero, "division by zero"),
+                         (report.flags.overflow, "arithmetic saturation")]:
+        if raised:
+            print(f"warning: {what} occurred during execution", file=sys.stderr)
     return 0
 
 
@@ -396,10 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)      # one tree per process
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; the only place an error becomes an exit code."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (ValidationError, OSError) as exc:
         code, message = 1, str(exc)

@@ -59,9 +59,10 @@ def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
     slices: dict[tuple, int] = {}   # priced after its mix's timeout check
     points = []
     for mix in mixes:
+        if len(mix) != 3:
+            raise ValidationError(f"mix {mix!r} is not three unit counts")
         keys = [(f, type(n), n) for f, n in zip(CLASS_UNITS.values(), mix)]
-        # A mix of other than three counts goes to with_mix for its error.
-        new = len(mix) != 3 or not all(k in cycles for k in keys)
+        new = not all(k in cycles for k in keys)
         if new:
             c = cfg.with_mix(*mix)
             try:

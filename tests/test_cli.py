@@ -1,8 +1,14 @@
+import csv
 import dataclasses
+import io
 import json
+import math
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vproc import cli, core, fixedpoint as fx, kernel
 from vproc.cli import main, parse_config_text, parse_mix_spec
@@ -758,3 +764,138 @@ class TestGolden:
                                 "--data", str(DOCS / "kernel24_data.csv"),
                                 *args[1:], "--out", str(out)]) == 0
         assert out.read_bytes() == (DOCS / name).read_bytes()
+
+
+def row_major_read_data_csv(path: str) -> kernel.KernelInputs:
+    """Reference: the data reader as a row-major scan of every cell."""
+    try:
+        rows = list(csv.reader(io.StringIO(cli._read(path))))
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: {exc}")
+    if not rows:
+        raise ValidationError(f"{path}: empty data file")
+    header = [h.strip() for h in rows[0]]
+    repeated = [n for n, k in Counter(header).items() if n and k > 1]
+    if repeated:
+        raise ValidationError(f"{path}: duplicate column(s) {', '.join(repeated)}")
+    missing = [n for n in kernel.INPUT_NAMES if n not in header]
+    if missing:
+        raise ValidationError(f"{path}: missing column(s) {', '.join(missing)}")
+    columns: dict[str, list[float]] = {n: [] for n in header}
+    lo, hi = fx.REAL_LO, fx.REAL_HI
+    for n, row in enumerate(rows[1:], start=2):
+        if len(row) > len(header):
+            raise ValidationError(f"{path}: row {n} has {len(row)} cells, "
+                                  f"header has {len(header)}")
+        for name, cell in zip(header, row):
+            if cell.strip():
+                try:
+                    x = float(cell)
+                except ValueError:
+                    x = math.nan
+                if not lo <= x < hi:
+                    what = ("is not a finite number" if not math.isfinite(x)
+                            else "is outside the Q32.32 range [-2^31, 2^31)")
+                    raise ValidationError(f"{path}: row {n}, column {name}: "
+                                          f"'{cell}' {what}")
+                columns[name].append(x)
+    vectors = {n: columns[n] for n in kernel.INPUT_NAMES}
+    lengths = {len(v) for v in vectors.values()}
+    if len(lengths) != 1:
+        raise ValidationError(f"{path}: input columns have unequal lengths")
+    s_k = columns.get("s_k", [1.0])
+    return kernel.KernelInputs(vectors=vectors, s_k=s_k[0] if s_k else 1.0)
+
+
+GOOD_CELLS = ["0", "-0", "1.5", " -2.25", "1e3", "2147483647.5", "1_0",
+              "-2147483648", "", " "]
+BAD_CELLS = ["nan", "inf", "-inf", "abc", "2147483648"]
+
+
+@st.composite
+def data_grid(draw):
+    """Header and rows of a small data file: blank and duplicate-blank
+    header names, and rows sometimes shorter or longer than the header."""
+    extras = draw(st.lists(st.sampled_from(["", " ", "s_k", "x"]), max_size=3))
+    header = draw(st.permutations(list(kernel.INPUT_NAMES) + extras))
+    cells = st.sampled_from(draw(st.sampled_from([GOOD_CELLS] * 3
+                                                 + [GOOD_CELLS + BAD_CELLS])))
+    widths = st.sampled_from([len(header)] * 6 + [len(header) - 1,
+                                                  len(header) + 1, 0])
+    rows = draw(st.lists(widths.flatmap(lambda w: st.lists(
+        cells, min_size=w, max_size=w)), max_size=4))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2])) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        if row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_CELLS))
+    return [header] + rows
+
+
+def read_outcome(read, path):
+    """The inputs a reader returns, exactly, or the text of its error."""
+    try:
+        inputs = read(path)
+    except ValidationError as exc:
+        return str(exc)
+    return repr(inputs.vectors), repr(inputs.s_k)
+
+
+class TestDataReaderMatchesRowMajorScan:
+    """read_data_csv, which reads a column at a time where it can, gives the
+    inputs or the error of the row-major scan of every cell."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(data_grid())
+    @example([list(kernel.INPUT_NAMES) + ["", "s_k", ""],
+              ["1"] * 10 + ["nan", "2", "3"], ["1"] * 10 + ["", "", "inf"]])
+    @example([list(kernel.INPUT_NAMES), ["1"] * 10, ["2"] * 9 + ["nan"]])
+    @example([list(kernel.INPUT_NAMES) + ["s_k"],
+              ["1"] * 10 + ["2"], ["1"] * 10 + [""], ["abc"] + ["1"] * 11])
+    def test_same_inputs_or_error(self, grid):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "data.csv")
+            Path(path).write_text("".join(",".join(row) + "\n"
+                                          for row in grid), encoding="utf-8")
+            assert read_outcome(cli.read_data_csv, path) \
+                == read_outcome(row_major_read_data_csv, path)
+
+
+class TestParserReuse:
+    """main() builds its parser once and keeps no state between calls."""
+
+    def test_no_option_carries_over(self, workdir, capsys):
+        run = ["run", str(workdir / "kern.asm"),
+               "--config", str(workdir / "core.cfg"),
+               "--data", str(workdir / "kern_data.csv")]
+        out = workdir / "r.json"
+        assert main(run + ["--out", str(out), "--observe", "0:2"]) == 0
+        assert len(json.loads(out.read_text())["memory"]) == 2
+        capsys.readouterr()
+        assert main(run) == 0       # to stdout, with the output window
+        report = json.loads(capsys.readouterr().out)
+        expected = kernel.oracle(cli.read_data_csv(str(workdir / "kern_data.csv")))
+        assert len(report["memory"]) == len(expected) == 24
+        for got, want in zip(report["memory"], expected):
+            assert abs(got - want) <= 1e-6 * abs(want)
+
+    def test_usage_error_after_success(self, capsys):
+        message = "error: vproc run: the following arguments are required: program\n"
+        assert main(["run"]) == 1
+        assert capsys.readouterr().err == message
+        assert main(["project", "--fraction", "0.5"]) == 0
+        capsys.readouterr()
+        assert main(["run"]) == 1
+        assert capsys.readouterr().err == message
+
+    def test_built_once(self, capsys, monkeypatch):
+        assert cli.build_parser() is not cli.build_parser()
+        assert main(["project", "--fraction", "0.5"]) == 0
+        built = []
+        init = cli._Parser.__init__
+        monkeypatch.setattr(cli._Parser, "__init__",
+                            lambda self, *a, **kw: built.append(self)
+                            or init(self, *a, **kw))
+        assert main(["project", "--fraction", "0.25"]) == 0
+        assert built == []
+        cli.build_parser()      # the spy sees a tree being built
+        assert built

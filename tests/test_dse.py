@@ -189,6 +189,18 @@ class TestOnePassSweep:
         assert got == (ValidationError,
                        f"n_add must be >= 0, got {count!r}: not an int")
 
+    @pytest.mark.parametrize("mixes,message", [
+        ([(8, 8, 8), (8, 8)], "mix (8, 8) is not three unit counts"),
+        ([(8, 8, 8, 8)], "mix (8, 8, 8, 8) is not three unit counts"),
+        ([[1, 2]], "mix [1, 2] is not three unit counts"),
+        ([(8, 8, 0), (8, 8)], "config 8-8-0: "),    # the first failing mix
+    ])
+    def test_mix_of_other_than_three_counts(self, bench, mixes, message):
+        program, inits = bench
+        got = outcome(sweep, program, self.base, mixes, inputs=inits)
+        assert got[0] is ValidationError and got[1].startswith(message)
+        assert len(got[1].splitlines()) == 1
+
     @pytest.mark.parametrize("mixes", [
         [(8, 8, 8), (8, 8, 0), (0, 8, 8)],
         [(8, 8, 8), (32, 8, 8), (8, 8, 0)],
