@@ -24,6 +24,7 @@ import json
 import math
 import sys
 from collections import Counter
+from itertools import zip_longest
 
 from . import archmodels, core, dse, fixedpoint as fx, isa, kernel, resources
 from .core import CoreConfig
@@ -76,7 +77,7 @@ def load_config(path: str | None) -> tuple[CoreConfig, Calibration]:
 def _read(path: str) -> str:
     """The text of an input file; every input file is read here."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}")
@@ -109,31 +110,29 @@ def read_data_csv(path: str) -> kernel.KernelInputs:
     columns: dict[str, list[float]] = {n: [] for n in header}
     lo, hi = fx.REAL_LO, fx.REAL_HI
     body = rows[1:]
-    if {len(row) for row in body} == {len(header)}:     # a column at a time
-        try:
-            for name, cells in zip(header, zip(*body)):
-                xs = columns[name] = list(map(float, filter(str.strip, cells)))
-                if xs and not (lo <= min(xs) <= max(xs) < hi) or math.isnan(sum(xs)):
-                    raise ValueError
-            body = []           # every cell read: nothing left to scan
-        except ValueError:      # the row-major scan names the first bad cell
-            columns = {n: [] for n in header}
-    for n, row in enumerate(body, start=2):
-        if len(row) > len(header):
-            raise ValidationError(f"{path}: row {n} has {len(row)} cells, "
-                                  f"header has {len(header)}")
-        for name, cell in zip(header, row):
-            if cell.strip():
-                try:
-                    x = float(cell)
-                except ValueError:
-                    x = math.nan
-                if not lo <= x < hi:
-                    what = ("is not a finite number" if not math.isfinite(x)
-                            else "is outside the Q32.32 range [-2^31, 2^31)")
-                    raise ValidationError(f"{path}: row {n}, column {name}: "
-                                          f"'{cell}' {what}")
-                columns[name].append(x)
+    try:    # a column at a time; a short row or a blank line ([]) ends in blank cells
+        if max(map(len, body), default=0) > len(header):
+            raise ValueError
+        for name, cells in zip(header, zip_longest(*body, fillvalue="")):
+            xs = columns[name] = list(map(float, filter(str.strip, cells)))
+            if xs and not (lo <= min(xs) <= max(xs) < hi) or math.isnan(sum(xs)):
+                raise ValueError
+    except ValueError:  # the file is rejected: a row-major scan names its first fault
+        for n, row in enumerate(body, start=2):
+            if len(row) > len(header):
+                raise ValidationError(f"{path}: row {n} has {len(row)} cells, "
+                                      f"header has {len(header)}")
+            for name, cell in zip(header, row):
+                if cell.strip():
+                    try:
+                        x = float(cell)
+                    except ValueError:
+                        x = math.nan
+                    if not lo <= x < hi:
+                        what = ("is not a finite number" if not math.isfinite(x)
+                                else "is outside the Q32.32 range [-2^31, 2^31)")
+                        raise ValidationError(f"{path}: row {n}, column {name}: "
+                                              f"'{cell}' {what}")
     vectors = {n: columns[n] for n in kernel.INPUT_NAMES}
     if len({len(v) for v in vectors.values()}) != 1:
         raise ValidationError(f"{path}: input columns have unequal lengths")

@@ -1,9 +1,10 @@
 """Shared test helpers: an independent wide-integer reference for the
-fixed-point unit, reference copies of the two-pass assembler, of the
-structural validator and of the hand-written kernel emitters, a brute-force
-longest path, a reference interpreter for straight-line programs and a
-random-program generator for structural tests."""
+fixed-point unit, a unit-level cycle schedule, reference copies of the
+two-pass assembler, of the structural validator and of the hand-written
+kernel emitters, a brute-force longest path, a reference interpreter for
+straight-line programs and a random-program generator for structural tests."""
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -115,6 +116,47 @@ def ref_run(p: Program, cfg, inputs=()):
         else:
             raise NotImplementedError(op)
     return mem, flags
+
+
+# ---- independent cycle reference: a unit-level schedule, kept apart from
+# ---- core.cost_table, which core.run, instr_cost and dse.sweep all share.
+
+_UNIT_FIELDS = {OpClass.ADD_CLASS: ("n_add", "lat_add"),
+                OpClass.MUL_CLASS: ("n_mul", "lat_mul"),
+                OpClass.DIV_CLASS: ("n_div", "lat_div")}
+
+
+def ref_cycles(p: Program, cfg):
+    """(total cycles, busy unit-cycles per class) of a run to HALT of a
+    straight-line program.  Each element goes to the unit of its class that
+    frees up first, each busy `lat` cycles per element; an instruction ends
+    with its last element and the next one starts then.  A memory move takes
+    one port cycle per wave of up to mem_port_width words, a conversion
+    lat_convert cycles, and every instruction adds issue_cost first."""
+    port = cfg.mem_port_width or cfg.vec_len
+    busy = dict.fromkeys(OpClass, 0)
+    t = 0
+    for i in p.instructions:
+        t += cfg.issue_cost
+        cls = OPCODES[i.op][0]
+        elements = cfg.vec_len if is_vector(i.op) else 1
+        if cls in _UNIT_FIELDS:
+            units, lat = (getattr(cfg, f) for f in _UNIT_FIELDS[cls])
+            free = [t] * units              # a heap of the units' free times
+            for _ in range(elements):
+                heapq.heapreplace(free, free[0] + lat)
+                busy[cls] += lat
+            t = max(free)
+        elif cls is OpClass.MEM:
+            waves = len(range(0, elements, port))
+            busy[cls] += waves
+            t += waves
+        elif cls is OpClass.CONVERT:
+            busy[cls] += cfg.lat_convert
+            t += cfg.lat_convert
+        if i.op == "HALT":
+            break
+    return t, busy
 
 
 # ---- reference assembler and validator: the two-pass assembler and the

@@ -399,7 +399,8 @@ class TestDataCells:
 
 
 class TestInputFiles:
-    """An input file that cannot be read exits 1 with one line naming it."""
+    """An input file that cannot be read exits 1 with one line naming it;
+    one that starts with a byte-order mark reads as it does without one."""
 
     @pytest.mark.parametrize("command", [
         ["run", "kern.asm"], ["sweep", "kern.asm", "--mixes", "8-8-8"],
@@ -418,6 +419,18 @@ class TestInputFiles:
                      "--data", str(workdir / "kern_data.csv"),
                      "--out", str(workdir / "x")]) == 1
         one_line_error(capsys, f"cannot read {workdir / name}", "utf-8")
+
+    @pytest.mark.parametrize("name", ["kern.asm", "kern_data.csv", "core.cfg"])
+    def test_byte_order_mark_skipped(self, workdir, capsys, name):
+        def report():      # Excel's "CSV UTF-8" format writes the mark
+            assert main(["run", str(workdir / "kern.asm"),
+                         "--config", str(workdir / "core.cfg"),
+                         "--data", str(workdir / "kern_data.csv")]) == 0
+            return capsys.readouterr()
+        plain = report()
+        path = workdir / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert report() == plain
 
 
 class TestUsage:
@@ -841,11 +854,17 @@ def read_outcome(read, path):
 
 
 class TestDataReaderMatchesRowMajorScan:
-    """read_data_csv, which reads a column at a time where it can, gives the
-    inputs or the error of the row-major scan of every cell."""
+    """read_data_csv, which reads a column at a time and scans rows only to
+    name the fault of a rejected file, gives the inputs or the error of the
+    row-major scan of every cell."""
 
     @settings(max_examples=500, deadline=None)
     @given(data_grid())
+    @example([list(kernel.INPUT_NAMES), ["1"] * 10, []])    # trailing blank line
+    @example([list(kernel.INPUT_NAMES), ["1"] * 10, [], ["2"] * 10])  # one between
+    @example([list(kernel.INPUT_NAMES) + ["s_k"],           # every row short
+              ["1"] * 10, ["2"] * 10])
+    @example([list(kernel.INPUT_NAMES)])                    # header only
     @example([list(kernel.INPUT_NAMES) + ["", "s_k", ""],
               ["1"] * 10 + ["nan", "2", "3"], ["1"] * 10 + ["", "", "inf"]])
     @example([list(kernel.INPUT_NAMES), ["1"] * 10, ["2"] * 9 + ["nan"]])

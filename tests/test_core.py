@@ -13,7 +13,7 @@ from vproc.core import (MAX_STATE_WORDS, CoreConfig, SimulationFault,
                         waves)
 from vproc.isa import Instruction, OpClass, Program
 
-from conftest import random_program, ref_run
+from conftest import random_program, ref_cycles, ref_run
 
 
 def kernel_setup(cfg, seed=7):
@@ -352,6 +352,38 @@ class TestAgainstReferenceInterpreter:
             seen |= {("overflow", flags["overflow"]),
                      ("div_by_zero", flags["div_by_zero"])}
         assert len(seen) == 4    # each flag was both raised and left clear
+
+
+@st.composite
+def timed_cases(draw):
+    """A config with every cost parameter drawn, and a random straight-line
+    program with conversions (which random_program never draws) spliced in."""
+    W = draw(st.integers(1, 30))
+    units, lats = st.integers(1, W), st.integers(0, 70)
+    cfg = CoreConfig(vec_len=W, n_add=draw(units), n_mul=draw(units),
+                     n_div=draw(units), lat_add=draw(lats), lat_mul=draw(lats),
+                     lat_div=draw(lats), lat_convert=draw(lats),
+                     issue_cost=draw(st.integers(0, 3)),
+                     mem_port_width=draw(st.none() | st.integers(1, W)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = random_program(rng, cfg, n_instr=rng.randint(1, 25))
+    for _ in range(rng.randint(0, 3)):
+        p.instructions.insert(rng.randrange(len(p.instructions)), Instruction(
+            rng.choice(["F2X", "X2F"]), d=rng.randrange(cfg.n_sregs),
+            a=rng.randrange(cfg.n_sregs)))
+    return p, cfg
+
+
+class TestAgainstCycleReference:
+    """core.run's cycles and busy unit-cycles equal a unit-level schedule
+    that shares no code with core.cost_table."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(timed_cases())
+    def test_total_and_busy_cycles_match(self, case):
+        p, cfg = case
+        report = run(p, cfg)
+        assert (report.total_cycles, report.busy_cycles) == ref_cycles(p, cfg)
 
 
 # Instruction fields as a library caller may set them: unset, a small int

@@ -14,7 +14,7 @@ from vproc.dse import DesignPoint, amdahl, pareto, sweep, throughput_projection
 from vproc.isa import Instruction, OpClass, Program
 from vproc.resources import estimate_vector
 
-from conftest import random_program
+from conftest import random_program, ref_cycles
 
 SIZES = (1, 2, 4, 8, 16, 24)
 
@@ -122,7 +122,8 @@ class TestOnePassSweep:
         configs = [base.with_mix(*m) for m in mixes]
         for cfg, point in zip(configs, sweep(p, base, mixes)):
             report = run(p, cfg)
-            assert point.latency_cycles == report.total_cycles
+            assert point.latency_cycles == report.total_cycles \
+                == ref_cycles(p, cfg)[0]
             table = cost_table(cfg, report.counts)
             busy = dict.fromkeys(OpClass, 0)
             for op, n in report.counts.items():
