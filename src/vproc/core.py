@@ -220,44 +220,43 @@ def run(p: Program, cfg: CoreConfig,
 
     pc = cycles = 0
     while True:
-        i = code[pc]
+        op, d, a, b, imm, addr, target = code[pc]
         cycles += pc_cycles[pc]
         retired[pc] += 1
         if cycles > max_cycles:
             raise SimulationTimeout(report(cycles))
 
-        op = i.op
         next_pc = pc + 1
         if op in _ALU:
             fn, shape = _ALU[op]
             if shape == "vv":
-                v[i.d] = [fn(x, y, flags) for x, y in zip(v[i.a], v[i.b])]
+                v[d] = [fn(x, y, flags) for x, y in zip(v[a], v[b])]
             elif shape == "vs":
-                y = s[i.b]
-                v[i.d] = [fn(x, y, flags) for x in v[i.a]]
+                y = s[b]
+                v[d] = [fn(x, y, flags) for x in v[a]]
             elif shape == "v":
-                v[i.d] = [fn(x, flags) for x in v[i.a]]
+                v[d] = [fn(x, flags) for x in v[a]]
             elif shape == "ss":
-                s[i.d] = fn(s[i.a], s[i.b], flags)
+                s[d] = fn(s[a], s[b], flags)
             elif shape == "si":
-                s[i.d] = fn(s[i.a], i.imm.raw, flags)
+                s[d] = fn(s[a], imm.raw, flags)
             else:
-                s[i.d] = fn(s[i.a], flags)
+                s[d] = fn(s[a], flags)
         elif op == "SLD":
-            s[i.d] = mem[i.addr]
+            s[d] = mem[addr]
         elif op == "SST":
-            mem[i.addr] = s[i.a]
+            mem[addr] = s[a]
         elif op == "LDI":
-            s[i.d] = i.imm.raw
+            s[d] = imm.raw
         elif op == "VLD":
-            v[i.d] = mem[i.addr:i.addr + W]
+            v[d] = mem[addr:addr + W]
         elif op == "VST":
-            mem[i.addr:i.addr + W] = v[i.a]
+            mem[addr:addr + W] = v[a]
         elif op in ("JMP", "BZ", "BNZ"):
             if retired[pc] > max_cycles:
                 raise SimulationTimeout(report(cycles))
-            if op == "JMP" or (s[i.a] == 0) == (op == "BZ"):
-                next_pc = i.target
+            if op == "JMP" or (s[a] == 0) == (op == "BZ"):
+                next_pc = target
         elif op == "HALT":
             break
         else:                   # the end marker

@@ -6,8 +6,9 @@ text is the interchange format.  Scalar register s0 is a hardwired zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from . import fixedpoint as fx
 from .fixedpoint import Fixed64
@@ -78,8 +79,7 @@ def is_vector(mnemonic: str) -> bool:
     return mnemonic in VECTOR_OPS
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     op: str
     d: int | None = None       # destination register index
     a: int | None = None       # first source register index
@@ -126,12 +126,18 @@ def _parse_value(token: str) -> Fixed64:
     return fx.from_real(x)
 
 
-# Operand kind -> position of its Instruction field after `op`
-# (d, a, b, imm, addr, target), and each opcode's operands in that form.
-_FIELD = {"sd": 0, "vd": 0, "sa": 1, "va": 1, "sb": 2, "vb": 2,
-          "imm": 3, "addr": 4, "label": 5}
+# Operand kind -> index of its Instruction field; each opcode's operands so.
+_FIELD = {"sd": 1, "vd": 1, "sa": 2, "va": 2, "sb": 3, "vb": 3,
+          "imm": 4, "addr": 5, "label": 6}
 _OPERANDS = {m: tuple((_FIELD[k], k) for k in sig)
              for m, (_, sig) in OPCODES.items()}
+
+
+def _decimal(text: str) -> int:
+    """int() of ASCII text only, and no `_`: int() takes `1_0` and `١`."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return int(text)
 
 
 def _encode(mnemonic: str, operand_text: str) -> tuple[Instruction, str | None]:
@@ -145,32 +151,30 @@ def _encode(mnemonic: str, operand_text: str) -> tuple[Instruction, str | None]:
     if len(tokens) != len(operands):
         raise ValueError(f"{op} expects {len(operands)} operand(s), "
                          f"got {len(tokens)}")
-    fields: list = [None] * 6
+    fields: list = [op, None, None, None, None, None, None]
     label = None
     for (slot, kind), token in zip(operands, tokens):
         try:
-            if kind == "addr":
-                if not (token.startswith("[") and token.endswith("]")):
-                    raise ValueError
-                fields[slot] = int(token[1:-1])
-            elif kind == "imm":
+            if kind == "imm":
                 fields[slot] = _parse_value(token)
             elif kind == "label":
                 label = token
-            elif len(token) < 2 or token[0].lower() != kind[0] or not token[1:].isdigit():
+            elif kind == "addr" and token.startswith("[") and token.endswith("]"):
+                fields[slot] = _decimal(token[1:-1])
+            elif kind != "addr" and token[:1].lower() == kind[0] and token[1:].isdigit():
+                fields[slot] = _decimal(token[1:])   # register: s<n> or v<n>
+            else:
                 raise ValueError
-            else:                                # register: s<n> or v<n>
-                fields[slot] = int(token[1:])
         except ValueError:
             raise ValueError(f"malformed operand '{token}' for {op}") from None
-    return Instruction(op, *fields), label
+    return Instruction(*fields), label
 
 
 def assemble(source_text: str) -> Program:
-    """One pass; each distinct statement text is encoded once and its frozen
-    Instruction shared.  Label operands may be forward references, so they
-    are resolved after the pass.  Diagnostics: every label diagnostic, then
-    at most one per line in line order."""
+    """One pass; each distinct statement text is encoded once and its
+    Instruction (an immutable named tuple) shared.  Label operands may be
+    forward references, resolved after the pass with `_replace`.  Diagnostics:
+    every label diagnostic, then at most one per line in line order."""
     label_diags: list[str] = []
     diags: list[tuple[int, str]] = []          # (lineno, message)
     program = Program()
@@ -200,7 +204,7 @@ def assemble(source_text: str) -> Program:
                 if mnemonic == ".data":
                     addr, *values = operand_text.split()
                     program.data_init.append(
-                        (int(addr), [_parse_value(t) for t in values]))
+                        (_decimal(addr), [_parse_value(t) for t in values]))
                     continue
                 hit = encoded[line] = _encode(mnemonic, operand_text)
             except ValueError as exc:
@@ -214,7 +218,7 @@ def assemble(source_text: str) -> Program:
 
     for pc, lineno, label in fixups:
         if label in labels:
-            instructions[pc] = replace(instructions[pc], target=labels[label])
+            instructions[pc] = instructions[pc]._replace(target=labels[label])
         else:
             diags.append((lineno, f"unresolved label '{label}' at line {lineno}"))
     if label_diags or diags:
@@ -243,14 +247,12 @@ def disassemble(p: Program) -> str:
     targets = {i.target for i in p.instructions if i.target is not None}
     lines: list[str] = []
     for idx, instr in enumerate(p.instructions):
-        fields = (instr.d, instr.a, instr.b, instr.imm, instr.addr, instr.target)
         try:
-            operands = [_TEXT[kind](fields[slot]) for slot, kind in _OPERANDS[instr.op]]
+            operands = [_TEXT[kind](instr[slot]) for slot, kind in _OPERANDS[instr.op]]
         except (AttributeError, KeyError, TypeError):
             raise ValidationError(_bad_operand(idx, instr)) from None
-        prefix = f"L{idx}: " if idx in targets else ""
-        text = instr.op if not operands else f"{instr.op} {', '.join(operands)}"
-        lines.append(prefix + text)
+        text = f"{instr.op} {', '.join(operands)}" if operands else instr.op
+        lines.append(f"L{idx}: {text}" if idx in targets else text)
     for entry in p.data_init:
         if bad := _bad_data(entry):
             raise ValidationError(bad)
@@ -264,20 +266,19 @@ def validate(p: Program, cfg) -> list[str]:
     return validate_structure(p, cfg) + validate_units(unit_classes(p), cfg)
 
 
-# mnemonic -> ((field, is a vector register) per register operand, has an address,
-# is a vector op (spans vec_len words), has a branch target, has an immediate, is
-# a conversion): flags, so the loop does no Enum member lookup (slow in CPython).
-_CHECKS = {m: (tuple((k[1], k[0] == "v") for k in sig if k[0] in "sv"), "addr" in sig,
+# mnemonic -> ((field index, is a vector register) per register operand, has an
+# address, is a vector op (spans vec_len words), has a branch target, has an
+# immediate, is a conversion): flags, so the loop does no Enum lookup (slow in CPython).
+_CHECKS = {m: (tuple((_FIELD[k], k[0] == "v") for k in sig if k[0] in "sv"), "addr" in sig,
                m in VECTOR_OPS, "label" in sig, "imm" in sig, cls is OpClass.CONVERT)
            for m, (cls, sig) in OPCODES.items()}
 
 
 def _bad_operand(idx: int, instr: Instruction) -> str:
     """Names the first operand that is None or mistyped, else the opcode."""
-    fields = (instr.d, instr.a, instr.b, instr.imm, instr.addr, instr.target)
     for slot, kind in _OPERANDS.get(instr.op, ()):
-        if not isinstance(fields[slot], Fixed64 if kind == "imm" else int):
-            return (f"instr {idx} ({instr.op}): {kind} operand {fields[slot]!r} is "
+        if not isinstance(instr[slot], Fixed64 if kind == "imm" else int):
+            return (f"instr {idx} ({instr.op}): {kind} operand {instr[slot]!r} is "
                     f"not {'a Fixed64' if kind == 'imm' else 'an int'}")
     return f"instr {idx}: unknown opcode {instr.op!r}"
 
@@ -306,7 +307,7 @@ def validate_structure(p: Program, cfg) -> list[str]:
         try:
             regs, has_addr, vector, has_target, has_imm, convert = _CHECKS[instr.op]
             for f, is_vreg in regs:
-                if not 0 <= (reg := getattr(instr, f) & -1) < limits[is_vreg]:
+                if not 0 <= (reg := instr[f] & -1) < limits[is_vreg]:
                     bank = ("scalar", "vector")[is_vreg]
                     diags.append(f"instr {idx} ({instr.op}): {bank} register index {reg}"
                                  f" out of range (n_{bank[0]}regs={limits[is_vreg]})")

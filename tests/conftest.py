@@ -162,10 +162,25 @@ def ref_cycles(p: Program, cfg):
 # ---- reference assembler and validator: the two-pass assembler and the
 # ---- signature-walking validator, kept as written before the one-pass
 # ---- rewrite (the assembler gains only the empty-line guard in its label
-# ---- loop, so a malformed label alone on its line is a diagnostic).
+# ---- loop, so a malformed label alone on its line is a diagnostic, and
+# ---- the ASCII-digit rule for register numbers and addresses).
+
+# Operand kind -> the Instruction field it sets, by name, written out apart
+# from isa._FIELD's indices.
+OPERAND_FIELD = {"imm": "imm", "addr": "addr", "label": "target",
+                 **{k: k[1] for k in ("sd", "sa", "sb", "vd", "va", "vb")}}
+
 
 def _strip(line: str) -> str:
     return line.split(";", 1)[0].strip()
+
+
+def _ascii_int(text: str) -> int:
+    """A register number or address: int() of ASCII text with no digit-group
+    underscore."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return int(text)
 
 
 def ref_assemble(source_text: str) -> Program:
@@ -209,7 +224,7 @@ def ref_assemble(source_text: str) -> Program:
     for lineno, mnemonic, operands in stmts:
         if mnemonic == ".data":
             try:
-                addr = int(operands[0])
+                addr = _ascii_int(operands[0])
                 values = [_parse_value(t) for t in operands[1:]]
             except (ValueError, IndexError):
                 diagnostics.append(f"malformed .data directive at line {lineno}")
@@ -233,13 +248,13 @@ def ref_assemble(source_text: str) -> Program:
                     want = kind[0]
                     if len(token) < 2 or token[0].lower() != want or not token[1:].isdigit():
                         raise ValueError
-                    fields[kind[1]] = int(token[1:])
+                    fields[kind[1]] = _ascii_int(token[1:])
                 elif kind == "imm":
                     fields["imm"] = _parse_value(token)
                 elif kind == "addr":
                     if not (token.startswith("[") and token.endswith("]")):
                         raise ValueError
-                    fields["addr"] = int(token[1:-1])
+                    fields["addr"] = _ascii_int(token[1:-1])
                 elif kind == "label":
                     if token not in labels:
                         diagnostics.append(

@@ -157,6 +157,17 @@ class TestAsm:
         assert main(["run", str(prog)]) == 1
         one_line_error(capsys, "malformed label '9x' at line 1")
 
+    def test_register_and_address_digits_ascii_only(self, tmp_path, capsys):
+        prog = tmp_path / "p.asm"
+        prog.write_text("SLD s\u0661, [3]\nSLD s1, [\u0663]\nSLD s1, [1_0]\n"
+                        ".data 1_0 2\nHALT\n", encoding="utf-8")
+        assert main(["asm", str(prog)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "malformed operand 's\u0661' for SLD at line 1",
+            "malformed operand '[\u0663]' for SLD at line 2",
+            "malformed operand '[1_0]' for SLD at line 3",
+            "malformed .data directive at line 4"]
+
     def test_converter_disabled_diagnostic(self, tmp_path, capsys):
         prog = tmp_path / "p.asm"
         prog.write_text("F2X s1, s2\nHALT\n")

@@ -13,7 +13,7 @@ from vproc.core import (MAX_STATE_WORDS, CoreConfig, SimulationFault,
                         waves)
 from vproc.isa import Instruction, OpClass, Program
 
-from conftest import random_program, ref_cycles, ref_run
+from conftest import OPERAND_FIELD, random_program, ref_cycles, ref_run
 
 
 def kernel_setup(cfg, seed=7):
@@ -390,8 +390,6 @@ class TestAgainstCycleReference:
 # (negative ones included), a float or a fixed-point word.
 _WORD = st.builds(fx.Fixed64, st.integers(fx.RAW_MIN, fx.RAW_MAX))
 _FIELD = st.one_of(st.none(), st.integers(-4, 40), st.floats(-4, 40), _WORD)
-_FIELD_OF = {"imm": "imm", "addr": "addr", "label": "target",
-             **{k: k[1] for k in ("sd", "sa", "sb", "vd", "va", "vb")}}
 
 
 def _edge_ints(cfg: CoreConfig, op: str, kind: str, n: int, edge: str):
@@ -435,7 +433,7 @@ def library_program(draw, cfg: CoreConfig | None = None):
                 value = st.integers(0, 15).map(typed)
             else:
                 value = _edge_ints(cfg, op, kind, n, edge)
-            fields[_FIELD_OF[kind]] = draw(value)
+            fields[OPERAND_FIELD[kind]] = draw(value)
         instructions.append(Instruction(op, **fields))
     if cfg is not None:
         return Program(instructions)

@@ -9,7 +9,7 @@ from vproc import isa, kernel
 from vproc.core import CoreConfig, ValidationError, run
 from vproc.isa import Instruction, OpClass, Program
 
-from conftest import random_program, ref_assemble, ref_validate_structure
+from conftest import OPERAND_FIELD, random_program, ref_assemble, ref_validate_structure
 
 # Source fragments for the differential assembler test: well-formed operands
 # of each kind, malformed ones (among them "c", a label never defined), and
@@ -22,7 +22,7 @@ _GOOD = {
     "label": ["a", "b", "loop", "x_1"],
 }
 _BAD = ["x3", "s", "", "abc", "nan", "1e400", "[x]", "5", "[]", "s1x",
-        "v-1", "c", "a:", "0x1G"]
+        "v-1", "c", "a:", "0x1G", "s\u0661", "[\u0663]", "[1_0]"]
 _NAMES = _GOOD["label"]
 _BAD_NAMES = ["9x", "", "a-b", "1"]
 
@@ -33,7 +33,7 @@ def _statement(draw, clean, mnemonics, good):
     if kind == 0:
         return ""                                   # blank or label-only
     if kind == 1:
-        cells = ["0", "7", "1.5", "0x10", "-2"] + ([] if clean else ["x", "nan"])
+        cells = ["0", "7", "1.5", "0x10", "-2"] + ([] if clean else ["x", "nan", "1_0"])
         return ".data " + " ".join(draw(st.lists(st.sampled_from(cells),
                                                  min_size=int(clean), max_size=3)))
     if kind == 2 and not clean:
@@ -123,6 +123,25 @@ class TestAssemble:
             isa.assemble("SLD s1, 5")
         assert exc.value.diagnostics == ["malformed operand '5' for SLD at line 1"]
 
+    @pytest.mark.parametrize("src,message", [
+        ("SLD s\u0661, [3]", "malformed operand 's\u0661' for SLD at line 1"),
+        ("SLD s1, [\u0663]", "malformed operand '[\u0663]' for SLD at line 1"),
+        ("SLD s1, [1_0]", "malformed operand '[1_0]' for SLD at line 1"),
+        (".data 1_0 2", "malformed .data directive at line 1")],
+        ids=["arabic-indic-register", "arabic-indic-address", "underscore-address",
+             "underscore-data-address"])
+    def test_register_and_address_take_ascii_digits_only(self, src, message):
+        with pytest.raises(ValidationError) as exc:
+            isa.assemble(src)
+        assert exc.value.diagnostics == [message]
+
+    def test_immediates_keep_python_number_syntax(self):
+        p = isa.assemble("LDI s1, 1_0\nSLD s2, [-1]\n.data 3 1_0")
+        assert p.instructions[0].imm == fx.from_real(10.0)
+        assert p.data_init == [(3, [fx.from_real(10.0)])]
+        assert isa.validate(p, CoreConfig()) == [
+            "instr 1 (SLD): address -1 (+1 words) outside data memory of 4096"]
+
     def test_comments_and_blanks_ignored(self):
         p = isa.assemble("; full line comment\n\nHALT ; trailing\n")
         assert len(p.instructions) == 1
@@ -191,6 +210,76 @@ class TestAssemble:
         got = isa.assemble(src)
         assert got.instructions == want.instructions
         assert got.data_init == want.data_init
+
+
+# One well-formed value per Instruction field: distinct registers, so that
+# a slot mix-up shows.
+_GOOD_VALUE = {"d": 1, "a": 2, "b": 3, "imm": fx.from_real(1.5), "addr": 4,
+               "target": 0}
+
+
+def _well_formed(op: str, **override) -> Instruction:
+    """op with each of its operands set, valid under CoreConfig() as a
+    one-instruction program (a branch targets itself), then `override`."""
+    fields = [OPERAND_FIELD[kind] for kind in isa.OPCODES[op][1]]
+    return Instruction(op, **{**{f: _GOOD_VALUE[f] for f in fields}, **override})
+
+
+class TestEveryOperandSlot:
+    """Each opcode's operands are read from the Instruction fields they name."""
+
+    @pytest.mark.parametrize("op,kind,bad", [
+        (op, kind, bad) for op, (_, sig) in isa.OPCODES.items() for kind in sig
+        for bad in (None, 1 if kind == "imm" else 1.5)])
+    def test_mistyped_operand_named(self, op, kind, bad):
+        p = Program([_well_formed(op, **{OPERAND_FIELD[kind]: bad})])
+        message = (f"instr 0 ({op}): {kind} operand {bad!r} is not "
+                   f"{'a Fixed64' if kind == 'imm' else 'an int'}")
+        assert isa.validate(p, CoreConfig()) == [message]
+        with pytest.raises(ValidationError) as exc:
+            isa.disassemble(p)
+        assert exc.value.diagnostics == [message]
+
+    @pytest.mark.parametrize("op", isa.OPCODES)
+    def test_well_formed_round_trip(self, op):
+        p = Program([_well_formed(op)])
+        assert isa.validate(p, CoreConfig()) == []
+        assert isa.assemble(isa.disassemble(p)) == p
+
+
+class TestInstructionRecord:
+    def test_fields_cannot_be_set(self):
+        instr = Instruction("JMP", target=0)
+        with pytest.raises(AttributeError):
+            instr.target = 1
+        assert instr.target == 0
+
+    def test_keyword_construction(self):
+        instr = Instruction(op="SADDI", d=1, a=2, imm=fx.ONE)
+        assert Instruction._fields == ("op", "d", "a", "b", "imm", "addr", "target")
+        assert (instr.op, instr.d, instr.a, instr.b, instr.imm, instr.addr,
+                instr.target) == ("SADDI", 1, 2, None, fx.ONE, None, None)
+
+    def test_repr(self):
+        assert repr(Instruction("HALT")) == (
+            "Instruction(op='HALT', d=None, a=None, b=None, imm=None, addr=None, "
+            "target=None)")
+        assert repr(Instruction("LDI", d=1, imm=fx.ONE)) == (
+            "Instruction(op='LDI', d=1, a=None, b=None, imm=Fixed64(raw=4294967296), "
+            "addr=None, target=None)")
+
+    def test_branches_to_different_labels_get_own_targets(self):
+        p = isa.assemble("a: BNZ s1, a\nBNZ s1, b\nb: BNZ s1, a\nHALT")
+        assert [i.target for i in p.instructions] == [0, 2, 0, None]
+        assert p.instructions[0] == p.instructions[2] != p.instructions[1]
+
+    def test_equal_to_plain_tuple_of_its_fields(self):
+        """A named tuple compares and hashes as its fields; no caller relies
+        on an Instruction differing from the plain tuple."""
+        fields = ("SADD", 1, 2, 3, None, None, None)
+        instr = Instruction("SADD", d=1, a=2, b=3)
+        assert instr == fields and hash(instr) == hash(fields)
+        assert instr != ("SADD", 1, 2, 3)
 
 
 class TestDisassemble:
