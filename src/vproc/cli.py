@@ -35,7 +35,7 @@ SCHEMA_VERSION = 1
 
 # Field type, as annotation text -> parser; a bad value raises KeyError or ValueError.
 _PARSERS = {"bool": lambda v: {"true": True, "false": False}[v.lower()],
-            "float": float, "int": int, "int | None": int}
+            "float": float, "int": isa._decimal, "int | None": isa._decimal}
 # config key -> (its dataclass, the parser of its value)
 _KEYS = {f.name: (cls, _PARSERS[f.type])
          for cls in (CoreConfig, Calibration) for f in dataclasses.fields(cls)}
@@ -189,15 +189,15 @@ def parse_mix_spec(spec: str) -> list[tuple[int, int, int]]:
     if spec.startswith("sym:"):
         sizes = [t.strip() for t in spec[len("sym:"):].split(",") if t.strip()]
         try:        # int() also rejects more digits than its limit
-            if not sizes or not all(t.isdecimal() for t in sizes):
+            if not sizes or not all(map(str.isdecimal, sizes)):
                 raise ValueError
-            return [(int(t),) * 3 for t in sizes]
+            return [(isa._decimal(t),) * 3 for t in sizes]
         except ValueError:
             raise ValidationError(f"bad mix spec '{spec}'")
     mixes = []
     for item in spec.split(","):
         try:        # a count other than three fails to unpack
-            a, m, d = (int(x) for x in item.strip().split("-"))
+            a, m, d = map(isa._decimal, item.strip().split("-"))
         except ValueError:
             raise ValidationError(f"bad mix '{item.strip()}', expected A-M-D")
         mixes.append((a, m, d))

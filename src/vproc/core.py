@@ -3,7 +3,9 @@
 Execution is single-issue and in-order with no overlap between instructions,
 so the cycle count of a run is exactly the sum of per-instruction analytic
 costs.  Vector operations are sequenced in waves of up to K elements across
-the K functional units of the relevant class.
+the K functional units of the relevant class.  A vector op computes the
+whole register at once (`fixedpoint.vadd`, ...), lane by lane only where
+flags may be set.
 """
 
 from __future__ import annotations
@@ -149,15 +151,17 @@ def _convert_f2x(word: int, flags: ArithFlags) -> int:
     return fx.from_reals([x], flags)[0]
 
 
-# Every op that writes a register from registers -> (raw-word function, keyed
-# by the stem after S/V or by a conversion's name; operand shape after the
-# destination: "ss", "si", "vv", "vs", or unary "s", "v", called as f(x, flags)).
-_FUNCS = {"ADD": fx.add, "SUB": fx.sub, "MUL": fx.mul, "DIV": fx.div, "MOV": lambda x, flags: x,
-          "INV": lambda x, flags: fx.div(fx.SCALE, x, flags), "F2X": _convert_f2x,
+# Ops that write a register from registers, keyed by their first four letters
+# -> (function of words, or of register lists giving a new list; operand shape
+# after the destination: "ss", "si", "vv", "vs", or unary "s", "v": f(x, flags)).
+_FUNCS = {"SADD": fx.add, "SSUB": fx.sub, "SMUL": fx.mul, "SDIV": fx.div,
+          "SMOV": lambda x, flags: x, "SINV": lambda x, flags: fx.div(fx.SCALE, x, flags),
+          "VADD": fx.vadd, "VSUB": fx.vsub, "VMUL": fx.vmul, "VDIV": fx.vdiv,
+          "VMOV": lambda xs, flags: xs[:], "F2X": _convert_f2x,
+          "VINV": lambda xs, flags: fx.vdiv([fx.SCALE] * len(xs), xs, flags),
           "X2F": lambda x, flags: struct.unpack("<q", struct.pack("<d", x / fx.SCALE))[0]}
-_ALU = {op: (_FUNCS[stem], "".join(kind[0] for kind in sig[1:]))
-        for op, (cls, sig) in isa.OPCODES.items()
-        if (stem := op if cls is OpClass.CONVERT else op[1:4]) in _FUNCS}
+_ALU = {op: (_FUNCS[op[:4]], "".join(kind[0] for kind in sig[1:]))
+        for op, (_, sig) in isa.OPCODES.items() if op[:4] in _FUNCS}
 
 
 def run(p: Program, cfg: CoreConfig,
@@ -230,12 +234,11 @@ def run(p: Program, cfg: CoreConfig,
         if op in _ALU:
             fn, shape = _ALU[op]
             if shape == "vv":
-                v[d] = [fn(x, y, flags) for x, y in zip(v[a], v[b])]
+                v[d] = fn(v[a], v[b], flags)
             elif shape == "vs":
-                y = s[b]
-                v[d] = [fn(x, y, flags) for x in v[a]]
+                v[d] = fn(v[a], [s[b]] * W, flags)
             elif shape == "v":
-                v[d] = [fn(x, flags) for x in v[a]]
+                v[d] = fn(v[a], flags)
             elif shape == "ss":
                 s[d] = fn(s[a], s[b], flags)
             elif shape == "si":

@@ -3,9 +3,11 @@
 Values are stored as 64-bit two's-complement integers scaled by 2^32.
 Every operation saturates to the representable range instead of wrapping,
 and records saturation / zero-divisor events in a sticky flag set, the way
-a hardware status register would.  The simulator works on raw words with
-`add`/`sub`/`mul`/`div` and converts columns of reals with `from_reals`;
-`Fixed64`, `from_real` and the `fx_*` wrappers are the single-value API.
+a hardware status register would.  The simulator works on raw words: a lane
+with `add`/`sub`/`mul`/`div`, a list with `vadd`/`vsub`/`vmul`/`vdiv`, which
+compute the whole list flag-free and map the per-lane function, the one home
+of the flag rules, only where flags may be set.  `from_reals` converts
+columns of reals; `Fixed64`, `from_real` and `fx_*` are the single-value API.
 """
 
 from __future__ import annotations
@@ -88,6 +90,32 @@ def div(a: int, b: int, flags: ArithFlags | None = None) -> int:
     return saturate(q, flags)
 
 
+def _checked(words: list[int], lane, xs, ys, flags) -> list[int]:
+    """`words` if every one is in range; else `lane` over the lanes, with flags."""
+    if RAW_MIN <= min(words, default=0) and max(words, default=0) <= RAW_MAX:
+        return words
+    return list(map(lane, xs, ys, repeat(flags)))
+
+
+def vadd(xs: list[int], ys: list[int], flags: ArithFlags | None = None) -> list[int]:
+    return _checked(list(map(operator.add, xs, ys)), add, xs, ys, flags)
+
+
+def vsub(xs: list[int], ys: list[int], flags: ArithFlags | None = None) -> list[int]:
+    return _checked(list(map(operator.sub, xs, ys)), sub, xs, ys, flags)
+
+
+def vmul(xs: list[int], ys: list[int], flags: ArithFlags | None = None) -> list[int]:
+    return _checked([(x * y) >> FRAC_BITS for x, y in zip(xs, ys)], mul, xs, ys, flags)
+
+
+def vdiv(xs: list[int], ys: list[int], flags: ArithFlags | None = None) -> list[int]:
+    # With every x >= 0 and y > 0, floor division truncates and no divisor is 0.
+    if min(xs, default=0) >= 0 and min(ys, default=1) > 0:
+        return _checked([(x << FRAC_BITS) // y for x, y in zip(xs, ys)], div, xs, ys, flags)
+    return list(map(div, xs, ys, repeat(flags)))
+
+
 def from_reals(xs: Sequence[float], flags: ArithFlags | None = None) -> list[int]:
     """Raw words of a column of finite reals: nearest Q32.32 value, ties to
     even.
@@ -104,10 +132,9 @@ def from_reals(xs: Sequence[float], flags: ArithFlags | None = None) -> list[int
         # scaling by a power of two exact (no overflow to inf).
         return [saturate(round(min(max(x, -scale), scale) * SCALE), flags)
                 for x in xs]
-    # Scaling by 2^32 is exact and round() on a float is exact ties-to-even;
-    # no word saturates, since the largest double below 2^31 scales to
-    # 2^63 - 2^10.
-    return list(map(round, map(operator.mul, xs, repeat(scale))))
+    # Scaling by 2^32 is exact; float.__round__ rounds ties-to-even.  No word
+    # saturates: the largest double below 2^31 scales to 2^63 - 2^10.
+    return list(map(float.__round__, map(operator.mul, xs, repeat(scale))))
 
 
 def from_real(x: float, flags: ArithFlags | None = None) -> Fixed64:

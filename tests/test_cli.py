@@ -81,6 +81,22 @@ class TestConfigFormat:
                                                   "'enable_converter'$"):
             parse_config_text("enable_converter = yes")
 
+    @pytest.mark.parametrize("line", ["vec_len = 2_4", "n_add = \u0668",
+                                      "mem_port_width = \uff18", "dmem_words = 4_096"])
+    def test_integer_takes_ascii_digits_only(self, line, tmp_path, capsys):
+        # int() takes a digit-group "_" and any Unicode decimal digit.
+        prog, cfg = tmp_path / "p.asm", tmp_path / "c.cfg"
+        prog.write_text("HALT\n")
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert main(["run", str(prog), "--config", str(cfg)]) == 1
+        key = line.partition(" ")[0]
+        one_line_error(capsys, f"config line 1: bad value for '{key}'")
+
+    def test_signed_integer_still_parses(self):
+        assert parse_config_text("issue_cost = +3")[0].issue_cost == 3
+        with pytest.raises(ValidationError, match="n_add must be >= 0"):
+            parse_config_text("n_add = -1")
+
     def test_memory_beyond_bound_rejected(self, tmp_path, capsys):
         prog, cfg = tmp_path / "p.asm", tmp_path / "c.cfg"
         prog.write_text("HALT\n")
@@ -126,6 +142,16 @@ class TestMixSpec:
     def test_malformed_sym_rejected(self, spec):
         with pytest.raises(ValidationError, match="bad mix spec"):
             parse_mix_spec(spec)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("1_0-2-3", "bad mix '1_0-2-3'"), ("1-2-\u0663", "bad mix '1-2-\u0663'"),
+        ("1_0-2-\u0663", "bad mix '1_0-2-\u0663'"),
+        ("sym:\u0662", "bad mix spec 'sym:\u0662'"), ("sym:1,1_6", "bad mix spec 'sym:1,1_6'")])
+    def test_counts_take_ascii_digits_only(self, spec, message, tmp_path, capsys):
+        prog = tmp_path / "p.asm"
+        prog.write_text("HALT\n")
+        assert main(["sweep", str(prog), "--mixes", spec]) == 1
+        one_line_error(capsys, message)
 
     @pytest.mark.parametrize("prefix", ["sym:", "1-1-"])
     def test_too_many_digits_rejected(self, prefix):

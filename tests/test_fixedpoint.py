@@ -2,7 +2,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vproc.fixedpoint as fx
@@ -190,3 +190,58 @@ class TestAgainstReference:
             assert got == RAW_MIN
         else:
             assert got == exact
+
+
+# Words where saturation, rounding and division change behaviour, a few ints
+# outside the word range (library callers may pass them), and random words.
+_EDGE = [0, 1, -1, SCALE, -SCALE, RAW_MIN, RAW_MAX, 1 << 40, -(1 << 40),
+         RAW_MAX + 1, RAW_MIN - 1, 1 << 80]
+_LANE = st.sampled_from(_EDGE) | raws | st.integers(-4 * SCALE, 4 * SCALE)
+
+
+@st.composite
+def lane_lists(draw):
+    """Two operand lists of one length in 1..30; in half the cases every
+    word is non-negative, where vdiv takes its whole-list route."""
+    W = draw(st.integers(1, 30))
+    lane = _LANE.map(abs) if draw(st.booleans()) else _LANE
+    return draw(st.lists(lane, min_size=W, max_size=W)), \
+        draw(st.lists(lane, min_size=W, max_size=W))
+
+
+class TestListFunctionsMatchPerLane:
+    """Each whole-list function gives the words and flags of its per-lane
+    function applied lane by lane."""
+
+    @settings(max_examples=400)
+    @given(st.sampled_from([(fx.vadd, fx.add), (fx.vsub, fx.sub),
+                            (fx.vmul, fx.mul), (fx.vdiv, fx.div)]), lane_lists())
+    def test_words_and_flags(self, fns, operands):
+        whole, lane = fns
+        xs, ys = operands
+        flags, lane_flags = ArithFlags(), ArithFlags()
+        got = whole(xs, ys, flags)
+        assert got == [lane(x, y, lane_flags) for x, y in zip(xs, ys)]
+        assert flags == lane_flags
+        assert got is not xs and got is not ys
+        assert whole(xs, ys) == got
+
+    @pytest.mark.parametrize("divisor", [0, -SCALE])
+    def test_zero_and_negative_divisors(self, divisor):
+        xs, ys = [SCALE, 3 * SCALE, 0], [SCALE, divisor, 2 * SCALE]
+        flags, lane_flags = ArithFlags(), ArithFlags()
+        assert fx.vdiv(xs, ys, flags) == [fx.div(x, y, lane_flags)
+                                          for x, y in zip(xs, ys)]
+        assert flags == lane_flags and flags.div_by_zero == (divisor == 0)
+
+    def test_in_range_lists_take_no_per_lane_call(self, monkeypatch):
+        for name in ("add", "sub", "mul", "div", "saturate"):
+            monkeypatch.setattr(fx, name, None)
+        xs, ys = [0, 6 * SCALE, 5], [SCALE, -2 * SCALE, 3]
+        assert fx.vadd(xs, ys) == [SCALE, 4 * SCALE, 8]
+        assert fx.vsub(xs, ys) == [-SCALE, 8 * SCALE, 2]
+        assert fx.vmul(xs, ys) == [0, -12 * SCALE, 0]
+        assert fx.vdiv(xs, [SCALE, 2 * SCALE, 3]) == [0, 3 * SCALE, (5 << 32) // 3]
+
+    def test_empty_lists(self):
+        assert [f([], []) for f in (fx.vadd, fx.vsub, fx.vmul, fx.vdiv)] == [[]] * 4
