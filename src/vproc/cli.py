@@ -175,8 +175,7 @@ def _parse_observe(spec: str | None, cfg: CoreConfig) -> tuple[int, int]:
     if spec is None:        # the kernel's output region
         spec = f"{kernel.default_layout(cfg.vec_len)['out']}:{cfg.vec_len}"
     try:
-        start, _, length = spec.partition(":")
-        start, length = int(start), int(length)
+        start, length = map(isa._decimal, spec.partition(":")[::2])
     except ValueError:
         raise ValidationError(f"bad observe range '{spec}', expected START:LENGTH")
     return start, length

@@ -89,7 +89,7 @@ class ExecReport:
 
 
 class SimulationFault(Exception):
-    """Control flow leaving the program during execution."""
+    """Control flow leaving the program, or a vector span resizing memory."""
 
     def __init__(self, instr_index: int, message: str):
         super().__init__(f"fault at instruction {instr_index}: {message}")
@@ -206,7 +206,9 @@ def run(p: Program, cfg: CoreConfig,
     pc_cycles = [table[i.op][1] for i in p.instructions] + [0]
     retired = [0] * len(code)
 
-    def report(cycles: int) -> ExecReport:
+    def report(cycles: int, pc: int) -> ExecReport:
+        if len(mem) != cfg.dmem_words:      # isa.validate keeps vector spans in memory
+            raise SimulationFault(pc, f"a vector span resized data memory to {len(mem)} words")
         counts: dict[str, int] = {}
         for i, n in zip(p.instructions, retired):
             counts[i.op] = counts.get(i.op, 0) + n
@@ -228,7 +230,7 @@ def run(p: Program, cfg: CoreConfig,
         cycles += pc_cycles[pc]
         retired[pc] += 1
         if cycles > max_cycles:
-            raise SimulationTimeout(report(cycles))
+            raise SimulationTimeout(report(cycles, pc))
 
         next_pc = pc + 1
         if op in _ALU:
@@ -257,7 +259,7 @@ def run(p: Program, cfg: CoreConfig,
             mem[addr:addr + W] = v[a]
         elif op in ("JMP", "BZ", "BNZ"):
             if retired[pc] > max_cycles:
-                raise SimulationTimeout(report(cycles))
+                raise SimulationTimeout(report(cycles, pc))
             if op == "JMP" or (s[a] == 0) == (op == "BZ"):
                 next_pc = target
         elif op == "HALT":
@@ -267,4 +269,4 @@ def run(p: Program, cfg: CoreConfig,
         s[0] = 0                # s0 is a hardwired zero; writes are ignored
         pc = next_pc
 
-    return report(cycles)
+    return report(cycles, pc)

@@ -6,6 +6,7 @@ text is the interchange format.  Scalar register s0 is a hardwired zero.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -131,6 +132,10 @@ _FIELD = {"sd": 1, "vd": 1, "sa": 2, "va": 2, "sb": 3, "vb": 3,
           "imm": 4, "addr": 5, "label": 6}
 _OPERANDS = {m: tuple((_FIELD[k], k) for k in sig)
              for m, (_, sig) in OPCODES.items()}
+# Opcodes with only register and address operands -> the pattern of their canonical text.
+_CANONICAL = {"s": "[sS]([0-9]+)", "v": "[vV]([0-9]+)", "a": r"\[([0-9]+)\]"}
+_PATTERNS = {m: re.compile("[ \t]*,[ \t]*".join(_CANONICAL[k[0]] for k in sig))
+             for m, (_, sig) in OPCODES.items() if sig and not {"imm", "label"} & {*sig}}
 
 
 def _decimal(text: str) -> int:
@@ -141,17 +146,25 @@ def _decimal(text: str) -> int:
 
 
 def _encode(mnemonic: str, operand_text: str) -> tuple[Instruction, str | None]:
-    """One statement's Instruction and its label operand, whose target is
-    left unset; raises ValueError with the diagnostic, less its line."""
+    """One statement's Instruction and its label operand (target unset): a
+    canonical register-and-address statement from its pattern's groups, any
+    other from the token parser, which raises each diagnostic less its line."""
     op = mnemonic.upper()
     operands = _OPERANDS.get(op)
     if operands is None:
         raise ValueError(f"unknown mnemonic '{op}'")
+    fields: list = [op, None, None, None, None, None, None]
+    if (pattern := _PATTERNS.get(op)) and (match := pattern.fullmatch(operand_text)):
+        try:
+            for (slot, _), digits in zip(operands, match.groups()):
+                fields[slot] = int(digits)
+            return Instruction(*fields), None
+        except ValueError:      # past int()'s digit limit: the parser names it
+            pass
     tokens = [t.strip() for t in operand_text.split(",")] if operand_text else []
     if len(tokens) != len(operands):
         raise ValueError(f"{op} expects {len(operands)} operand(s), "
                          f"got {len(tokens)}")
-    fields: list = [op, None, None, None, None, None, None]
     label = None
     for (slot, kind), token in zip(operands, tokens):
         try:
@@ -171,10 +184,11 @@ def _encode(mnemonic: str, operand_text: str) -> tuple[Instruction, str | None]:
 
 
 def assemble(source_text: str) -> Program:
-    """One pass; each distinct statement text is encoded once and its
-    Instruction (an immutable named tuple) shared.  Label operands may be
-    forward references, resolved after the pass with `_replace`.  Diagnostics:
-    every label diagnostic, then at most one per line in line order."""
+    """One pass; each distinct statement is encoded once (by its opcode's
+    pattern if its operands are canonical registers and addresses, else by
+    the token parser) and its Instruction, an immutable named tuple, shared.
+    Forward label references are resolved after the pass with `_replace`.
+    Diagnostics: every label diagnostic, then at most one per line in line order."""
     label_diags: list[str] = []
     diags: list[tuple[int, str]] = []          # (lineno, message)
     program = Program()

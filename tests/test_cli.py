@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vproc import cli, core, fixedpoint as fx, kernel
+from vproc import cli, core, fixedpoint as fx, isa, kernel
 from vproc.cli import main, parse_config_text, parse_mix_spec
 from vproc.isa import ValidationError
 from vproc.resources import Calibration
@@ -248,6 +248,21 @@ class TestRun:
     def test_observe_without_length_rejected(self, workdir, capsys):
         assert main(["run", str(workdir / "kern.asm"), "--observe", "5"]) == 1
         one_line_error(capsys, "bad observe range '5', expected START:LENGTH")
+
+    @pytest.mark.parametrize("spec", ["1_0:\u0663", "\uff11:2", "0:2_0"])
+    def test_observe_takes_ascii_digits_only(self, workdir, capsys, spec):
+        # int() alone reads a digit-group "_" and any Unicode decimal digit.
+        assert main(["run", str(workdir / "kern.asm"), "--observe", spec]) == 1
+        one_line_error(capsys, f"bad observe range '{spec}', expected START:LENGTH")
+
+    def test_vector_span_past_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(isa, "validate", lambda p, cfg: [])
+        prog, cfg = tmp_path / "p.asm", tmp_path / "c.cfg"
+        prog.write_text("VST [6], v0\nHALT\n")
+        cfg.write_text("dmem_words = 8\nvec_len = 4\n")
+        assert main(["run", str(prog), "--config", str(cfg), "--observe", "0:8"]) == 2
+        one_line_error(capsys, "fault at instruction 1: a vector span resized data "
+                               "memory to 10 words")
 
     def test_timeout_exit_2(self, tmp_path, capsys):
         prog = tmp_path / "p.asm"

@@ -239,6 +239,20 @@ class TestRun:
                            r"counter out of range \(missing HALT\?\)$"):
             run(p, CoreConfig())
 
+    @pytest.mark.parametrize("src,words", [("VST [6], v0\nHALT", 10),
+                                           ("VLD v0, [6]\nVST [0], v0\nHALT", 6)],
+                             ids=["store-grows", "short-load-shrinks"])
+    def test_vector_span_past_memory_faults(self, monkeypatch, src, words):
+        """Were the validator to pass a span past the end of memory, the
+        slice would resize memory; the run faults instead of reporting it."""
+        monkeypatch.setattr(isa, "validate", lambda p, cfg: [])
+        cfg = CoreConfig(dmem_words=8, vec_len=4, n_add=4, n_mul=4, n_div=4)
+        halt = src.count("\n")
+        with pytest.raises(SimulationFault) as exc:
+            run(isa.assemble(src), cfg, observe=(0, 8))
+        assert str(exc.value) == (f"fault at instruction {halt}: a vector span "
+                                  f"resized data memory to {words} words")
+
     def test_empty_program(self):
         with pytest.raises(SimulationFault, match="fault at instruction 0: "):
             run(Program(), CoreConfig())

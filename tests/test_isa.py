@@ -15,14 +15,15 @@ from conftest import OPERAND_FIELD, random_program, ref_assemble, ref_validate_s
 # of each kind, malformed ones (among them "c", a label never defined), and
 # well-formed and malformed label names.
 _GOOD = {
-    "s": ["s0", "s1", "S3", "s15", "s20"],
-    "v": ["v0", "v1", "V2", "v9", "v17"],
+    "s": ["s0", "s1", "S3", "s15", "s20", "s01"],
+    "v": ["v0", "v1", "V2", "v9", "v17", "V02"],
     "imm": ["1.5", "-0.25", "3", "0xFFFFFFFFC0000000", "0x1", "1e3"],
-    "addr": ["[0]", "[5]", "[ 7 ]", "[-1]", "[4095]"],
+    "addr": ["[0]", "[5]", "[ 7 ]", "[-1]", "[4095]", "[05]", "[+5]", "[\t7]", "[7 ]"],
     "label": ["a", "b", "loop", "x_1"],
 }
 _BAD = ["x3", "s", "", "abc", "nan", "1e400", "[x]", "5", "[]", "s1x",
-        "v-1", "c", "a:", "0x1G", "s\u0661", "[\u0663]", "[1_0]"]
+        "v-1", "c", "a:", "0x1G", "s\u0661", "[\u0663]", "[1_0]",
+        "s 1", "[5", "5]", "[[5]]", "s+1", "[5.0]", "[0x5]"]
 _NAMES = _GOOD["label"]
 _BAD_NAMES = ["9x", "", "a-b", "1"]
 
@@ -47,7 +48,7 @@ def _statement(draw, clean, mnemonics, good):
         tokens.append(draw(st.sampled_from(_BAD if bad else good[k])))
     if draw(st.booleans()):
         mnemonic = mnemonic.lower()
-    sep = draw(st.sampled_from([", ", ",", " ,\t"]))
+    sep = draw(st.sampled_from([", ", ",", " ,\t", "\t,\t", " , "]))
     return f"{mnemonic} {sep.join(tokens)}".rstrip()
 
 
@@ -135,6 +136,22 @@ class TestAssemble:
             isa.assemble(src)
         assert exc.value.diagnostics == [message]
 
+    @pytest.mark.parametrize("token,src", [
+        ("s" + "1" * 5000, "SLD s" + "1" * 5000 + ", [0]"),
+        ("[" + "1" * 5000 + "]", "SLD s1, [" + "1" * 5000 + "]")],
+        ids=["register", "address"])
+    def test_number_past_int_digit_limit_is_malformed(self, token, src):
+        """int() refuses more than 4,300 digits; the pattern's match falls
+        back to the token parser, which names the operand."""
+        with pytest.raises(ValidationError) as exc:
+            isa.assemble(src)
+        assert exc.value.diagnostics == ValidationError(
+            f"malformed operand '{token}' for SLD at line 1").diagnostics
+
+    def test_lower_case_canonical_statement(self):
+        assert isa.assemble("sld s1, [0]").instructions == [
+            Instruction("SLD", d=1, addr=0)]
+
     def test_immediates_keep_python_number_syntax(self):
         p = isa.assemble("LDI s1, 1_0\nSLD s2, [-1]\n.data 3 1_0")
         assert p.instructions[0].imm == fx.from_real(10.0)
@@ -199,6 +216,9 @@ class TestAssemble:
     @example("SADD s1, s2, s3\nSADD s1, s2, s4\nSADD s1, s2, s34\nsadd S1,s2,s3\n"
              "VLD v1, [10]\nVLD v1, [11]\nVLD v1, [1]\nLDI s1, 1.5\n"
              "LDI s2, 1.5\nx: BNZ s1, x\nBNZ s1, y\ny: BNZ s1, x")
+    @example("SLD s01, [05]\nsld S1,[+5]\nVLD V02,\t[\t7]\nVST [7 ] , v1\n"
+             "SADD s1\t,\ts2 , s3\nSST [5, s1\nSST 5], s1\nSLD s1, [[5]]\n"
+             "SMOV s+1, s 1\nVLD v1, [5.0]\nVLD v1, [0x5]\nVMOV v1, v 2")
     def test_matches_two_pass_reference(self, src):
         try:
             want = ref_assemble(src)
