@@ -188,7 +188,7 @@ def parse_mix_spec(spec: str) -> list[tuple[int, int, int]]:
     if spec.startswith("sym:"):
         sizes = [t.strip() for t in spec[len("sym:"):].split(",") if t.strip()]
         try:        # int() also rejects more digits than its limit
-            if not sizes or not all(map(str.isdecimal, sizes)):
+            if not sizes:
                 raise ValueError
             return [(isa._decimal(t),) * 3 for t in sizes]
         except ValueError:

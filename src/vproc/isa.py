@@ -127,15 +127,12 @@ def _parse_value(token: str) -> Fixed64:
     return fx.from_real(x)
 
 
-# Operand kind -> index of its Instruction field; each opcode's operands so.
-_FIELD = {"sd": 1, "vd": 1, "sa": 2, "va": 2, "sb": 3, "vb": 3,
-          "imm": 4, "addr": 5, "label": 6}
-_OPERANDS = {m: tuple((_FIELD[k], k) for k in sig)
-             for m, (_, sig) in OPCODES.items()}
-# Opcodes with only register and address operands -> the pattern of their canonical text.
-_CANONICAL = {"s": "[sS]([0-9]+)", "v": "[vV]([0-9]+)", "a": r"\[([0-9]+)\]"}
-_PATTERNS = {m: re.compile("[ \t]*,[ \t]*".join(_CANONICAL[k[0]] for k in sig))
-             for m, (_, sig) in OPCODES.items() if sig and not {"imm", "label"} & {*sig}}
+def _format_value(v: Fixed64) -> str:
+    # Decimal only when it reparses to the same raw word; otherwise raw hex.
+    x = fx.to_real(v)
+    if fx.REAL_LO <= x < fx.REAL_HI and fx.from_real(x).raw == v.raw:
+        return repr(x)
+    return f"0x{v.raw & ((1 << fx.WORD_BITS) - 1):016X}"
 
 
 def _decimal(text: str) -> int:
@@ -145,57 +142,71 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
-def _encode(mnemonic: str, operand_text: str) -> tuple[Instruction, str | None]:
-    """One statement's Instruction and its label operand (target unset): a
-    canonical register-and-address statement from its pattern's groups, any
-    other from the token parser, which raises each diagnostic less its line."""
+# Operand kind's first letter -> (pattern of its text, with one group; the
+# function of that group giving the field; the printer of the field's
+# canonical text).  Inside a line an address's pattern takes what
+# `_decimal` does; `x & -1` raises for a float or None.
+_SYNTAX = {"s": ("[sS]([0-9]+)", int, lambda x: f"s{x & -1}"),
+           "v": ("[vV]([0-9]+)", int, lambda x: f"v{x & -1}"),
+           "a": (r"\[[ \t]*([+-]?[0-9]+)[ \t]*\]", int, lambda x: f"[{x & -1}]"),
+           "i": ("([^,]*)", _parse_value, _format_value),
+           "l": ("([^,]*)", str, lambda x: f"L{x & -1}")}
+# Operand kind -> index of its Instruction field; each opcode's operands so.
+_FIELD = {"sd": 1, "vd": 1, "sa": 2, "va": 2, "sb": 3, "vb": 3,
+          "imm": 4, "addr": 5, "label": 6}
+_OPERANDS = {m: tuple((_FIELD[k], k) for k in sig)
+             for m, (_, sig) in OPCODES.items()}
+# mnemonic -> (pattern of its whole operand text, (field index, function,
+# pattern) per operand); `\s` is exactly what str.strip() strips.
+_STATEMENTS = {m: (re.compile(r"\s*,\s*".join(_SYNTAX[k[0]][0] for _, k in ops)),
+                   tuple((slot, _SYNTAX[k[0]][1], re.compile(_SYNTAX[k[0]][0]))
+                         for slot, k in ops))
+               for m, ops in _OPERANDS.items()}
+
+
+def _encode(mnemonic: str, operand_text: str) -> Instruction:
+    """One statement's Instruction, a label operand's text in `target` until
+    the fixup pass, from the groups of its opcode's pattern; failing that,
+    the tokens between commas, matched one by one against the same table,
+    raise the statement's diagnostic less its line."""
     op = mnemonic.upper()
-    operands = _OPERANDS.get(op)
-    if operands is None:
+    statement = _STATEMENTS.get(op)
+    if statement is None:
         raise ValueError(f"unknown mnemonic '{op}'")
+    pattern, operands = statement
     fields: list = [op, None, None, None, None, None, None]
-    if (pattern := _PATTERNS.get(op)) and (match := pattern.fullmatch(operand_text)):
+    if operand_text and (match := pattern.fullmatch(operand_text)):
         try:
-            for (slot, _), digits in zip(operands, match.groups()):
-                fields[slot] = int(digits)
-            return Instruction(*fields), None
-        except ValueError:      # past int()'s digit limit: the parser names it
+            for (slot, convert, _), text in zip(operands, match.groups()):
+                fields[slot] = convert(text)
+            return Instruction(*fields)
+        except ValueError:      # an immediate out of range, say: named below
             pass
     tokens = [t.strip() for t in operand_text.split(",")] if operand_text else []
     if len(tokens) != len(operands):
         raise ValueError(f"{op} expects {len(operands)} operand(s), "
                          f"got {len(tokens)}")
-    label = None
-    for (slot, kind), token in zip(operands, tokens):
+    for (slot, convert, token_pattern), token in zip(operands, tokens):
         try:
-            if kind == "imm":
-                fields[slot] = _parse_value(token)
-            elif kind == "label":
-                label = token
-            elif kind == "addr" and token.startswith("[") and token.endswith("]"):
-                fields[slot] = _decimal(token[1:-1])
-            elif kind != "addr" and token[:1].lower() == kind[0] and token[1:].isdigit():
-                fields[slot] = _decimal(token[1:])   # register: s<n> or v<n>
-            else:
-                raise ValueError
-        except ValueError:
+            fields[slot] = convert(token_pattern.fullmatch(token)[1])
+        except (TypeError, ValueError):     # no match: None[1] is a TypeError
             raise ValueError(f"malformed operand '{token}' for {op}") from None
-    return Instruction(*fields), label
+    return Instruction(*fields)
 
 
 def assemble(source_text: str) -> Program:
-    """One pass; each distinct statement is encoded once (by its opcode's
-    pattern if its operands are canonical registers and addresses, else by
-    the token parser) and its Instruction, an immutable named tuple, shared.
-    Forward label references are resolved after the pass with `_replace`.
+    """One pass; each distinct statement is encoded once, by its opcode's
+    pattern from the operand syntax table, and its Instruction, an immutable
+    named tuple, shared.  Label operands, held as text in `target`, are
+    resolved after the pass with `_replace`.
     Diagnostics: every label diagnostic, then at most one per line in line order."""
     label_diags: list[str] = []
     diags: list[tuple[int, str]] = []          # (lineno, message)
     program = Program()
     instructions = program.instructions
     labels: dict[str, int] = {}
-    encoded: dict[str, tuple[Instruction, str | None]] = {}  # by statement text
-    fixups: list[tuple[int, int, str]] = []    # (pc, lineno, label operand)
+    encoded: dict[str, Instruction] = {}       # by statement text
+    fixups: list[tuple[int, int]] = []         # (pc, lineno) of a label operand
     for lineno, line in enumerate(source_text.splitlines(), start=1):
         line = line.partition(";")[0].strip()
         if ":" in line:
@@ -210,8 +221,8 @@ def assemble(source_text: str) -> Program:
                 labels[name] = len(instructions)
         if not line:
             continue
-        hit = encoded.get(line)
-        if hit is None:
+        instr = encoded.get(line)
+        if instr is None:
             mnemonic, *rest = line.split(None, 1)
             operand_text = rest[0] if rest else ""
             try:
@@ -220,38 +231,23 @@ def assemble(source_text: str) -> Program:
                     program.data_init.append(
                         (_decimal(addr), [_parse_value(t) for t in values]))
                     continue
-                hit = encoded[line] = _encode(mnemonic, operand_text)
+                instr = encoded[line] = _encode(mnemonic, operand_text)
             except ValueError as exc:
                 msg = "malformed .data directive" if mnemonic == ".data" else exc
                 diags.append((lineno, f"{msg} at line {lineno}"))
                 continue
-        instr, label = hit
-        if label is not None:
-            fixups.append((len(instructions), lineno, label))
+        if instr.target is not None:
+            fixups.append((len(instructions), lineno))
         instructions.append(instr)
 
-    for pc, lineno, label in fixups:
-        if label in labels:
+    for pc, lineno in fixups:
+        if (label := instructions[pc].target) in labels:
             instructions[pc] = instructions[pc]._replace(target=labels[label])
         else:
             diags.append((lineno, f"unresolved label '{label}' at line {lineno}"))
     if label_diags or diags:
         raise ValidationError(*label_diags, *(m for _, m in sorted(diags)))
     return program
-
-
-def _format_value(v: Fixed64) -> str:
-    # Decimal only when it reparses to the same raw word; otherwise raw hex.
-    x = fx.to_real(v)
-    if fx.REAL_LO <= x < fx.REAL_HI and fx.from_real(x).raw == v.raw:
-        return repr(x)
-    return f"0x{v.raw & ((1 << fx.WORD_BITS) - 1):016X}"
-
-
-# Operand kind -> its canonical text; `x & -1` raises for a float or None.
-_TEXT = {"imm": _format_value, "addr": lambda x: f"[{x & -1}]",
-         "label": lambda x: f"L{x & -1}",
-         **{k: lambda x, r=k[0]: f"{r}{x & -1}" for k in _FIELD if k[0] in "sv"}}
 
 
 def disassemble(p: Program) -> str:
@@ -262,7 +258,8 @@ def disassemble(p: Program) -> str:
     lines: list[str] = []
     for idx, instr in enumerate(p.instructions):
         try:
-            operands = [_TEXT[kind](instr[slot]) for slot, kind in _OPERANDS[instr.op]]
+            operands = [_SYNTAX[kind[0]][2](instr[slot])
+                        for slot, kind in _OPERANDS[instr.op]]
         except (AttributeError, KeyError, TypeError):
             raise ValidationError(_bad_operand(idx, instr)) from None
         text = f"{instr.op} {', '.join(operands)}" if operands else instr.op

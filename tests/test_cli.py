@@ -138,7 +138,7 @@ class TestMixSpec:
         with pytest.raises(ValidationError):
             parse_mix_spec("8-8")
 
-    @pytest.mark.parametrize("spec", ["sym:", "sym:8,x", "sym:-1"])
+    @pytest.mark.parametrize("spec", ["sym:", "sym:8,x"])
     def test_malformed_sym_rejected(self, spec):
         with pytest.raises(ValidationError, match="bad mix spec"):
             parse_mix_spec(spec)
@@ -531,6 +531,22 @@ class TestSweep:
               "--config", str(workdir / "core.cfg"),
               "--mixes", "sym:1,8,24", "--out", str(out)])
         assert len(out.read_text().strip().splitlines()) == 4
+
+    def test_signed_sym_count_matches_triple(self, workdir):
+        """`sym:N` counts take the config-integer rule, sign and all."""
+        csvs = []
+        for mixes in ("sym:+2", "+2-2-2"):
+            out = workdir / "sweep.csv"
+            assert main(["sweep", str(workdir / "kern.asm"),
+                         "--config", str(workdir / "core.cfg"),
+                         "--mixes", mixes, "--out", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_negative_sym_count_exit_1(self, workdir, capsys):
+        assert main(["sweep", str(workdir / "kern.asm"), "--mixes", "sym:-1",
+                     "--out", str(workdir / "x.csv")]) == 1
+        assert capsys.readouterr().err == "error: n_add must be >= 0\n"
 
     def test_empty_spec_rejected(self, workdir, capsys):
         assert main(["sweep", str(workdir / "kern.asm"), "--mixes", "",

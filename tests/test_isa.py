@@ -18,12 +18,14 @@ _GOOD = {
     "s": ["s0", "s1", "S3", "s15", "s20", "s01"],
     "v": ["v0", "v1", "V2", "v9", "v17", "V02"],
     "imm": ["1.5", "-0.25", "3", "0xFFFFFFFFC0000000", "0x1", "1e3"],
-    "addr": ["[0]", "[5]", "[ 7 ]", "[-1]", "[4095]", "[05]", "[+5]", "[\t7]", "[7 ]"],
+    "addr": ["[0]", "[5]", "[ 7 ]", "[-1]", "[4095]", "[05]", "[+5]", "[\t7]", "[7 ]",
+             "[ +5 ]", "[-0]"],
     "label": ["a", "b", "loop", "x_1"],
 }
 _BAD = ["x3", "s", "", "abc", "nan", "1e400", "[x]", "5", "[]", "s1x",
         "v-1", "c", "a:", "0x1G", "s\u0661", "[\u0663]", "[1_0]",
-        "s 1", "[5", "5]", "[[5]]", "s+1", "[5.0]", "[0x5]"]
+        "s 1", "[5", "5]", "[[5]]", "s+1", "[5.0]", "[0x5]", "[+-1]", "[--1]",
+        "[\x1f7]", "[\xa07]", "s\u00b2", "[5]x", "1 5"]
 _NAMES = _GOOD["label"]
 _BAD_NAMES = ["9x", "", "a-b", "1"]
 
@@ -48,7 +50,7 @@ def _statement(draw, clean, mnemonics, good):
         tokens.append(draw(st.sampled_from(_BAD if bad else good[k])))
     if draw(st.booleans()):
         mnemonic = mnemonic.lower()
-    sep = draw(st.sampled_from([", ", ",", " ,\t", "\t,\t", " , "]))
+    sep = draw(st.sampled_from([", ", ",", " ,\t", "\t,\t", " , ", ",\x1f", "\x1f,"]))
     return f"{mnemonic} {sep.join(tokens)}".rstrip()
 
 
@@ -141,12 +143,15 @@ class TestAssemble:
         ("[" + "1" * 5000 + "]", "SLD s1, [" + "1" * 5000 + "]")],
         ids=["register", "address"])
     def test_number_past_int_digit_limit_is_malformed(self, token, src):
-        """int() refuses more than 4,300 digits; the pattern's match falls
-        back to the token parser, which names the operand."""
+        """int() refuses more than 4,300 digits; the statement pattern's
+        match gives way to the per-operand patterns, which name the operand."""
         with pytest.raises(ValidationError) as exc:
             isa.assemble(src)
         assert exc.value.diagnostics == ValidationError(
             f"malformed operand '{token}' for SLD at line 1").diagnostics
+
+    def test_label_operand_text_rides_in_target(self):
+        assert isa._encode("bnz", "s1 ,\tloop") == Instruction("BNZ", a=1, target="loop")
 
     def test_lower_case_canonical_statement(self):
         assert isa.assemble("sld s1, [0]").instructions == [
@@ -219,6 +224,12 @@ class TestAssemble:
     @example("SLD s01, [05]\nsld S1,[+5]\nVLD V02,\t[\t7]\nVST [7 ] , v1\n"
              "SADD s1\t,\ts2 , s3\nSST [5, s1\nSST 5], s1\nSLD s1, [[5]]\n"
              "SMOV s+1, s 1\nVLD v1, [5.0]\nVLD v1, [0x5]\nVMOV v1, v 2")
+    @example("LDI s1,1.5\nloop: SADDI s1 ,s2,\t0x10\nBNZ s1 , loop\nSADDI s1, s2,\n"
+             "JMP\nHALT s1\nBZ s1, a b\nSLD s1, [ +5 ]\nSST [-0],\x1fs1\n"
+             "SLD s1\x1f, [+-1]\nSLD s1, [\x1f7]\nSLD s1, [\xa07]\nSMOV s\u00b2, s1\n"
+             "SLD s1, [5]x\nLDI s1, 1 5")
+    @example("loop: LDI s1,1.5\nSADDI s1 ,s2,\t0x10\nBNZ s1 , loop\nJMP loop\n"
+             "SLD s1, [ +5 ]\nVST [-0] ,\x1fv1\nSST [\t7 ]\x1f, s2")
     def test_matches_two_pass_reference(self, src):
         try:
             want = ref_assemble(src)
