@@ -43,7 +43,7 @@ _KEYS = {f.name: (cls, _PARSERS[f.type])
 
 def parse_config_text(text: str) -> tuple[CoreConfig, Calibration]:
     kwargs: dict[type, dict] = {CoreConfig: {}, Calibration: {}}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(isa.split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -173,12 +173,11 @@ def _data_inputs(path: str | None, cfg: CoreConfig) -> kernel.KernelInputs | Non
 
 def _parse_observe(spec: str | None, cfg: CoreConfig) -> tuple[int, int]:
     if spec is None:        # the kernel's output region
-        spec = f"{kernel.default_layout(cfg.vec_len)['out']}:{cfg.vec_len}"
+        return kernel.default_layout(cfg.vec_len)["out"], cfg.vec_len
     try:
-        start, length = map(isa._decimal, spec.partition(":")[::2])
+        return tuple(map(isa._decimal, spec.partition(":")[::2]))
     except ValueError:
         raise ValidationError(f"bad observe range '{spec}', expected START:LENGTH")
-    return start, length
 
 
 def parse_mix_spec(spec: str) -> list[tuple[int, int, int]]:
@@ -222,21 +221,21 @@ def cmd_asm(args) -> int:
     return 0
 
 
-def _max_cycles(args) -> int:
+def _load(args) -> tuple[CoreConfig, Calibration, isa.Program, list | None]:
+    """Checks --max-cycles, then loads the config, program and data initializers."""
     if args.max_cycles < 0:
         raise ValidationError(f"--max-cycles {args.max_cycles} must be >= 0")
-    return args.max_cycles
+    cfg, cal = load_config(args.config)
+    program = isa.assemble(_read(args.program))
+    inputs = _data_inputs(args.data, cfg)
+    return cfg, cal, program, inputs and kernel.data_initializers(inputs)
 
 
 def cmd_run(args) -> int:
-    max_cycles = _max_cycles(args)
-    cfg, _ = load_config(args.config)
-    program = isa.assemble(_read(args.program))
-    inputs = _data_inputs(args.data, cfg)
-    observe = _parse_observe(args.observe, cfg)
-    report = core.run(program, cfg,
-                      inputs=inputs and kernel.data_initializers(inputs),
-                      observe=observe, max_cycles=max_cycles)
+    cfg, _, program, inputs = _load(args)
+    report = core.run(program, cfg, inputs=inputs,
+                      observe=_parse_observe(args.observe, cfg),
+                      max_cycles=args.max_cycles)
     _write_out(args.out, json.dumps(_report_dict(report), indent=2))
     for raised, what in [(report.flags.div_by_zero, "division by zero"),
                          (report.flags.overflow, "arithmetic saturation")]:
@@ -246,13 +245,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    max_cycles = _max_cycles(args)
-    cfg, cal = load_config(args.config)
-    program = isa.assemble(_read(args.program))
-    inputs = _data_inputs(args.data, cfg)
+    cfg, cal, program, inputs = _load(args)
     points = dse.sweep(program, cfg, parse_mix_spec(args.mixes), cal,
-                       inputs=inputs and kernel.data_initializers(inputs),
-                       max_cycles=max_cycles)
+                       inputs=inputs, max_cycles=args.max_cycles)
     frontier = {id(p) for p in dse.pareto(points)}
     lines = ["label,n_add,n_mul,n_div,latency_cycles,slices,on_pareto"]
     for p in points:
@@ -341,62 +336,59 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+def _int(text: str) -> int:
+    """A command-line integer, by the config-integer rule."""
+    try:
+        return isa._decimal(text)
+    except ValueError:      # argparse's own message for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+# Each option's argparse keywords, declared once.
+_OPTIONS = {
+    "program": {}, "--config": {}, "--data": {}, "--out": {},
+    "--check-only": {"action": "store_true"},
+    "--observe": {"help": "memory range START:LENGTH to report"},
+    "--mixes": {"required": True, "help": '"A-M-D,A-M-D,..." or "sym:1,2,4,..."'},
+    "--max-cycles": {"type": _int, "default": core.MAX_CYCLES},
+    "--barrier": {"type": _int, "default": 1},
+    "--latency": {"type": _int}, "--slices": {"type": _int}, "--budget": {"type": _int},
+    "--clock": {"type": float, "default": CoreConfig.clock_mhz},
+    "--fraction": {"type": float},
+    "--speedup": {"type": float, "default": math.inf,
+                  "help": 'kernel speedup factor or "inf"'},
+    "--veclen": {"type": _int, "default": CoreConfig.vec_len},
+    "--seed": {"type": _int, "default": 42},
+    "--out-prefix": {"required": True},
+}
+# command -> (its function, its help line, its options in help order)
+_COMMANDS = {
+    "asm": (cmd_asm, "assemble and validate a program",
+            "program --config --check-only"),
+    "run": (cmd_run, "simulate a program and write a report",
+            "program --config --data --observe --max-cycles --out"),
+    "sweep": (cmd_sweep, "evaluate functional-unit mixes",
+              "program --config --data --mixes --max-cycles --out"),
+    "compare": (cmd_compare, "benchmark kernel on tiled / sequential / vector",
+                "--config --data --barrier --out"),
+    "project": (cmd_project, "throughput and whole-app speedup",
+                "--latency --slices --budget --clock --fraction --speedup --out"),
+    "kernel-gen": (cmd_kernel_gen, "emit benchmark program, inputs and oracle outputs",
+                   "--veclen --seed --out-prefix"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser tree built from _COMMANDS and _OPTIONS."""
     parser = _Parser(
         prog="vproc",
         description="Vector soft-processor simulator and design-space explorer")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("asm", help="assemble and validate a program")
-    p.add_argument("program")
-    p.add_argument("--config")
-    p.add_argument("--check-only", action="store_true")
-    p.set_defaults(func=cmd_asm)
-
-    p = sub.add_parser("run", help="simulate a program and write a report")
-    p.add_argument("program")
-    p.add_argument("--config")
-    p.add_argument("--data")
-    p.add_argument("--observe", help="memory range START:LENGTH to report")
-    p.add_argument("--max-cycles", type=int, default=core.MAX_CYCLES)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("sweep", help="evaluate functional-unit mixes")
-    p.add_argument("program")
-    p.add_argument("--config")
-    p.add_argument("--data")
-    p.add_argument("--mixes", required=True,
-                   help='"A-M-D,A-M-D,..." or "sym:1,2,4,..."')
-    p.add_argument("--max-cycles", type=int, default=core.MAX_CYCLES)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("compare",
-                       help="benchmark kernel on tiled / sequential / vector")
-    p.add_argument("--config")
-    p.add_argument("--data")
-    p.add_argument("--barrier", type=int, default=1)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("project", help="throughput and whole-app speedup")
-    p.add_argument("--latency", type=int)
-    p.add_argument("--slices", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--clock", type=float, default=CoreConfig.clock_mhz)
-    p.add_argument("--fraction", type=float)
-    p.add_argument("--speedup", type=float, default=math.inf,
-                   help='kernel speedup factor or "inf"')
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_project)
-
-    p = sub.add_parser("kernel-gen",
-                       help="emit benchmark program, inputs and oracle outputs")
-    p.add_argument("--veclen", type=int, default=CoreConfig.vec_len)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out-prefix", required=True)
-    p.set_defaults(func=cmd_kernel_gen)
+    for name, (func, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for option in options.split():
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(func=func)
     return parser
 
 

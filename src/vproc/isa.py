@@ -135,6 +135,13 @@ def _format_value(v: Fixed64) -> str:
     return f"0x{v.raw & ((1 << fx.WORD_BITS) - 1):016X}"
 
 
+def split_lines(text: str) -> list[str]:
+    r"""Lines as editors count them: broken at `\r\n`, `\r` and `\n` only."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def _decimal(text: str) -> int:
     """int() of ASCII text only, and no `_`: int() takes `1_0` and `١`."""
     if "_" in text or not text.isascii():
@@ -144,8 +151,8 @@ def _decimal(text: str) -> int:
 
 # Operand kind's first letter -> (pattern of its text, with one group; the
 # function of that group giving the field; the printer of the field's
-# canonical text).  Inside a line an address's pattern takes what
-# `_decimal` does; `x & -1` raises for a float or None.
+# canonical text).  An address has only blanks or tabs around its signed
+# ASCII digits (`[\v7]` is malformed); `x & -1` raises for a float or None.
 _SYNTAX = {"s": ("[sS]([0-9]+)", int, lambda x: f"s{x & -1}"),
            "v": ("[vV]([0-9]+)", int, lambda x: f"v{x & -1}"),
            "a": (r"\[[ \t]*([+-]?[0-9]+)[ \t]*\]", int, lambda x: f"[{x & -1}]"),
@@ -207,7 +214,7 @@ def assemble(source_text: str) -> Program:
     labels: dict[str, int] = {}
     encoded: dict[str, Instruction] = {}       # by statement text
     fixups: list[tuple[int, int]] = []         # (pc, lineno) of a label operand
-    for lineno, line in enumerate(source_text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(source_text), start=1):
         line = line.partition(";")[0].strip()
         if ":" in line:
             while line and ":" in line.split(None, 1)[0]:

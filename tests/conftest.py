@@ -2,15 +2,19 @@
 fixed-point unit, a unit-level cycle schedule, reference copies of the
 two-pass assembler, of the structural validator and of the hand-written
 kernel emitters, a brute-force longest path, a reference interpreter for
-straight-line programs and a random-program generator for structural tests."""
+straight-line programs, a pc-walking reference for programs that branch, and
+generators of random straight-line and looping programs."""
 
 import heapq
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from vproc import fixedpoint as fx
+from vproc.core import MAX_CYCLES
 from vproc.fixedpoint import Fixed64, RAW_MAX, RAW_MIN, SCALE
 from vproc.isa import (OPCODES, Instruction, OpClass, Program,
                        ValidationError, _parse_value, is_vector)
@@ -159,11 +163,53 @@ def ref_cycles(p: Program, cfg):
     return t, busy
 
 
+# ---- control-flow reference: walks a program by pc, taking the values from
+# ---- ref_run and each instruction's cycles from ref_cycles, both unedited.
+
+def ref_walk(p: Program, cfg, inputs=(), max_cycles=MAX_CYCLES):
+    """(timed out, full data memory, flags dict, total cycles, busy unit-cycles
+    per class, nonzero retire counts per opcode) of a run to HALT or to a
+    timeout: total cycles past max_cycles, or one branch retiring more than
+    max_cycles times.  The instruction that times out is counted but does
+    not execute.  The values are ref_run's over the trace of retired
+    non-branch instructions; a branch reads its register by ref_run of the
+    trace so far with a store of that register appended."""
+    code = p.instructions
+    costs = [ref_cycles(Program(instructions=[i]), cfg) for i in code]
+    trace: list[Instruction] = []
+    retired = [0] * len(code)
+    cycles, busy = 0, dict.fromkeys(OpClass, 0)
+    pc = 0
+    while True:
+        op = code[pc].op
+        retired[pc] += 1
+        cycles += costs[pc][0]
+        for cls, n in costs[pc][1].items():
+            busy[cls] += n
+        branch = op in ("JMP", "BZ", "BNZ")
+        timed_out = cycles > max_cycles or (branch and retired[pc] > max_cycles)
+        if timed_out or op == "HALT":
+            break
+        if not branch:
+            trace.append(code[pc])
+            pc += 1
+            continue
+        taken = op == "JMP" or (op == "BZ") == (ref_run(Program(instructions=[
+            *trace, Instruction("SST", addr=0, a=code[pc].a)]), cfg, inputs)[0][0] == 0)
+        pc = code[pc].target if taken else pc + 1
+    mem, flags = ref_run(Program(instructions=trace), cfg, inputs)
+    counts = Counter()
+    for i, n in zip(code, retired):
+        counts[i.op] += n
+    return timed_out, mem, flags, cycles, busy, dict(+counts)
+
+
 # ---- reference assembler and validator: the two-pass assembler and the
 # ---- signature-walking validator, kept as written before the one-pass
 # ---- rewrite (the assembler gains only the empty-line guard in its label
-# ---- loop, so a malformed label alone on its line is a diagnostic, and
-# ---- the ASCII-digit rule for register numbers and addresses).
+# ---- loop, so a malformed label alone on its line is a diagnostic, the
+# ---- ASCII-digit rule for register numbers and addresses, and the line
+# ---- rule: lines break at CR LF, CR and LF only).
 
 # Operand kind -> the Instruction field it sets, by name, written out apart
 # from isa._FIELD's indices.
@@ -177,8 +223,8 @@ def _strip(line: str) -> str:
 
 def _ascii_int(text: str) -> int:
     """A register number or address: int() of ASCII text with no digit-group
-    underscore."""
-    if not text.isascii() or "_" in text:
+    underscore and no space but blanks and tabs around it."""
+    if not text.isascii() or "_" in text or text.strip(" \t") != text.strip():
         raise ValueError(text)
     return int(text)
 
@@ -191,7 +237,8 @@ def ref_assemble(source_text: str) -> Program:
     stmts: list[tuple[int, str, list[str]]] = []
 
     index = 0
-    for lineno, raw_line in enumerate(source_text.splitlines(), start=1):
+    lines = source_text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw_line in enumerate(lines, start=1):
         line = _strip(raw_line)
         if not line:
             continue
@@ -447,6 +494,26 @@ def random_program(rng: random.Random, cfg, n_instr=15) -> Program:
         ins.append(Instruction(op, **fields))
     ins.append(Instruction("HALT"))
     return Program(instructions=ins)
+
+
+def looping_program(rng: random.Random, cfg) -> Program:
+    """A counted loop of random_program bodies, which leave its counter s15
+    alone (cfg has at least 16 scalar registers):
+
+        LDI s15, n; top: body; BZ sX, skip; body; skip: SADDI s15, s15, -1;
+        BNZ s15, top; HALT
+    """
+    inner = replace(cfg, n_sregs=15)
+    first, second = (random_program(rng, inner, rng.randint(0, 6)).instructions[:-1]
+                     for _ in range(2))
+    skip = 2 + len(first) + len(second)
+    # BZ tests s0 (always taken), s15 (never) or a register the first body sets.
+    written = [i.d for i in first if i.d and not is_vector(i.op)]
+    return Program(instructions=[
+        Instruction("LDI", d=15, imm=fx.from_real(rng.randint(1, 4))), *first,
+        Instruction("BZ", a=rng.choice([0, 15, *written]), target=skip), *second,
+        Instruction("SADDI", d=15, a=15, imm=fx.from_real(-1)),
+        Instruction("BNZ", a=15, target=1), Instruction("HALT")])
 
 
 @pytest.fixture

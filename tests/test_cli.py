@@ -92,6 +92,16 @@ class TestConfigFormat:
         key = line.partition(" ")[0]
         one_line_error(capsys, f"config line 1: bad value for '{key}'")
 
+    @pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e",
+                                      "\x85", "\u2028", "\u2029"])
+    def test_lines_break_at_cr_and_lf_only(self, char):
+        cfg, _ = parse_config_text(f"vec_len = 4 # note{char}n_add = 2")
+        assert (cfg.vec_len, cfg.n_add) == (4, 8)
+        cfg, _ = parse_config_text("vec_len = 4\r\nn_add = 2\rn_mul = 3\n")
+        assert cfg.mix == (2, 3, 8)
+        with pytest.raises(ValidationError, match="^config line 3: unknown key"):
+            parse_config_text("vec_len = 4\r\n\rbogus = 1")
+
     def test_signed_integer_still_parses(self):
         assert parse_config_text("issue_cost = +3")[0].issue_cost == 3
         with pytest.raises(ValidationError, match="n_add must be >= 0"):
@@ -500,6 +510,20 @@ class TestUsage:
     def test_usage_error_exit_1(self, capsys, argv, fragment):
         assert main(argv) == 1
         one_line_error(capsys, fragment)
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0661\u0660", "abc"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "k.asm", "--max-cycles"],
+        ["sweep", "k.asm", "--mixes", "sym:1", "--max-cycles"],
+        ["compare", "--barrier"],
+        ["project", "--latency"], ["project", "--slices"], ["project", "--budget"],
+        ["kernel-gen", "--out-prefix", "k", "--veclen"],
+        ["kernel-gen", "--out-prefix", "k", "--seed"]])
+    def test_integer_option_takes_config_integer_rule(self, capsys, argv, text):
+        """int() also takes a digit-group "_" and any Unicode decimal digit."""
+        assert main(argv + [text]) == 1
+        one_line_error(capsys, f"vproc {argv[0]}: argument {argv[-1]}: "
+                               f"invalid int value: {text!r}")
 
     @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
     def test_help_exits_0(self, capsys, argv):

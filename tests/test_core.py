@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 import vproc.fixedpoint as fx
 from vproc import isa, kernel
-from vproc.core import (MAX_STATE_WORDS, CoreConfig, SimulationFault,
+from vproc.core import (MAX_CYCLES, MAX_STATE_WORDS, CoreConfig, SimulationFault,
                         SimulationTimeout, ValidationError, instr_cost, run,
                         waves)
 from vproc.isa import Instruction, OpClass, Program
 
-from conftest import OPERAND_FIELD, random_program, ref_cycles, ref_run
+from conftest import (OPERAND_FIELD, looping_program, random_program, ref_cycles,
+                      ref_run, ref_walk)
 
 
 def kernel_setup(cfg, seed=7):
@@ -409,6 +410,57 @@ class TestAgainstCycleReference:
         p, cfg = case
         report = run(p, cfg)
         assert (report.total_cycles, report.busy_cycles) == ref_cycles(p, cfg)
+
+
+@st.composite
+def looping_cases(draw):
+    """A config with every cost parameter drawn, a looping program and
+    random words (a tenth of them zero) filling data memory."""
+    W = draw(st.integers(1, 12))
+    units = st.integers(1, W)
+    cfg = CoreConfig(vec_len=W, n_add=draw(units), n_mul=draw(units),
+                     n_div=draw(units), lat_add=draw(st.integers(0, 3)),
+                     lat_mul=draw(st.integers(0, 3)), lat_div=draw(st.integers(0, 69)),
+                     issue_cost=draw(st.integers(0, 3)), n_vregs=4,
+                     mem_port_width=draw(st.none() | st.integers(1, W)),
+                     dmem_words=max(16, 3 * W))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    words = [rng.randrange(-4 * fx.SCALE, 4 * fx.SCALE) if rng.random() < 0.9 else 0
+             for _ in range(cfg.dmem_words)]
+    return looping_program(rng, cfg), cfg, [(0, words)]
+
+
+def walk_outcome(p, cfg, inputs, max_cycles):
+    """core.run's result in ref_walk's terms."""
+    try:
+        report, timed_out = run(p, cfg, inputs=inputs, observe=(0, cfg.dmem_words),
+                                max_cycles=max_cycles), False
+    except SimulationTimeout as exc:
+        report, timed_out = exc.report, True
+    # counts lists every opcode in the program, with 0 for one never retired.
+    assert report.counts.keys() == {i.op for i in p.instructions}
+    assert report.instr_count == sum(report.counts.values())
+    return (timed_out, [w.raw for w in report.memory],
+            {"overflow": report.flags.overflow, "div_by_zero": report.flags.div_by_zero},
+            report.total_cycles, report.busy_cycles,
+            {op: n for op, n in report.counts.items() if n})
+
+
+class TestAgainstControlFlowReference:
+    """core.run on counted loops with a forward branch equals a reference
+    that walks the program by pc, to HALT and at both timeout boundaries."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(looping_cases())
+    def test_loops_and_timeouts_match(self, case):
+        p, cfg, inputs = case
+        want = ref_walk(p, cfg, inputs)
+        assert not want[0]
+        assert walk_outcome(p, cfg, inputs, MAX_CYCLES) == want
+        total = want[3]
+        for max_cycles in (total, total - 1):
+            assert walk_outcome(p, cfg, inputs, max_cycles) \
+                == ref_walk(p, cfg, inputs, max_cycles)
 
 
 # Instruction fields as a library caller may set them: unset, a small int

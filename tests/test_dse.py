@@ -14,7 +14,7 @@ from vproc.dse import DesignPoint, amdahl, pareto, sweep, throughput_projection
 from vproc.isa import Instruction, OpClass, Program
 from vproc.resources import estimate_vector
 
-from conftest import random_program, ref_cycles
+from conftest import looping_program, random_program, ref_cycles, ref_walk
 
 SIZES = (1, 2, 4, 8, 16, 24)
 
@@ -266,6 +266,31 @@ class TestOnePassSweep:
         got = outcome(sweep, program, self.base, mixes, inputs=inits,
                       max_cycles=lat[0] - 1)
         assert got[0] is SimulationTimeout and len(count_runs) == 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           mixes=st.lists(st.tuples(*[st.integers(1, 8)] * 3), min_size=2, max_size=4),
+           lat=st.tuples(*[st.integers(0, 70)] * 3), issue_cost=st.integers(0, 3),
+           timeout=st.booleans())
+    def test_looping_programs(self, seed, mixes, lat, issue_cost, timeout):
+        """Each mix's latency is the walk of its own core; with max_cycles one
+        below the largest total, the sweep raises the timeout of the first
+        mix whose own walk times out."""
+        base = replace(self.base, vec_len=8, dmem_words=64, lat_add=lat[0],
+                       lat_mul=lat[1], lat_div=lat[2], issue_cost=issue_cost)
+        rng = random.Random(seed)
+        p = looping_program(rng, base)
+        inputs = [(0, [rng.randrange(-4 * fx.SCALE, 4 * fx.SCALE) for _ in range(64)])]
+        cores = [base.with_mix(*m) for m in mixes]
+        max_cycles = (max(ref_walk(p, c, inputs)[3] for c in cores) - 1 if timeout
+                      else core.MAX_CYCLES)
+        walks = [ref_walk(p, c, inputs, max_cycles) for c in cores]
+        got = outcome(sweep, p, base, mixes, inputs=inputs, max_cycles=max_cycles)
+        if timed_out := [cycles for out, _, _, cycles, *_ in walks if out]:
+            assert got == (SimulationTimeout,
+                           f"max_cycles exceeded after {timed_out[0]} cycles")
+        else:
+            assert [pt.latency_cycles for pt in got] == [w[3] for w in walks]
 
 
 class TestPareto:

@@ -25,7 +25,9 @@ _GOOD = {
 _BAD = ["x3", "s", "", "abc", "nan", "1e400", "[x]", "5", "[]", "s1x",
         "v-1", "c", "a:", "0x1G", "s\u0661", "[\u0663]", "[1_0]",
         "s 1", "[5", "5]", "[[5]]", "s+1", "[5.0]", "[0x5]", "[+-1]", "[--1]",
-        "[\x1f7]", "[\xa07]", "s\u00b2", "[5]x", "1 5"]
+        "[\x1f7]", "[\xa07]", "s\u00b2", "[5]x", "1 5", "[\v7]", "[7\f]"]
+# Characters str.splitlines() breaks at that are no line break in a source.
+_NOT_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 _NAMES = _GOOD["label"]
 _BAD_NAMES = ["9x", "", "a-b", "1"]
 
@@ -50,7 +52,8 @@ def _statement(draw, clean, mnemonics, good):
         tokens.append(draw(st.sampled_from(_BAD if bad else good[k])))
     if draw(st.booleans()):
         mnemonic = mnemonic.lower()
-    sep = draw(st.sampled_from([", ", ",", " ,\t", "\t,\t", " , ", ",\x1f", "\x1f,"]))
+    sep = draw(st.sampled_from([", ", ",", " ,\t", "\t,\t", " , ", ",\x1f", "\x1f,",
+                                *(f",{c}" for c in _NOT_BREAKS)]))
     return f"{mnemonic} {sep.join(tokens)}".rstrip()
 
 
@@ -83,12 +86,13 @@ def _sources(draw):
         defined.update(names)
         seps = [draw(st.sampled_from(["", " ", "\t"])) for _ in names]
         prefix = "".join(f"{n}:{s}" for n, s in zip(names, seps))
-        comment = draw(st.sampled_from(["", " ; note", "; x: y, z", ";"]))
+        comment = draw(st.sampled_from(["", " ; note", "; x: y, z", ";",
+                                        *(f" ; a{c}HALT s1" for c in _NOT_BREAKS)]))
         statement = draw(_statement(clean, mnemonics, good))
         lines.append(f"{prefix}{statement}{comment}")
     if clean:                       # define every label a branch may name
         lines += [f"{n}: HALT" for n in _NAMES if n not in defined]
-    return "\n".join(lines)
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
 
 
 class TestAssemble:
@@ -167,6 +171,16 @@ class TestAssemble:
     def test_comments_and_blanks_ignored(self):
         p = isa.assemble("; full line comment\n\nHALT ; trailing\n")
         assert len(p.instructions) == 1
+
+    @pytest.mark.parametrize("char", _NOT_BREAKS)
+    def test_lines_break_at_cr_and_lf_only(self, char):
+        assert isa.assemble(f"HALT ; note{char}VADD v0, v1, v2").instructions \
+            == [Instruction("HALT")]
+        with pytest.raises(ValidationError) as exc:
+            isa.assemble(f"HALT\r\nHALT\rSLD s1, [{char}7]\nVFOO")
+        assert exc.value.diagnostics == [
+            f"malformed operand '[{char}7]' for SLD at line 3",
+            "unknown mnemonic 'VFOO' at line 4"]
 
     @pytest.mark.parametrize("src", ["LDI s1, 3e9", "LDI s1, 2147483648",
                                      "LDI s1, -2147483648.5", ".data 0 1e12"])
