@@ -35,7 +35,8 @@ SCHEMA_VERSION = 1
 
 # Field type, as annotation text -> parser; a bad value raises KeyError or ValueError.
 _PARSERS = {"bool": lambda v: {"true": True, "false": False}[v.lower()],
-            "float": float, "int": isa._decimal, "int | None": isa._decimal}
+            "float": lambda v: isa._decimal(v, float),
+            "int": isa._decimal, "int | None": isa._decimal}
 # config key -> (its dataclass, the parser of its value)
 _KEYS = {f.name: (cls, _PARSERS[f.type])
          for cls in (CoreConfig, Calibration) for f in dataclasses.fields(cls)}
@@ -336,14 +337,15 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
-def _int(text: str) -> int:
-    """A command-line integer, by the config-integer rule."""
+def _int(text: str, number: type = int):
+    """A command-line int (or float), by the config rule."""
     try:
-        return isa._decimal(text)
-    except ValueError:      # argparse's own message for type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        return isa._decimal(text, number)
+    except ValueError:      # argparse's own message for type=int or float
+        raise argparse.ArgumentTypeError(f"invalid {number.__name__} value: {text!r}")
 
 
+_float = functools.partial(_int, number=float)
 # Each option's argparse keywords, declared once.
 _OPTIONS = {
     "program": {}, "--config": {}, "--data": {}, "--out": {},
@@ -353,9 +355,9 @@ _OPTIONS = {
     "--max-cycles": {"type": _int, "default": core.MAX_CYCLES},
     "--barrier": {"type": _int, "default": 1},
     "--latency": {"type": _int}, "--slices": {"type": _int}, "--budget": {"type": _int},
-    "--clock": {"type": float, "default": CoreConfig.clock_mhz},
-    "--fraction": {"type": float},
-    "--speedup": {"type": float, "default": math.inf,
+    "--clock": {"type": _float, "default": CoreConfig.clock_mhz},
+    "--fraction": {"type": _float},
+    "--speedup": {"type": _float, "default": math.inf,
                   "help": 'kernel speedup factor or "inf"'},
     "--veclen": {"type": _int, "default": CoreConfig.vec_len},
     "--seed": {"type": _int, "default": 42},

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import core, isa, resources
 from .core import CoreConfig
@@ -11,8 +12,7 @@ from .isa import CLASS_UNITS, OpClass, Program, ValidationError
 from .resources import Calibration, DEFAULT_CALIBRATION
 
 
-@dataclass(frozen=True)
-class DesignPoint:
+class DesignPoint(NamedTuple):
     label: str
     n_add: int | None
     n_mul: int | None
@@ -43,28 +43,30 @@ def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
         cycles = F + Σ_c T_c(k_c)       slices = B + Σ_c round(k_c × c_c)
 
     where F is the cycles of the CONTROL, MEM and CONVERT ops and B the
-    slices of the core with no units.  Each (class, unit count) term is
-    priced once, from the retire counts and core.cost_table of the first
-    mix that brings it; a mix whose terms are all priced is a sum of
-    lookups.  The first failing mix raises the error its own run would,
-    and a mix over max_cycles is run again for its own timeout.
+    slices of the core with no units.  Per class, a table maps each unit
+    count to its (cycles, slices) terms, priced once from the retire counts
+    and core.cost_table of the first mix that brings it: a priced mix costs
+    one lookup per class.  The first failing mix raises the error its own
+    run would, and a mix over max_cycles is run again for its own timeout.
     """
     classes = isa.unit_classes(p)
     base = resources.estimate_vector(cfg.with_mix(0, 0, 0), cal).slices
     counts = fixed = None
-    # (unit field, type of count, count) -> that class's term.  The type is
-    # in the key because True and 1.0 hash as 1 but are not unit counts; the
-    # field name, not the OpClass, because an Enum hashes in Python code.
-    cycles: dict[tuple, int] = {}
-    slices: dict[tuple, int] = {}   # priced after its mix's timeout check
+    # Per class, (type of count, count) -> (cycles term, slices term).  The
+    # type is in the key because True and 1.0 hash as 1 but are not unit counts.
+    adds, muls, divs = {}, {}, {}
     points = []
     for mix in mixes:
         if len(mix) != 3:
             raise ValidationError(f"mix {mix!r} is not three unit counts")
-        keys = [(f, type(n), n) for f, n in zip(CLASS_UNITS.values(), mix)]
-        new = not all(k in cycles for k in keys)
-        if new:
-            c = cfg.with_mix(*mix)
+        a, m, d = mix
+        try:
+            (ca, sa), (cm, sm), (cd, sd) = (adds[type(a), a], muls[type(m), m],
+                                            divs[type(d), d])
+        except KeyError:
+            sa = None           # a count not yet priced: price this mix
+        if sa is None:
+            c = cfg.with_mix(a, m, d)
             try:
                 if counts is None:
                     counts = core.run(p, c, inputs=inputs,
@@ -74,21 +76,21 @@ def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
                 table = core.cost_table(c, counts)
             except ValidationError as exc:
                 raise ValidationError(
-                    *(f"config {c.mix_label}: {d}" for d in exc.diagnostics))
+                    *(f"config {c.mix_label}: {msg}" for msg in exc.diagnostics))
             split = dict.fromkeys(OpClass, 0)
             for op, n in counts.items():
                 split[table[op][0]] += n * table[op][1]
             fixed = sum(n for cls, n in split.items() if cls not in CLASS_UNITS)
-            cycles.update(zip(keys, map(split.get, CLASS_UNITS)))
-        total = fixed + sum(cycles[k] for k in keys)
+            ca, cm, cd = map(split.get, CLASS_UNITS)
+        total = fixed + ca + cm + cd
         if total > max_cycles:      # for this mix's own timeout
-            total = core.run(p, cfg.with_mix(*mix), inputs=inputs,
+            total = core.run(p, cfg.with_mix(a, m, d), inputs=inputs,
                              max_cycles=max_cycles).total_cycles
-        if new:
-            slices.update((k, resources.unit_slices(cls, k[2], cal))
-                          for k, cls in zip(keys, CLASS_UNITS))
-        points.append(DesignPoint("-".join(map(str, mix)), *mix, total,
-                                  base + sum(slices[k] for k in keys)))
+        if sa is None:
+            sa, sm, sd = map(resources.unit_slices, CLASS_UNITS, mix, [cal] * 3)
+            adds[type(a), a], muls[type(m), m], divs[type(d), d] = \
+                (ca, sa), (cm, sm), (cd, sd)
+        points.append(DesignPoint(f"{a}-{m}-{d}", a, m, d, total, base + sa + sm + sd))
     return points
 
 

@@ -22,6 +22,7 @@ class OpClass(Enum):
     MEM = "mem"
     CONTROL = "control"
     CONVERT = "convert"
+    __hash__ = object.__hash__      # members are singletons; Enum's hashes the name
 
 
 # mnemonic -> (class, operand signature)
@@ -142,11 +143,11 @@ def split_lines(text: str) -> list[str]:
     return text.split("\n")
 
 
-def _decimal(text: str) -> int:
-    """int() of ASCII text only, and no `_`: int() takes `1_0` and `١`."""
+def _decimal(text: str, number: type = int):
+    """int() or float() of ASCII text only, and no `_`: both take `1_0` and `١`."""
     if "_" in text or not text.isascii():
         raise ValueError(text)
-    return int(text)
+    return number(text)
 
 
 # Operand kind's first letter -> (pattern of its text, with one group; the
@@ -286,7 +287,7 @@ def validate(p: Program, cfg) -> list[str]:
 
 # mnemonic -> ((field index, is a vector register) per register operand, has an
 # address, is a vector op (spans vec_len words), has a branch target, has an
-# immediate, is a conversion): flags, so the loop does no Enum lookup (slow in CPython).
+# immediate, is a conversion): flags, so the loop reads an opcode's facts in one lookup.
 _CHECKS = {m: (tuple((_FIELD[k], k[0] == "v") for k in sig if k[0] in "sv"), "addr" in sig,
                m in VECTOR_OPS, "label" in sig, "imm" in sig, cls is OpClass.CONVERT)
            for m, (cls, sig) in OPCODES.items()}

@@ -92,6 +92,23 @@ class TestConfigFormat:
         key = line.partition(" ")[0]
         one_line_error(capsys, f"config line 1: bad value for '{key}'")
 
+    @pytest.mark.parametrize("line", ["clock_mhz = 1_00", "c_mul = \u0669\u0660\u0660",
+                                      "c_add = 3\u0660.5", "base_seq = \uff15"])
+    def test_real_takes_ascii_digits_only(self, line, tmp_path, capsys):
+        # float() takes a digit-group "_" and any Unicode decimal digit.
+        prog, cfg = tmp_path / "p.asm", tmp_path / "c.cfg"
+        prog.write_text("HALT\n")
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert main(["run", str(prog), "--config", str(cfg)]) == 1
+        key = line.partition(" ")[0]
+        one_line_error(capsys, f"config line 1: bad value for '{key}'")
+
+    def test_real_keeps_float_spellings(self):
+        cfg, cal = parse_config_text("clock_mhz = 1e2\nc_mul = 9e2\n"
+                                     "c_div = .5e3\nbase_seq = +700.")
+        assert (cfg.clock_mhz, cal.c_mul, cal.c_div, cal.base_seq) \
+            == (100.0, 900.0, 500.0, 700.0)
+
     @pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e",
                                       "\x85", "\u2028", "\u2029"])
     def test_lines_break_at_cr_and_lf_only(self, char):
@@ -524,6 +541,24 @@ class TestUsage:
         assert main(argv + [text]) == 1
         one_line_error(capsys, f"vproc {argv[0]}: argument {argv[-1]}: "
                                f"invalid int value: {text!r}")
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0660.\u0665", "\uff11e3", "abc"])
+    @pytest.mark.parametrize("argv", [
+        ["project", "--fraction"], ["project", "--fraction", "0.5", "--speedup"],
+        ["project", "--latency", "1", "--slices", "1", "--budget", "1", "--clock"]])
+    def test_real_option_takes_config_rule(self, capsys, argv, text):
+        """float() also takes a digit-group "_" and any Unicode decimal digit."""
+        assert main(argv + [text]) == 1
+        one_line_error(capsys, f"vproc project: argument {argv[-1]}: "
+                               f"invalid float value: {text!r}")
+
+    @pytest.mark.parametrize("speedup,overall", [
+        ("inf", 2.0), ("1e3", 1.998002), ("4.", 1.6), (" 4 ", 1.6)])
+    def test_real_option_keeps_float_spellings(self, tmp_path, speedup, overall):
+        out = tmp_path / "p.json"
+        assert main(["project", "--fraction", ".5", "--speedup", speedup,
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["overall_speedup"] == overall
 
     @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
     def test_help_exits_0(self, capsys, argv):

@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -291,6 +291,83 @@ class TestOnePassSweep:
                            f"max_cycles exceeded after {timed_out[0]} cycles")
         else:
             assert [pt.latency_cycles for pt in got] == [w[3] for w in walks]
+
+
+# Unit counts: valid at vec_len 24, or failing (0 for a class the program
+# uses, 25 beyond vec_len, True and 1.0 not ints though they hash as 1).
+COUNTS = (0, 1, 2, 7, 24, 25, True, 1.0)
+
+
+@st.composite
+def mix_lists(draw):
+    """1-8 mixes drawn from a pool of at most four, so mixes repeat."""
+    pool = draw(st.lists(st.tuples(*[st.sampled_from(COUNTS)] * 3),
+                         min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+class TestSweepAgainstRuns:
+    """The sweep equals one run per mix: the same points, or the error of
+    the first failing mix with its exact message."""
+
+    base = CoreConfig(enable_converter=False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixes=mix_lists(), seed=st.integers(0, 2**32 - 1),
+           n_instr=st.integers(1, 15), use_kernel=st.booleans(),
+           lat=st.tuples(*[st.integers(0, 70)] * 3))
+    def test_outcome_equals_per_config(self, bench, mixes, seed, n_instr,
+                                       use_kernel, lat):
+        base = replace(self.base, lat_add=lat[0], lat_mul=lat[1], lat_div=lat[2])
+        if use_kernel:
+            p, inits = bench
+        else:
+            p, inits = random_program(random.Random(seed), base, n_instr), None
+        assert outcome(sweep, p, base, mixes, inputs=inits) \
+            == outcome(per_config_sweep, p, base, mixes, inputs=inits)
+
+    def test_full_grid_at_vec_len_8(self):
+        base = replace(self.base, vec_len=8)
+        ins = kernel.generate_inputs(8, 5)
+        p, inits = kernel.emit_program(8, s_k=ins.s_k), kernel.data_initializers(ins)
+        mixes = [(a, m, d) for a in range(1, 9) for m in range(1, 9)
+                 for d in range(1, 9)]
+        points = sweep(p, base, mixes, inputs=inits)
+        assert len(points) == 512
+        assert points == per_config_sweep(p, base, mixes, inputs=inits)
+        assert [tuple(map(type, pt)) for pt in points] \
+            == [(str, int, int, int, int, int)] * 512
+
+
+class TestDesignPointRecord:
+    point = DesignPoint("8-8-24", 8, 8, 24, 210, 41300)
+
+    def test_keyword_construction(self):
+        assert DesignPoint._fields == ("label", "n_add", "n_mul", "n_div",
+                                       "latency_cycles", "slices")
+        assert DesignPoint(label="8-8-24", n_add=8, n_mul=8, n_div=24,
+                           latency_cycles=210, slices=41300) == self.point
+        assert (self.point.label, self.point.n_add, self.point.n_mul,
+                self.point.n_div, self.point.latency_cycles,
+                self.point.slices) == ("8-8-24", 8, 8, 24, 210, 41300)
+
+    def test_replace(self):
+        edited = self.point._replace(slices=1)
+        assert edited.slices == 1 and self.point.slices == 41300
+        with pytest.raises(TypeError):
+            replace(self.point, slices=1)
+        with pytest.raises(TypeError):
+            asdict(self.point)
+
+    def test_fields_cannot_be_set(self):
+        with pytest.raises(AttributeError):
+            self.point.slices = 1
+        assert self.point.slices == 41300
+
+    def test_equal_to_plain_tuple_of_its_fields(self):
+        fields = ("8-8-24", 8, 8, 24, 210, 41300)
+        assert self.point == fields and hash(self.point) == hash(fields)
+        assert self.point != fields[:5]
 
 
 class TestPareto:
