@@ -4,7 +4,7 @@ Formats (documented with examples in docs/formats.md):
   config  - flat "key = value" lines; each key is a CoreConfig or Calibration
             field and takes that field's type; unknown keys are errors.
   data    - CSV; header names the input vectors, one row per lane; the
-            scalar constant travels in a single-row column "s_k".
+            scalar constant is the first non-blank cell of column "s_k".
   report  - JSON with a schema_version field; no timestamps, fully
             deterministic for given inputs.
 Exit codes: 0 success, 1 user/input error, 2 simulation fault or timeout;
@@ -249,13 +249,10 @@ def cmd_sweep(args) -> int:
     cfg, cal, program, inputs = _load(args)
     points = dse.sweep(program, cfg, parse_mix_spec(args.mixes), cal,
                        inputs=inputs, max_cycles=args.max_cycles)
-    frontier = {id(p) for p in dse.pareto(points)}
-    lines = ["label,n_add,n_mul,n_div,latency_cycles,slices,on_pareto"]
-    for p in points:
-        lines.append(f"{p.label},{p.n_add},{p.n_mul},{p.n_div},"
-                     f"{p.latency_cycles},{p.slices},"
-                     f"{'true' if id(p) in frontier else 'false'}")
-    _write_out(args.out, "\n".join(lines))
+    frontier = set(dse.pareto(points))    # equal points are equally on it
+    lines = [(*dse.DesignPoint._fields, "on_pareto")]
+    lines += [(*p, "true" if p in frontier else "false") for p in points]
+    _write_out(args.out, "\n".join(",".join(map(str, line)) for line in lines))
     return 0
 
 

@@ -72,10 +72,6 @@ class CoreConfig:
     def mix(self) -> tuple[int, int, int]:
         return self.n_add, self.n_mul, self.n_div
 
-    @property
-    def mix_label(self) -> str:
-        return "-".join(map(str, self.mix))
-
 
 @dataclass(frozen=True)
 class ExecReport:

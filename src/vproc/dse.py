@@ -14,9 +14,9 @@ from .resources import Calibration, DEFAULT_CALIBRATION
 
 class DesignPoint(NamedTuple):
     label: str
-    n_add: int | None
-    n_mul: int | None
-    n_div: int | None
+    n_add: int
+    n_mul: int
+    n_div: int
     latency_cycles: int
     slices: int
 
@@ -52,20 +52,22 @@ def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
     classes = isa.unit_classes(p)
     base = resources.estimate_vector(cfg.with_mix(0, 0, 0), cal).slices
     counts = fixed = None
-    # Per class, (type of count, count) -> (cycles term, slices term).  The
-    # type is in the key because True and 1.0 hash as 1 but are not unit counts.
+    # Per class, unit count -> (cycles term, slices term).  Only a mix of
+    # exact ints is looked up: True and 1.0 hash as 1 but are not unit
+    # counts, so any other count is priced, and CoreConfig judges it.
     adds, muls, divs = {}, {}, {}
     points = []
     for mix in mixes:
         if len(mix) != 3:
             raise ValidationError(f"mix {mix!r} is not three unit counts")
         a, m, d = mix
-        try:
-            (ca, sa), (cm, sm), (cd, sd) = (adds[type(a), a], muls[type(m), m],
-                                            divs[type(d), d])
-        except KeyError:
-            sa = None           # a count not yet priced: price this mix
-        if sa is None:
+        label, sa = f"{a}-{m}-{d}", None
+        if type(a) is type(m) is type(d) is int:
+            try:
+                (ca, sa), (cm, sm), (cd, sd) = adds[a], muls[m], divs[d]
+            except KeyError:
+                pass            # a count not yet priced
+        if sa is None:          # price this mix
             c = cfg.with_mix(a, m, d)
             try:
                 if counts is None:
@@ -76,7 +78,7 @@ def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
                 table = core.cost_table(c, counts)
             except ValidationError as exc:
                 raise ValidationError(
-                    *(f"config {c.mix_label}: {msg}" for msg in exc.diagnostics))
+                    *(f"config {label}: {msg}" for msg in exc.diagnostics))
             split = dict.fromkeys(OpClass, 0)
             for op, n in counts.items():
                 split[table[op][0]] += n * table[op][1]
@@ -88,9 +90,8 @@ def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
                              max_cycles=max_cycles).total_cycles
         if sa is None:
             sa, sm, sd = map(resources.unit_slices, CLASS_UNITS, mix, [cal] * 3)
-            adds[type(a), a], muls[type(m), m], divs[type(d), d] = \
-                (ca, sa), (cm, sm), (cd, sd)
-        points.append(DesignPoint(f"{a}-{m}-{d}", a, m, d, total, base + sa + sm + sd))
+            adds[a], muls[m], divs[d] = (ca, sa), (cm, sm), (cd, sd)
+        points.append(DesignPoint(label, a, m, d, total, base + sa + sm + sd))
     return points
 
 

@@ -466,6 +466,21 @@ class TestDataCells:
                      "--data", str(data)]) == 1
         one_line_error(capsys, f"{data}: field larger than field limit")
 
+    @pytest.mark.parametrize("cells,s_k", [
+        (["", "7.5"], 7.5),         # the first non-blank cell, on any row
+        (["2.5", "7.5"], 2.5),      # a later cell is ignored
+        (["", ""], 1.0),            # a blank column
+        (None, 1.0),                # no column
+    ])
+    def test_s_k_rule(self, tmp_path, cells, s_k):
+        rows = [list(kernel.INPUT_NAMES), ["0.5"] * 10, ["0.5"] * 10]   # W = 2
+        if cells is not None:
+            rows = [row + [cell] for row, cell in zip(rows, ["s_k", *cells])]
+        data = tmp_path / "d.csv"
+        data.write_text("".join(",".join(row) + "\n" for row in rows))
+        inputs = cli.read_data_csv(str(data))
+        assert (inputs.vec_len, inputs.s_k) == (2, s_k)
+
     def test_unequal_columns(self, workdir, capsys):
         data = workdir / "kern_data.csv"
         rows = data.read_text().splitlines()
@@ -574,15 +589,16 @@ class TestSweep:
         rc = main(["sweep", str(workdir / "kern.asm"),
                    "--config", str(workdir / "core.cfg"),
                    "--data", str(workdir / "kern_data.csv"),
-                   "--mixes", "8-8-8,8-8-24,24-8-8,8-24-8",
+                   "--mixes", "8-8-8,8-8-24,24-8-8,8-24-8,8-8-24",
                    "--out", str(out)])
         assert rc == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "label,n_add,n_mul,n_div,latency_cycles,slices,on_pareto"
-        assert len(lines) == 5
+        assert len(lines) == 6
         rows = [line.split(",") for line in lines[1:]]
         lat = {r[0]: int(r[4]) for r in rows}
         assert min(lat, key=lat.get) == "8-8-24"
+        assert rows[1] == rows[4] and rows[1][6] == "true"  # a repeated mix, flagged alike
 
     def test_sym_spec(self, workdir):
         out = workdir / "sweep.csv"
@@ -894,15 +910,16 @@ class TestGolden:
                 == (DOCS / f"kernel24{suffix}").read_bytes()
 
     @pytest.mark.parametrize("name,args", [
-        ("example_report.json", ["run"]),
-        ("example_sweep.csv", ["sweep", "--mixes", "sym:1,2,4,8,16,24"]),
+        ("example_report.json", ["run", DOCS / "kernel24.asm"]),
+        ("example_sweep.csv", ["sweep", DOCS / "kernel24.asm",
+                               "--mixes", "sym:1,2,4,8,16,24"]),
+        ("example_compare.json", ["compare"]),     # takes no program
     ])
     def test_bytes(self, tmp_path, name, args):
         out = tmp_path / name
-        assert main(args[:1] + [str(DOCS / "kernel24.asm"),
-                                "--config", str(DOCS / "default.cfg"),
-                                "--data", str(DOCS / "kernel24_data.csv"),
-                                *args[1:], "--out", str(out)]) == 0
+        assert main([*map(str, args), "--config", str(DOCS / "default.cfg"),
+                     "--data", str(DOCS / "kernel24_data.csv"),
+                     "--out", str(out)]) == 0
         assert out.read_bytes() == (DOCS / name).read_bytes()
 
 

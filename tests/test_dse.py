@@ -73,12 +73,13 @@ def per_config_sweep(p, base, mixes, inputs=None):
     """Reference: the sweep simulated once per mix."""
     points = []
     for cfg in (base.with_mix(*m) for m in mixes):
+        label = "-".join(map(str, cfg.mix))
         try:
             report = run(p, cfg, inputs=inputs)
         except ValidationError as exc:
             raise ValidationError(
-                *[f"config {cfg.mix_label}: {d}" for d in exc.diagnostics])
-        points.append(DesignPoint(cfg.mix_label, cfg.n_add, cfg.n_mul, cfg.n_div,
+                *[f"config {label}: {d}" for d in exc.diagnostics])
+        points.append(DesignPoint(label, cfg.n_add, cfg.n_mul, cfg.n_div,
                                   report.total_cycles,
                                   estimate_vector(cfg).slices))
     return points
@@ -294,8 +295,9 @@ class TestOnePassSweep:
 
 
 # Unit counts: valid at vec_len 24, or failing (0 for a class the program
-# uses, 25 beyond vec_len, True and 1.0 not ints though they hash as 1).
-COUNTS = (0, 1, 2, 7, 24, 25, True, 1.0)
+# uses, 25 beyond vec_len, True and 1.0 not ints though they hash as 1,
+# [2] not an int and unhashable, also after a priced mix).
+COUNTS = (0, 1, 2, 7, 24, 25, True, 1.0, [2])
 
 
 @st.composite
