@@ -96,7 +96,7 @@ def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
 
 
 def pareto(points: list[DesignPoint]) -> list[DesignPoint]:
-    """Non-dominated subset in (latency, slices); exact ties are kept.
+    """Non-dominated subset in (latency, slices), in input order; exact ties kept.
 
     Sort-and-scan, O(n log n): a point is dominated iff a strictly cheaper
     point is at least as fast, or an equally cheap point is strictly faster.

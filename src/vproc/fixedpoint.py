@@ -161,7 +161,3 @@ def fx_mul(a: Fixed64, b: Fixed64, flags: ArithFlags | None = None) -> Fixed64:
 
 def fx_div(a: Fixed64, b: Fixed64, flags: ArithFlags | None = None) -> Fixed64:
     return Fixed64(div(a.raw, b.raw, flags))
-
-
-def fx_inv(a: Fixed64, flags: ArithFlags | None = None) -> Fixed64:
-    return Fixed64(div(SCALE, a.raw, flags))

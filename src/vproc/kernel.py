@@ -65,18 +65,16 @@ def checked_layout(vec_len: int, dmem_words: int) -> None:
 
 def _allocate(stmts: tuple[tuple[str, ...], ...], first: int) -> dict[str, int]:
     """Linear scan: each result takes the lowest register from `first` up
-    that is free once its operands are read for the last time."""
+    that is not live once its operands are read for the last time."""
     last = {}           # name -> index of its last definition or read
     for i, (dest, _, *args) in enumerate(stmts):
         last.update(dict.fromkeys((dest, *args), i))
-    regs, free, top = {}, set(), first  # free: unused registers below top
+    regs, live = {}, set()  # live: registers whose value is still to be read
     for i, (dest, _, *args) in enumerate(stmts):
-        free.update(regs[x] for x in args if x in regs and last[x] == i)
-        regs[dest] = reg = min(free, default=top)
-        free.discard(reg)
-        top = max(top, reg + 1)
-        if last[dest] == i:     # never read: free at once
-            free.add(reg)
+        live.difference_update(regs[x] for x in args if x in regs and last[x] == i)
+        regs[dest] = reg = min(set(range(first, first + len(live) + 1)) - live)
+        if last[dest] > i:
+            live.add(reg)
     return regs
 
 

@@ -141,7 +141,7 @@ class TestArithmetic:
         assert r.raw == 0x0000000055555555 == (1 << 32) // 3
 
     def test_inv(self):
-        assert fx.fx_inv(fx.from_real(2.0)) == fx.from_real(0.5)
+        assert fx.fx_div(fx.ONE, fx.from_real(2.0)) == fx.from_real(0.5)
 
     def test_div_by_zero(self):
         flags = ArithFlags()

@@ -279,6 +279,9 @@ class TestAllocator:
     @settings(max_examples=300, deadline=None)
     @given(statement_lists(), st.sampled_from([0, 10, 11]))
     @example(kernel.KERNEL, 10)
+    @example(kernel.KERNEL, 11)
+    @example((("r0", "*", "a", "a"), ("r1", "+", "r0", "b"), ("r2", "*", "b", "b"),
+              ("r3", "*", "r1", "b"), ("r4", "+", "r1", "r3")), 0)
     def test_linear_scan_against_brute_force_liveness(self, stmts, first):
         regs = kernel._allocate(stmts, first)
         defined = {dest: i for i, (dest, *_) in enumerate(stmts)}
