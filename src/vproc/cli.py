@@ -403,8 +403,9 @@ def main(argv: list[str] | None = None) -> int:
         code, message = 1, str(exc)
     except (core.SimulationFault, core.SimulationTimeout) as exc:
         code, message = 2, str(exc)
-    # One line, even when the message quotes input holding a line break.
-    print("error:", " ".join(message.splitlines()), file=sys.stderr)
+    # One bounded line, even when the message quotes input holding a line
+    # break, or a timeout names a cycle count of hundreds of digits.
+    print("error:", isa._bounded(" ".join(message.splitlines())), file=sys.stderr)
     return code
 
 

@@ -11,6 +11,7 @@ flags may be set.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, replace
 
@@ -177,11 +178,20 @@ def run(p: Program, cfg: CoreConfig,
     and `fixedpoint.from_reals` produce them."""
     diags = isa.validate(p, cfg)
     lo, length = observe if observe is not None else (0, 0)
-    if not 0 <= lo <= lo + length <= cfg.dmem_words:
+    if not (isinstance(lo, int) and isinstance(length, int)):
+        diags.append(f"observe range {observe!r} is not two ints")
+    elif not 0 <= lo <= lo + length <= cfg.dmem_words:
         diags.append(f"observe range '{lo}:{length}' outside data memory of "
                      f"{cfg.dmem_words} words")
-    diags += [f"initializer at {addr} outside data memory" for addr, words in
-              inputs or () if addr < 0 or addr + len(words) > cfg.dmem_words]
+    if not isinstance(max_cycles, int):
+        diags.append(f"max_cycles {max_cycles!r} is not an int")
+    for addr, words in inputs or ():
+        if not isinstance(addr, int):
+            diags.append(f"initializer at {addr!r}: address is not an int")
+        elif not isinstance(words, list | tuple):
+            diags.append(f"initializer at {addr}: words are not a list or tuple")
+        elif addr < 0 or addr + len(words) > cfg.dmem_words:
+            diags.append(f"initializer at {addr} outside data memory")
     if diags:
         raise ValidationError(*diags)
 
@@ -196,18 +206,19 @@ def run(p: Program, cfg: CoreConfig,
     for addr, words in [*data_init, *(inputs or ())]:
         mem[addr:addr + len(words)] = words
 
-    table = cost_table(cfg, {i.op for i in p.instructions})
+    ops = list(map(operator.itemgetter(0), p.instructions))
+    table = cost_table(cfg, dict.fromkeys(ops))     # ops in order of first use
     # An end marker (an op no table knows) spares the loop a pc range test.
     code = [*p.instructions, Instruction("")]
-    pc_cycles = [table[i.op][1] for i in p.instructions] + [0]
+    pc_cycles = [*map({op: c for op, (_, c, _) in table.items()}.__getitem__, ops), 0]
     retired = [0] * len(code)
 
     def report(cycles: int, pc: int) -> ExecReport:
         if len(mem) != cfg.dmem_words:      # isa.validate keeps vector spans in memory
             raise SimulationFault(pc, f"a vector span resized data memory to {len(mem)} words")
-        counts: dict[str, int] = {}
-        for i, n in zip(p.instructions, retired):
-            counts[i.op] = counts.get(i.op, 0) + n
+        counts = dict.fromkeys(table, 0)
+        for op, n in zip(ops, retired):
+            counts[op] += n
         busy = dict.fromkeys(OpClass, 0)
         for op, n in counts.items():
             busy[table[op][0]] += n * table[op][2]

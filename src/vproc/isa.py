@@ -7,6 +7,7 @@ text is the interchange format.  Scalar register s0 is a hardwired zero.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -187,7 +188,7 @@ def _encode(mnemonic: str, operand_text: str) -> Instruction:
         try:
             for (slot, convert, _), text in zip(operands, match.groups()):
                 fields[slot] = convert(text)
-            return Instruction(*fields)
+            return tuple.__new__(Instruction, fields)   # skips NamedTuple's Python __new__
         except ValueError:      # an immediate out of range, say: named below
             pass
     tokens = [t.strip() for t in operand_text.split(",")] if operand_text else []
@@ -199,7 +200,7 @@ def _encode(mnemonic: str, operand_text: str) -> Instruction:
             fields[slot] = convert(token_pattern.fullmatch(token)[1])
         except (TypeError, ValueError):     # no match: None[1] is a TypeError
             raise ValueError(f"malformed operand '{token}' for {op}") from None
-    return Instruction(*fields)
+    return tuple.__new__(Instruction, fields)
 
 
 def assemble(source_text: str) -> Program:
@@ -231,8 +232,8 @@ def assemble(source_text: str) -> Program:
             continue
         instr = encoded.get(line)
         if instr is None:
-            mnemonic, *rest = line.split(None, 1)
-            operand_text = rest[0] if rest else ""
+            parts = line.split(None, 1)
+            mnemonic, operand_text = parts[0], parts[1] if len(parts) > 1 else ""
             try:
                 if mnemonic == ".data":
                     addr, *values = operand_text.split()
@@ -269,7 +270,7 @@ def disassemble(p: Program) -> str:
             operands = [_SYNTAX[kind[0]][2](instr[slot])
                         for slot, kind in _OPERANDS[instr.op]]
         except (AttributeError, KeyError, TypeError):
-            raise ValidationError(_bad_operand(idx, instr)) from None
+            raise ValidationError(f"instr {idx}{_bad_operand(instr)}") from None
         text = f"{instr.op} {', '.join(operands)}" if operands else instr.op
         lines.append(f"L{idx}: {text}" if idx in targets else text)
     for entry in p.data_init:
@@ -293,13 +294,13 @@ _CHECKS = {m: (tuple((_FIELD[k], k[0] == "v") for k in sig if k[0] in "sv"), "ad
            for m, (cls, sig) in OPCODES.items()}
 
 
-def _bad_operand(idx: int, instr: Instruction) -> str:
-    """Names the first operand that is None or mistyped, else the opcode."""
+def _bad_operand(instr: Instruction) -> str:
+    """Names the first operand that is None or mistyped, else the opcode; no `instr <idx>`."""
     for slot, kind in _OPERANDS.get(instr.op, ()):
         if not isinstance(instr[slot], Fixed64 if kind == "imm" else int):
-            return (f"instr {idx} ({instr.op}): {kind} operand {instr[slot]!r} is "
+            return (f" ({instr.op}): {kind} operand {instr[slot]!r} is "
                     f"not {'a Fixed64' if kind == 'imm' else 'an int'}")
-    return f"instr {idx}: unknown opcode {instr.op!r}"
+    return f": unknown opcode {instr.op!r}"
 
 
 def _bad_data(entry) -> str | None:
@@ -317,10 +318,13 @@ def _bad_data(entry) -> str | None:
 
 
 def validate_structure(p: Program, cfg) -> list[str]:
-    """The checks that do not depend on the unit mix."""
-    diags: list[str] = []
+    """The checks that do not depend on the unit mix.  Each distinct
+    Instruction object is checked once; a faulty one's diagnostics are then
+    named at every index that holds it, in index order."""
+    faults: dict[int, list[str]] = defaultdict(list)   # by id(): a diagnostic less its index
     limits, spans, words = (cfg.n_sregs, cfg.n_vregs), (1, cfg.vec_len), cfg.dmem_words
-    for idx, instr in enumerate(p.instructions):
+    ins = p.instructions
+    for key, instr in dict(zip(map(id, ins), ins)).items():
         # An unknown opcode, or a None or mistyped operand, raises: `x & -1`
         # is x for an int and a TypeError for a float or None, at little cost.
         try:
@@ -328,20 +332,22 @@ def validate_structure(p: Program, cfg) -> list[str]:
             for f, is_vreg in regs:
                 if not 0 <= (reg := instr[f] & -1) < limits[is_vreg]:
                     bank = ("scalar", "vector")[is_vreg]
-                    diags.append(f"instr {idx} ({instr.op}): {bank} register index {reg}"
-                                 f" out of range (n_{bank[0]}regs={limits[is_vreg]})")
+                    faults[key].append(f" ({instr.op}): {bank} register index {reg}"
+                                       f" out of range (n_{bank[0]}regs={limits[is_vreg]})")
             if has_addr and not 0 <= (addr := instr.addr & -1) <= words - spans[vector]:
-                diags.append(f"instr {idx} ({instr.op}): address {addr} "
-                             f"(+{spans[vector]} words) outside data memory of {words}")
-            if has_target and not 0 <= (instr.target & -1) < len(p.instructions):
-                diags.append(f"instr {idx} ({instr.op}): branch target "
-                             f"{instr.target} out of range")
+                faults[key].append(f" ({instr.op}): address {addr} "
+                                   f"(+{spans[vector]} words) outside data memory of {words}")
+            if has_target and not 0 <= (instr.target & -1) < len(ins):
+                faults[key].append(f" ({instr.op}): branch target "
+                                   f"{instr.target} out of range")
             if has_imm and not isinstance(instr.imm, Fixed64):
                 raise TypeError
             if convert and not cfg.enable_converter:
-                diags.append(f"instr {idx} ({instr.op}): converter disabled")
+                faults[key].append(f" ({instr.op}): converter disabled")
         except (KeyError, TypeError):
-            diags.append(_bad_operand(idx, instr))
+            faults[key].append(_bad_operand(instr))
+    diags = [f"instr {idx}{fault}" for idx, instr in enumerate(ins)
+             for fault in faults.get(id(instr), ())] if faults else []
     for entry in p.data_init:
         if bad := _bad_data(entry):
             diags.append(bad)

@@ -214,6 +214,8 @@ WIDE_ROW = HEADER + "1" * 100_000   # within the field limit; 1e99999 is inf
 @example(("run", RUN_HALT, {**NO_FILES, "@prog": b"X" * 60_000}))
 @example(("run", RUN_HALT + ["--config", "@config"],
           {**HALT, "@config": b"k" * 50_000 + b" = 1"}))
+@example(("compare", ["compare", "--config", "@config"],   # a 435-digit timeout
+          {**HALT, "@config": f"lat_add = {10**420}".encode()}))
 def test_exit_codes_and_one_error_line(case):
     command, argv, files = case
     with tempfile.TemporaryDirectory() as tmp:

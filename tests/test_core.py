@@ -196,6 +196,8 @@ class TestRun:
         """)
         r = run(p, CoreConfig(), observe=(0, 1))
         assert fx.to_real(r.memory[0]) == 5.0
+        assert list(r.counts.items()) == [     # in order of first use
+            ("LDI", 2), ("SADDI", 10), ("BNZ", 5), ("SST", 1), ("HALT", 1)]
 
     def test_div_by_zero_flag_surfaces(self):
         p = isa.assemble("LDI s1, 1.0\nSDIV s2, s1, s0\nSST [0], s2\nHALT")
@@ -278,6 +280,20 @@ class TestRun:
             "instr 0 (SADD): scalar register index 16 out of range (n_sregs=16)",
             "observe range '4090:7' outside data memory of 4096 words",
             "initializer at 4095 outside data memory"]
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"observe": (0.5, 2)}, "observe range (0.5, 2) is not two ints"),
+        ({"observe": (0, None)}, "observe range (0, None) is not two ints"),
+        ({"max_cycles": None}, "max_cycles None is not an int"),
+        ({"inputs": [(0.0, [1])]}, "initializer at 0.0: address is not an int"),
+        ({"inputs": [(None, [1])]}, "initializer at None: address is not an int"),
+        ({"inputs": [(0, 5)]}, "initializer at 0: words are not a list or tuple")])
+    def test_mistyped_argument_rejected(self, kwargs, message):
+        """Arguments the CLI never passes: one ValidationError each, not a
+        bare TypeError from the range checks or the run."""
+        with pytest.raises(ValidationError) as exc:
+            run(isa.assemble("HALT"), CoreConfig(), **kwargs)
+        assert exc.value.diagnostics == [message]
 
     def test_timeout_carries_partial_report(self):
         p = isa.assemble("spin: JMP spin\nHALT")

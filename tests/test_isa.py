@@ -494,6 +494,19 @@ class TestValidate:
     def test_valid_kernel_program(self):
         assert isa.validate(kernel.emit_program(24), self.cfg) == []
 
+    def test_repeated_statement_faults_at_each_index(self):
+        """The assembler shares one object between the lines of a repeated
+        statement; its fault is named at each of them, in index order,
+        around another fault."""
+        p = isa.assemble("SLD s20, [0]\nSLD s1, [5000]\nSLD s20, [0]\n"
+                         "SLD s20, [0]\nHALT")
+        assert p.instructions[0] is p.instructions[2] is p.instructions[3]
+        bad_reg = "(SLD): scalar register index 20 out of range (n_sregs=16)"
+        assert isa.validate(p, CoreConfig(n_sregs=16)) == [
+            f"instr 0 {bad_reg}",
+            "instr 1 (SLD): address 5000 (+1 words) outside data memory of 4096",
+            f"instr 2 {bad_reg}", f"instr 3 {bad_reg}"]
+
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_structure_matches_reference(self, seed):
@@ -509,6 +522,12 @@ class TestValidate:
                 Instruction("BNZ", a=reg, target=target),
                 Instruction("F2X", d=reg, a=rng.randrange(16)),
                 Instruction("X2F", d=rng.randrange(16), a=reg)]))
+        # Objects shared between indexes, as the assembler shares a repeated
+        # statement's: each is checked once, its faults named at every index.
+        shared = [Instruction("JMP", target=-1)] * 3        # out of range
+        shared += rng.choices(ins, k=rng.randrange(6))
+        for instr in shared:
+            ins.insert(rng.randrange(len(ins) + 1), instr)
         p.data_init = [(rng.randrange(-3, 4100), [fx.ZERO] * rng.randrange(30))
                        for _ in range(rng.randrange(3))]
         cfg = CoreConfig(vec_len=rng.choice([1, 8, 24, 64]),
