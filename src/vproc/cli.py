@@ -193,10 +193,12 @@ def parse_mix_spec(spec: str) -> list[tuple[int, int, int]]:
             return [(isa._decimal(t),) * 3 for t in sizes]
         except ValueError:
             raise ValidationError(f"bad mix spec '{spec}'")
+    # isa._decimal's checks, made once: int() alone takes ASCII without `_`
+    decimal = int if spec.isascii() and "_" not in spec else isa._decimal
     mixes = []
     for item in spec.split(","):
         try:        # a count other than three fails to unpack
-            a, m, d = map(isa._decimal, item.strip().split("-"))
+            a, m, d = map(decimal, item.strip().split("-"))
         except ValueError:
             raise ValidationError(f"bad mix '{item.strip()}', expected A-M-D")
         mixes.append((a, m, d))
@@ -250,9 +252,10 @@ def cmd_sweep(args) -> int:
     points = dse.sweep(program, cfg, parse_mix_spec(args.mixes), cal,
                        inputs=inputs, max_cycles=args.max_cycles)
     frontier = set(dse.pareto(points))    # equal points are equally on it
-    lines = [(*dse.DesignPoint._fields, "on_pareto")]
-    lines += [(*p, "true" if p in frontier else "false") for p in points]
-    _write_out(args.out, "\n".join(",".join(map(str, line)) for line in lines))
+    fields = (*dse.DesignPoint._fields, "on_pareto")
+    on = map({True: "true", False: "false"}.get, map(frontier.__contains__, points))
+    rows = map(",".join(["{}"] * len(fields)).format, *zip(*points), on)
+    _write_out(args.out, "\n".join([",".join(fields), *rows]))
     return 0
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -44,54 +45,73 @@ def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
 
     where F is the cycles of the CONTROL, MEM and CONVERT ops and B the
     slices of the core with no units.  Per class, a table maps each unit
-    count to its (cycles, slices) terms, priced once from the retire counts
-    and core.cost_table of the first mix that brings it: a priced mix costs
-    one lookup per class.  The first failing mix raises the error its own
-    run would, and a mix over max_cycles is run again for its own timeout.
+    count to its (cycles, slices) terms, priced from the retire counts and
+    core.cost_table; after the first mix's run, the k-th distinct counts of
+    all classes are priced as one config (six for the 6³ grid), and a count
+    that fails there at its own mix.  The first failing mix, in input order,
+    raises the error its own run would; one over max_cycles is run again.
     """
     classes = isa.unit_classes(p)
     base = resources.estimate_vector(cfg.with_mix(0, 0, 0), cal).slices
-    counts = fixed = None
-    # Per class, unit count -> (cycles term, slices term).  Only a mix of
-    # exact ints is looked up: True and 1.0 hash as 1 but are not unit
-    # counts, so any other count is priced, and CoreConfig judges it.
+    mixes, counts = [*mixes], None
+    # Per class, unit count -> (cycles term, slices term, text); ADD's cycles
+    # hold F.  Only exact ints are looked up: True and 1.0 hash as 1 but are
+    # not unit counts, so any other count is priced, and CoreConfig judges it.
     adds, muls, divs = {}, {}, {}
-    points = []
-    for mix in mixes:
+
+    def price(a, m, d) -> tuple[int, int, int]:
+        """Each class's cycles term under mix a-m-d; the first call runs p."""
+        nonlocal counts
+        c = cfg.with_mix(a, m, d)
+        try:
+            if counts is None:
+                counts = core.run(p, c, inputs=inputs,
+                                  max_cycles=max_cycles).counts
+            elif diags := isa.validate_units(classes, c):
+                raise ValidationError(*diags)
+            table = core.cost_table(c, counts)
+        except ValidationError as exc:
+            raise ValidationError(
+                *(f"config {a}-{m}-{d}: {msg}" for msg in exc.diagnostics))
+        split = dict.fromkeys(OpClass, 0)
+        for op, n in counts.items():
+            split[table[op][0]] += n * table[op][1]
+        ca, cm, cd = map(split.pop, CLASS_UNITS)
+        return ca + sum(split.values()), cm, cd
+
+    points, new = [], tuple.__new__     # a DesignPoint, less NamedTuple's own __new__
+    for i, mix in enumerate(mixes):
         if len(mix) != 3:
             raise ValidationError(f"mix {mix!r} is not three unit counts")
         a, m, d = mix
-        label, sa = f"{a}-{m}-{d}", None
+        sa = None
         if type(a) is type(m) is type(d) is int:
             try:
-                (ca, sa), (cm, sm), (cd, sd) = adds[a], muls[m], divs[d]
+                (ca, sa, la), (cm, sm, lm), (cd, sd, ld) = adds[a], muls[m], divs[d]
             except KeyError:
                 pass            # a count not yet priced
         if sa is None:          # price this mix
-            c = cfg.with_mix(a, m, d)
-            try:
-                if counts is None:
-                    counts = core.run(p, c, inputs=inputs,
-                                      max_cycles=max_cycles).counts
-                elif diags := isa.validate_units(classes, c):
-                    raise ValidationError(*diags)
-                table = core.cost_table(c, counts)
-            except ValidationError as exc:
-                raise ValidationError(
-                    *(f"config {label}: {msg}" for msg in exc.diagnostics))
-            split = dict.fromkeys(OpClass, 0)
-            for op, n in counts.items():
-                split[table[op][0]] += n * table[op][1]
-            fixed = sum(n for cls, n in split.items() if cls not in CLASS_UNITS)
-            ca, cm, cd = map(split.get, CLASS_UNITS)
-        total = fixed + ca + cm + cd
+            try:    # a priced count is printable
+                la, lm, ld = map(str, mix)
+            except ValueError:      # past int-to-str's digit limit
+                raise ValidationError(f"mix {i}: a count too long to print") from None
+            ca, cm, cd = price(a, m, d)
+        total = ca + cm + cd
         if total > max_cycles:      # for this mix's own timeout
             total = core.run(p, cfg.with_mix(a, m, d), inputs=inputs,
                              max_cycles=max_cycles).total_cycles
         if sa is None:
             sa, sm, sd = map(resources.unit_slices, CLASS_UNITS, mix, [cal] * 3)
-            adds[a], muls[m], divs[d] = (ca, sa), (cm, sm), (cd, sd)
-        points.append(DesignPoint(label, a, m, d, total, base + sa + sm + sd))
+            adds[a], muls[m], divs[d] = (ca, sa, la), (cm, sm, lm), (cd, sd, ld)
+            if not points:  # p has run: price the k-th distinct counts together
+                with contextlib.suppress(TypeError):    # a mix zip, dict or price refuses
+                    ks = [[*dict.fromkeys(col)] for col in zip(*mixes)]
+                    n = max(map(len, ks))
+                    for x in [*zip(*(k + k[:1] * (n - len(k)) for k in ks))][1:]:  # [0]: this mix
+                        with contextlib.suppress(ValueError):   # a ValidationError too
+                            adds[x[0]], muls[x[1]], divs[x[2]] = zip(price(*x), map(
+                                resources.unit_slices, CLASS_UNITS, x, [cal] * 3), map(str, x))
+        points.append(new(DesignPoint, (f"{la}-{lm}-{ld}", a, m, d, total, base + sa + sm + sd)))
     return points
 
 

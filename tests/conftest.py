@@ -15,7 +15,7 @@ import pytest
 
 from vproc import fixedpoint as fx
 from vproc.core import MAX_CYCLES
-from vproc.fixedpoint import Fixed64, RAW_MAX, RAW_MIN, SCALE
+from vproc.fixedpoint import Fixed64, SCALE
 from vproc.isa import (OPCODES, Instruction, OpClass, Program,
                        ValidationError, _parse_value, is_vector)
 from vproc.kernel import DIVISOR_BOUND, INPUT_NAMES, default_layout
@@ -23,6 +23,10 @@ from vproc.kernel import DIVISOR_BOUND, INPUT_NAMES, default_layout
 # ---- independent Q32.32 reference (kept deliberately separate from the
 # ---- implementation under test; plain integer arithmetic throughout).
 # ---- `flags`, when given, is a dict with "overflow" and "div_by_zero".
+
+RAW_MIN = -(1 << 63)        # the signed 64-bit word range, spelled here
+RAW_MAX = (1 << 63) - 1     # rather than taken from the module under test
+
 
 def ref_clamp(v, flags=None):
     clamped = max(RAW_MIN, min(RAW_MAX, v))

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -17,6 +18,7 @@ from vproc.resources import Calibration
 
 KERNEL_ASM = None
 DOCS = Path(__file__).resolve().parent.parent / "docs"
+DSE_UNITS = (1, 2, 4, 8, 16, 24)       # each class's counts in the full grid
 
 
 def one_line_error(capsys, *fragments):
@@ -150,6 +152,30 @@ class TestDefaultConfigFile:
             == (core.CoreConfig(mem_port_width=24), Calibration())
 
 
+# An A-M-D item: mostly three counts, else one to four parts of which any
+# may be blank, signed, padded, spelled with `_` or a non-ASCII digit, or
+# past int()'s digit limit.
+MIX_PART = st.one_of(st.integers(0, 30).map(str), st.sampled_from(
+    ["", " ", "+1", "-", " 7 ", "\t2", "1_0", "\u0663", "x", "9" * 4301]))
+MIX_ITEM = st.one_of(*[st.tuples(*[st.integers(0, 30).map(str)] * 3).map("-".join)] * 3,
+                     st.tuples(*[MIX_PART] * 3).map("-".join),
+                     st.lists(MIX_PART, min_size=1, max_size=4).map("-".join))
+
+
+def per_item_mix_spec(spec: str) -> list[tuple[int, int, int]]:
+    """Reference: an A-M-D spec parsed one item at a time."""
+    if not spec.strip():
+        raise ValidationError("empty mix spec")
+    mixes = []
+    for item in spec.strip().split(","):
+        try:
+            a, m, d = map(isa._decimal, item.strip().split("-"))
+        except ValueError:
+            raise ValidationError(f"bad mix '{item.strip()}', expected A-M-D")
+        mixes.append((a, m, d))
+    return mixes
+
+
 class TestMixSpec:
     def test_triples(self):
         assert parse_mix_spec("8-8-8,8-8-24") == [(8, 8, 8), (8, 8, 24)]
@@ -184,6 +210,21 @@ class TestMixSpec:
     def test_too_many_digits_rejected(self, prefix):
         with pytest.raises(ValidationError, match="bad mix"):
             parse_mix_spec(prefix + "9" * 5000)
+
+    @settings(max_examples=300, deadline=None)
+    @example(spec="1-2-\u0663", pad="")
+    @example(spec="1_0-2-3,4-5-6", pad="")
+    @example(spec="1-2-3," + "9" * 4301 + "-1-1", pad=" ")
+    @given(spec=st.lists(MIX_ITEM, min_size=1, max_size=6).map(",".join),
+           pad=st.sampled_from(["", " ", "\t"]))
+    def test_equals_per_item_parse(self, spec, pad):
+        """The same mixes, or the same error, as a parse item by item."""
+        def outcome(fn):
+            try:
+                return fn(pad + spec + pad)
+            except ValidationError as exc:
+                return str(exc)
+        assert outcome(parse_mix_spec) == outcome(per_item_mix_spec)
 
 
 class TestAsm:
@@ -914,6 +955,8 @@ class TestGolden:
         ("example_sweep.csv", ["sweep", DOCS / "kernel24.asm",
                                "--mixes", "sym:1,2,4,8,16,24"]),
         ("example_compare.json", ["compare"]),     # takes no program
+        ("example_sweep_grid.csv", ["sweep", DOCS / "kernel24.asm", "--mixes", ",".join(
+            f"{a}-{m}-{d}" for a, m, d in itertools.product(DSE_UNITS, repeat=3))]),
     ])
     def test_bytes(self, tmp_path, name, args):
         out = tmp_path / name

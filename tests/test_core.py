@@ -287,10 +287,15 @@ class TestRun:
         ({"max_cycles": None}, "max_cycles None is not an int"),
         ({"inputs": [(0.0, [1])]}, "initializer at 0.0: address is not an int"),
         ({"inputs": [(None, [1])]}, "initializer at None: address is not an int"),
-        ({"inputs": [(0, 5)]}, "initializer at 0: words are not a list or tuple")])
+        ({"inputs": [(0, 5)]}, "initializer at 0: words are not a list or tuple"),
+        ({"inputs": [5]}, "initializer 5 is not an (address, words) pair"),
+        ({"inputs": 5}, "inputs 5 is not a list of (address, words) pairs"),
+        ({"inputs": [(0, [1], 2)]}, "initializer (0, [1], 2) is not an (address, words) pair"),
+        ({"observe": 5}, "observe range 5 is not two ints"),
+        ({"observe": (1, 2, 3)}, "observe range (1, 2, 3) is not two ints")])
     def test_mistyped_argument_rejected(self, kwargs, message):
         """Arguments the CLI never passes: one ValidationError each, not a
-        bare TypeError from the range checks or the run."""
+        bare TypeError or ValueError from the range checks or the run."""
         with pytest.raises(ValidationError) as exc:
             run(isa.assemble("HALT"), CoreConfig(), **kwargs)
         assert exc.value.diagnostics == [message]

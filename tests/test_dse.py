@@ -10,7 +10,8 @@ import vproc.fixedpoint as fx
 from vproc import core, isa, kernel
 from vproc.core import (CoreConfig, SimulationFault, SimulationTimeout,
                         ValidationError, cost_table, run)
-from vproc.dse import DesignPoint, amdahl, pareto, sweep, throughput_projection
+from vproc.dse import (DesignPoint, Projection, amdahl, pareto, sweep,
+                       throughput_projection)
 from vproc.isa import Instruction, OpClass, Program
 from vproc.resources import estimate_vector
 
@@ -174,6 +175,9 @@ class TestOnePassSweep:
             == per_config_sweep(program, base, mixes, inputs=inits)
 
     def test_one_config_per_priced_term(self, bench, monkeypatch):
+        """After the no-unit base, the k-th config prices the k-th distinct
+        count of every class: six configs for the 6³ grid, two for
+        compare's two mixes."""
         program, inits = bench
         builds = []
         check = CoreConfig.__post_init__
@@ -181,7 +185,17 @@ class TestOnePassSweep:
                             lambda cfg: builds.append(cfg) or check(cfg))
         mixes = [(a, m, d) for a in SIZES for m in SIZES for d in SIZES]
         sweep(program, self.base, mixes, inputs=inits)
-        assert len(builds) <= 1 + 3 * len(SIZES)
+        assert [cfg.mix for cfg in builds] == [(0, 0, 0)] + [(n, n, n) for n in SIZES]
+        builds.clear()
+        sweep(program, self.base, [(1, 1, 1), (8, 8, 8)], inputs=inits)
+        assert [cfg.mix for cfg in builds] == [(0, 0, 0), (1, 1, 1), (8, 8, 8)]
+
+    def test_iterator_and_empty_mix_lists(self, bench):
+        program, inits = bench
+        mixes = [(1, 2, 4), (8, 16, 24), (2, 2, 2)]
+        assert sweep(program, self.base, iter(mixes), inputs=inits) \
+            == sweep(program, self.base, mixes, inputs=inits)
+        assert sweep(program, self.base, [], max_cycles=None) == []
 
     @pytest.mark.parametrize("count", [True, 1.0])
     def test_mistyped_count_not_priced(self, bench, count):
@@ -231,6 +245,20 @@ class TestOnePassSweep:
                                         "outside data memory")
         assert got == outcome(per_config_sweep, program, self.base, mixes,
                               inputs=bad)
+
+    def test_malformed_first_mix_named_before_fault(self):
+        p = Program(instructions=[Instruction("LDI", d=1, imm=fx.ONE)])
+        got = outcome(sweep, p, self.base, [(8, 8, 8, 8), (1, 1, 1)])
+        assert got == (ValidationError, "mix (8, 8, 8, 8) is not three unit counts")
+
+    def test_slice_error_in_input_order(self):
+        """A slice term past the float range, of a class the program does not
+        use, fails at its own mix: before a later mix's unit-count error."""
+        p = isa.assemble("VMUL v1, v1, v1\nVDIV v2, v1, v1\nHALT")
+        mixes = [(0, 8, 8), (10**400, 8, 8), (0, 0, 8)]
+        got = outcome(sweep, p, self.base, mixes)
+        assert got[0] is ValidationError and "'add_units'" in got[1]
+        assert got == outcome(per_config_sweep, p, self.base, mixes)
 
     def test_fault_message(self):
         p = Program(instructions=[Instruction("LDI", d=1, imm=fx.ONE)])
@@ -340,6 +368,32 @@ class TestSweepAgainstRuns:
         assert [tuple(map(type, pt)) for pt in points] \
             == [(str, int, int, int, int, int)] * 512
 
+    @pytest.mark.parametrize("count", [0, 25, True, 1.0, [2]])     # COUNTS that fail
+    @pytest.mark.parametrize("index", [0, 107, 215])
+    def test_failing_count_in_full_grid(self, bench, count, index):
+        """A failing count first, in the middle or last among the 216 mixes:
+        the error of the first failing mix, as from one run per mix."""
+        p, inits = bench
+        mixes = [(a, m, d) for a in SIZES for m in SIZES for d in SIZES]
+        mix = list(mixes[index])
+        mix[index % 3] = count
+        mixes[index] = tuple(mix)
+        got = outcome(sweep, p, self.base, mixes, inputs=inits)
+        assert got[0] is ValidationError
+        assert got == outcome(per_config_sweep, p, self.base, mixes, inputs=inits)
+
+    def test_count_too_long_to_print(self):
+        """A count past Python's int-to-str digit limit is named by its mix's
+        index; one of 401 digits still prints in full in the label."""
+        p = kernel.emit_program(24)
+        got = outcome(sweep, p, CoreConfig(), [(-1, 10**5000, 1)])
+        assert got == (ValidationError, "mix 0: a count too long to print")
+        got = outcome(sweep, p, CoreConfig(), [(1, 1, 1), (1, 1, 10**5000)])
+        assert got == (ValidationError, "mix 1: a count too long to print")
+        got = outcome(sweep, p, CoreConfig(), [(1, 1, 10**400)])
+        assert got[0] is ValidationError and got[1].startswith("config 1-1-1000")
+        assert got == outcome(per_config_sweep, p, CoreConfig(), [(1, 1, 10**400)])
+
 
 class TestDesignPointRecord:
     point = DesignPoint("8-8-24", 8, 8, 24, 210, 41300)
@@ -407,6 +461,10 @@ class TestThroughputProjection:
 
     def test_exact_budget(self):
         assert throughput_projection(*self.point, 41300, 100.0).cores == 1
+
+    def test_one_cycle_one_slice_accepted(self):
+        assert throughput_projection(1, 1, 5, 100.0) \
+            == Projection(cores=5, calls_per_second=5e8)
 
     def test_budget_too_small(self):
         with pytest.raises(ValueError):

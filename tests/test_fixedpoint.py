@@ -150,6 +150,13 @@ class TestArithmetic:
         r = fx.fx_div(fx.from_real(-1.0), fx.ZERO, flags)
         assert r.raw == RAW_MIN
 
+    @pytest.mark.parametrize("fn,a,b", [(fx.add, RAW_MIN + 1, -1), (fx.sub, RAW_MIN + 1, 1),
+                                        (fx.mul, RAW_MIN, SCALE), (fx.div, RAW_MIN, SCALE)])
+    def test_exact_raw_min_sets_no_flag(self, fn, a, b):
+        flags = ArithFlags()
+        assert fn(a, b, flags) == RAW_MIN
+        assert flags == ArithFlags()
+
     def test_flags_are_sticky(self):
         flags = ArithFlags()
         fx.fx_add(Fixed64(RAW_MAX), fx.ONE, flags)
