@@ -97,10 +97,17 @@ def write_data_csv(path: str, inputs: kernel.KernelInputs) -> None:
 
 
 def read_data_csv(path: str) -> kernel.KernelInputs:
-    try:
-        rows = list(csv.reader(io.StringIO(_read(path))))
-    except csv.Error as exc:        # a cell beyond csv's field size limit
-        raise ValidationError(f"{path}: {exc}")
+    text = _read(path)
+    lines = isa.split_lines(text)
+    # Without a quote, a NUL or a line past csv's field size limit, csv's
+    # records are the lines split at commas; a blank line is [""], not [].
+    if '"' in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
+        try:
+            rows = list(csv.reader(io.StringIO(text)))
+        except csv.Error as exc:        # a NUL (before Python 3.11), or a long cell
+            raise ValidationError(f"{path}: {exc}")
+    else:
+        rows = [line.split(",") for line in lines] if text else []
     if not rows:
         raise ValidationError(f"{path}: empty data file")
     header = [h.strip() for h in rows[0]]
@@ -111,7 +118,7 @@ def read_data_csv(path: str) -> kernel.KernelInputs:
     columns: dict[str, list[float]] = {n: [] for n in header}
     lo, hi = fx.REAL_LO, fx.REAL_HI
     body = rows[1:]
-    try:    # a column at a time; a short row or a blank line ([]) ends in blank cells
+    try:    # a column at a time; a short row or a blank line ends in blank cells
         if max(map(len, body), default=0) > len(header):
             raise ValueError
         for name, cells in zip(header, zip_longest(*body, fillvalue="")):
@@ -239,7 +246,11 @@ def cmd_run(args) -> int:
     report = core.run(program, cfg, inputs=inputs,
                       observe=_parse_observe(args.observe, cfg),
                       max_cycles=args.max_cycles)
-    _write_out(args.out, json.dumps(_report_dict(report), indent=2))
+    fields = _report_dict(report)
+    text = json.dumps({**fields, "memory": []}, indent=2)     # ends '[]\n}'
+    if words := fields["memory"]:   # finite floats, which json prints by repr
+        text = text[:-4] + "[\n    " + ",\n    ".join(map(float.__repr__, words)) + "\n  ]\n}"
+    _write_out(args.out, text)
     for raised, what in [(report.flags.div_by_zero, "division by zero"),
                          (report.flags.overflow, "arithmetic saturation")]:
         if raised:

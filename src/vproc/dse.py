@@ -82,7 +82,11 @@ def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
     points, new = [], tuple.__new__     # a DesignPoint, less NamedTuple's own __new__
     for i, mix in enumerate(mixes):
         if len(mix) != 3:
-            raise ValidationError(f"mix {mix!r} is not three unit counts")
+            try:    # a count past int-to-str's digit limit does not print
+                text = repr(mix)
+            except ValueError:
+                raise ValidationError(f"mix {i}: not three unit counts") from None
+            raise ValidationError(f"mix {text} is not three unit counts")
         a, m, d = mix
         sa = None
         if type(a) is type(m) is type(d) is int:

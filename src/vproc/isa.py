@@ -372,6 +372,10 @@ def validate_units(classes: list[OpClass], cfg) -> list[str]:
             diags.append(f"program uses {cls.name} but the configuration "
                          f"instantiates no units of that class")
         elif units > cfg.vec_len:
-            diags.append(f"{cls.name} unit count {units} exceeds vector "
+            try:    # a count past int-to-str's digit limit is not printed
+                count = f" {units}"
+            except ValueError:
+                count = ""
+            diags.append(f"{cls.name} unit count{count} exceeds vector "
                          f"length {cfg.vec_len}")
     return diags

@@ -2,14 +2,19 @@
 fixed-point unit, a unit-level cycle schedule, reference copies of the
 two-pass assembler, of the structural validator and of the hand-written
 kernel emitters, a brute-force longest path, a reference interpreter for
-straight-line programs, a pc-walking reference for programs that branch, and
-generators of random straight-line and looping programs."""
+straight-line programs, a pc-walking reference for programs that branch, a
+csv.reader-only data-file reader, and generators of random straight-line and
+looping programs."""
 
+import csv
 import heapq
+import io
+import math
 import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -18,7 +23,7 @@ from vproc.core import MAX_CYCLES
 from vproc.fixedpoint import Fixed64, SCALE
 from vproc.isa import (OPCODES, Instruction, OpClass, Program,
                        ValidationError, _parse_value, is_vector)
-from vproc.kernel import DIVISOR_BOUND, INPUT_NAMES, default_layout
+from vproc.kernel import DIVISOR_BOUND, INPUT_NAMES, KernelInputs, default_layout
 
 # ---- independent Q32.32 reference (kept deliberately separate from the
 # ---- implementation under test; plain integer arithmetic throughout).
@@ -461,6 +466,58 @@ def ref_oracle(inputs):
         t5 = (a * b * c + d * e) * f
         out.append(1.0 / (t5 * t7 / p / q))
     return out
+
+
+def ref_read_data_csv(path: str) -> KernelInputs:
+    """The data reader with every file read in text mode, which turns each
+    line break into LF, and split by csv.reader alone."""
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}")
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: {exc}")
+    if not rows:
+        raise ValidationError(f"{path}: empty data file")
+    header = [h.strip() for h in rows[0]]
+    if repeated := [n for n, k in Counter(header).items() if n and k > 1]:
+        raise ValidationError(f"{path}: duplicate column(s) {', '.join(repeated)}")
+    if missing := [n for n in INPUT_NAMES if n not in header]:
+        raise ValidationError(f"{path}: missing column(s) {', '.join(missing)}")
+    columns: dict[str, list[float]] = {n: [] for n in header}
+    lo, hi = fx.REAL_LO, fx.REAL_HI
+    body = rows[1:]
+    try:
+        if max(map(len, body), default=0) > len(header):
+            raise ValueError
+        for name, cells in zip(header, zip_longest(*body, fillvalue="")):
+            xs = columns[name] = list(map(float, filter(str.strip, cells)))
+            if xs and not (lo <= min(xs) <= max(xs) < hi) or math.isnan(sum(xs)):
+                raise ValueError
+    except ValueError:
+        for n, row in enumerate(body, start=2):
+            if len(row) > len(header):
+                raise ValidationError(f"{path}: row {n} has {len(row)} cells, "
+                                      f"header has {len(header)}")
+            for name, cell in zip(header, row):
+                if cell.strip():
+                    try:
+                        x = float(cell)
+                    except ValueError:
+                        x = math.nan
+                    if not lo <= x < hi:
+                        what = ("is not a finite number" if not math.isfinite(x)
+                                else "is outside the Q32.32 range [-2^31, 2^31)")
+                        raise ValidationError(f"{path}: row {n}, column {name}: "
+                                              f"'{cell}' {what}")
+    vectors = {n: columns[n] for n in INPUT_NAMES}
+    if len({len(v) for v in vectors.values()}) != 1:
+        raise ValidationError(f"{path}: input columns have unequal lengths")
+    s_k = columns.get("s_k") or [1.0]
+    return KernelInputs(vectors=vectors, s_k=s_k[0])
 
 
 # ---- random straight-line programs -----------------------------------------

@@ -16,6 +16,8 @@ from vproc.cli import main, parse_config_text, parse_mix_spec
 from vproc.isa import ValidationError
 from vproc.resources import Calibration
 
+from conftest import ref_read_data_csv
+
 KERNEL_ASM = None
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 DSE_UNITS = (1, 2, 4, 8, 16, 24)       # each class's counts in the full grid
@@ -1064,6 +1066,96 @@ class TestDataReaderMatchesRowMajorScan:
                                           for row in grid), encoding="utf-8")
             assert read_outcome(cli.read_data_csv, path) \
                 == read_outcome(row_major_read_data_csv, path)
+
+
+# Cells that data_grid does not draw: whitespace only, quoted (with a line
+# break inside the quotes), and holding a NUL.
+ODD_CELLS = ["\t", "  ", '"1.5"', '" -2"', '"3\r\n"', '"4\r"', '"a,b"', "1\x00"]
+BREAKS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def data_text(draw):
+    """The text of a data_grid file, sometimes with odd cells, broken by one
+    of CR LF, CR and LF or by a mix of them, with or without a trailing
+    break, and sometimes starting with a byte-order mark."""
+    grid = draw(data_grid())
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        row = draw(st.sampled_from(grid))
+        if row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ODD_CELLS))
+    style = draw(st.sampled_from(BREAKS + [None]))     # None: each line its own
+    breaks = [style or draw(st.sampled_from(BREAKS)) for _ in grid]
+    if draw(st.booleans()):
+        breaks[-1] = ""
+    text = "".join(",".join(row) + brk for row, brk in zip(grid, breaks))
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+class TestDataReaderMatchesCsvReader:
+    """read_data_csv, which splits a file holding no quote, NUL or over-long
+    line at its line breaks and commas, reads every file as csv.reader over
+    the text-mode file does: the same inputs or the same error text."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(data_text())
+    @example("")                                            # empty file
+    @example("\ufeff")                                      # a mark alone
+    @example("\r\n")
+    @example("\r")
+    @example(",".join(kernel.INPUT_NAMES))                  # no break at all
+    @example(",".join(kernel.INPUT_NAMES) + "\r\n" + "1," * 9 + "1\r\n\r\n")
+    @example(",".join(kernel.INPUT_NAMES) + "\r" + "1," * 9 + "1\r \r" + "2," * 9 + "2")
+    @example(",".join(kernel.INPUT_NAMES) + "\n" + "1," * 9 + "1\r" + "1," * 10 + "1\n")
+    def test_same_inputs_or_error(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "data.csv")
+            Path(path).write_bytes(text.encode("utf-8"))
+            assert read_outcome(cli.read_data_csv, path) \
+                == read_outcome(ref_read_data_csv, path)
+
+    @pytest.mark.parametrize("cell,by_csv", [
+        ('"1.5"', True),                    # a quoted cell
+        ('"1.5\r\n"', True),                # a quoted cell holding CR LF
+        ("1\x00", True),                    # a NUL
+        ("0" * 131_054 + "1", True),        # a line of 131,073 characters
+        ("0" * 131_053 + "1", False),       # one of 131,072: csv's limit
+        ("1.5", False),
+    ])
+    def test_csv_path(self, tmp_path, monkeypatch, cell, by_csv):
+        path = tmp_path / "data.csv"
+        path.write_bytes(f"{','.join(kernel.INPUT_NAMES)}\r\n{cell}{',1' * 9}\r\n"
+                         .encode("utf-8"))
+        expected = read_outcome(ref_read_data_csv, str(path))
+        calls = []
+        reader = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda *a: calls.append(a) or reader(*a))
+        assert read_outcome(cli.read_data_csv, str(path)) == expected
+        assert bool(calls) == by_csv
+
+
+class TestReportText:
+    """The run report is json.dumps(_report_dict(report), indent=2), byte for
+    byte, whatever the memory words, and for an empty observe range."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from([fx.RAW_MIN, fx.RAW_MAX, 0, 1, -1, fx.SCALE, -fx.SCALE]),
+        st.integers(fx.RAW_MIN, fx.RAW_MAX)), max_size=12))
+    @example([fx.RAW_MIN, fx.RAW_MAX, 0, 1, -1, fx.SCALE, -fx.SCALE])
+    @example([])                                            # --observe 0:0
+    def test_matches_json_dumps(self, words):
+        mask = (1 << fx.WORD_BITS) - 1
+        source = "".join(f".data {i} 0x{w & mask:016X}\n" for i, w in enumerate(words))
+        program = isa.assemble(source + "HALT\n")
+        report = core.run(program, core.CoreConfig(), observe=(0, len(words)))
+        assert [w.raw for w in report.memory] == words
+        with tempfile.TemporaryDirectory() as tmp:
+            prog, out = Path(tmp) / "p.asm", Path(tmp) / "r.json"
+            prog.write_text(source + "HALT\n")
+            assert main(["run", str(prog), "--observe", f"0:{len(words)}",
+                         "--out", str(out)]) == 0
+            assert out.read_text() == json.dumps(cli._report_dict(report), indent=2) + "\n"
 
 
 class TestParserReuse:

@@ -108,6 +108,18 @@ class TestCoreConfig:
         with pytest.raises(ValidationError, match="no units"):
             run(isa.assemble("VINV v1, v1\nHALT"), cfg)
 
+    def test_count_too_long_to_print(self):
+        """A unit count past Python's int-to-str digit limit is one
+        ValidationError that names its class but not the count."""
+        with pytest.raises(ValidationError) as exc:
+            run(kernel.emit_program(24), CoreConfig(n_mul=10**5000))
+        assert exc.value.diagnostics == [
+            "MUL_CLASS unit count exceeds vector length 24"]
+        with pytest.raises(ValidationError) as exc:
+            run(kernel.emit_program(24), CoreConfig(n_mul=25))
+        assert exc.value.diagnostics == [
+            "MUL_CLASS unit count 25 exceeds vector length 24"]
+
 
 class TestInstrCost:
     cfg = CoreConfig()   # W=24, 8-8-8, issue 2, lat_div 64

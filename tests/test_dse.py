@@ -384,12 +384,17 @@ class TestSweepAgainstRuns:
 
     def test_count_too_long_to_print(self):
         """A count past Python's int-to-str digit limit is named by its mix's
-        index; one of 401 digits still prints in full in the label."""
+        index, also in a mix of other than three counts; one of 401 digits
+        still prints in full in the label."""
         p = kernel.emit_program(24)
         got = outcome(sweep, p, CoreConfig(), [(-1, 10**5000, 1)])
         assert got == (ValidationError, "mix 0: a count too long to print")
         got = outcome(sweep, p, CoreConfig(), [(1, 1, 1), (1, 1, 10**5000)])
         assert got == (ValidationError, "mix 1: a count too long to print")
+        got = outcome(sweep, p, CoreConfig(), [(1, 10**5000)])
+        assert got == (ValidationError, "mix 0: not three unit counts")
+        got = outcome(sweep, p, CoreConfig(), [(1, 1, 1), (10**5000,) * 4])
+        assert got == (ValidationError, "mix 1: not three unit counts")
         got = outcome(sweep, p, CoreConfig(), [(1, 1, 10**400)])
         assert got[0] is ValidationError and got[1].startswith("config 1-1-1000")
         assert got == outcome(per_config_sweep, p, CoreConfig(), [(1, 1, 10**400)])
