@@ -79,7 +79,10 @@ def _read(path: str) -> str:
     """The text of an input file; every input file is read here."""
     try:
         with open(path, encoding="utf-8-sig") as f:
-            return f.read()
+            if (text := f.read()) or not f.seekable():
+                return text
+            f.seek(0)   # the text reader drops the first byte or two of a BOM at the end
+            return f.buffer.read().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}")
 

@@ -183,25 +183,27 @@ def run(p: Program, cfg: CoreConfig,
     lo, length = (observe if isinstance(observe, tuple | list) and len(observe) == 2
                   else (0, 0) if observe is None else (None, None))
     if not (isinstance(lo, int) and isinstance(length, int)):
-        diags.append(f"observe range {observe!r} is not two ints")
+        diags.append(f"observe range{isa._shown(' {!r}', observe)} is not two ints")
     elif not 0 <= lo <= lo + length <= cfg.dmem_words:
-        diags.append(f"observe range '{lo}:{length}' outside data memory of "
-                     f"{cfg.dmem_words} words")
+        diags.append("observe range" + isa._shown(" '{}:{}'", lo, length)
+                     + f" outside data memory of {cfg.dmem_words} words")
     if not isinstance(max_cycles, int):
         diags.append(f"max_cycles {max_cycles!r} is not an int")
     if not isinstance(inputs, tuple | list | None):
-        diags.append(f"inputs {inputs!r} is not a list of (address, words) pairs")
+        diags.append(f"inputs{isa._shown(' {!r}', inputs)} is not a list of (address, "
+                     f"words) pairs")
     for entry in inputs if isinstance(inputs, tuple | list) else ():
         if not (isinstance(entry, tuple | list) and len(entry) == 2):
-            diags.append(f"initializer {entry!r} is not an (address, words) pair")
+            diags.append(f"initializer{isa._shown(' {!r}', entry)} is not an (address, "
+                         f"words) pair")
             continue
         addr, words = entry
         if not isinstance(addr, int):
             diags.append(f"initializer at {addr!r}: address is not an int")
         elif not isinstance(words, list | tuple):
-            diags.append(f"initializer at {addr}: words are not a list or tuple")
+            diags.append(f"initializer{isa._shown(' at {}', addr)}: words are not a list or tuple")
         elif addr < 0 or addr + len(words) > cfg.dmem_words:
-            diags.append(f"initializer at {addr} outside data memory")
+            diags.append(f"initializer{isa._shown(' at {}', addr)} outside data memory")
     if diags:
         raise ValidationError(*diags)
 

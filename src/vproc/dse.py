@@ -46,14 +46,15 @@ def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
     where F is the cycles of the CONTROL, MEM and CONVERT ops and B the
     slices of the core with no units.  Per class, a table maps each unit
     count to its (cycles, slices) terms, priced from the retire counts and
-    core.cost_table; after the first mix's run, the k-th distinct counts of
-    all classes are priced as one config (six for the 6³ grid), and a count
-    that fails there at its own mix.  The first failing mix, in input order,
-    raises the error its own run would; one over max_cycles is run again.
+    core.cost_table.  After the first mix's run, each new count k is priced
+    once, on the core k-k-k that has k units in every class (six cores for
+    the 6³ grid), and a count that core rejects at its own mix.  The first
+    failing mix, in input order, raises the error its own run would; one
+    over max_cycles is run again.
     """
     classes = isa.unit_classes(p)
     base = resources.estimate_vector(cfg.with_mix(0, 0, 0), cal).slices
-    mixes, counts = [*mixes], None
+    counts = None
     # Per class, unit count -> (cycles term, slices term, text); ADD's cycles
     # hold F.  Only exact ints are looked up: True and 1.0 hash as 1 but are
     # not unit counts, so any other count is priced, and CoreConfig judges it.
@@ -92,8 +93,15 @@ def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
         if type(a) is type(m) is type(d) is int:
             try:
                 (ca, sa, la), (cm, sm, lm), (cd, sd, ld) = adds[a], muls[m], divs[d]
-            except KeyError:
-                pass            # a count not yet priced
+            except KeyError:    # a count not yet priced
+                if counts is not None:  # p has run: price each new count k on core k-k-k
+                    with contextlib.suppress(ValueError):   # k-k-k or str(k) rejects k
+                        for k, table in zip(mix, (adds, muls, divs)):
+                            if k not in table:
+                                adds[k], muls[k], divs[k] = zip(price(k, k, k), map(
+                                    resources.unit_slices, CLASS_UNITS, [k] * 3, [cal] * 3),
+                                    [str(k)] * 3)
+                        (ca, sa, la), (cm, sm, lm), (cd, sd, ld) = adds[a], muls[m], divs[d]
         if sa is None:          # price this mix
             try:    # a priced count is printable
                 la, lm, ld = map(str, mix)
@@ -107,14 +115,6 @@ def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
         if sa is None:
             sa, sm, sd = map(resources.unit_slices, CLASS_UNITS, mix, [cal] * 3)
             adds[a], muls[m], divs[d] = (ca, sa, la), (cm, sm, lm), (cd, sd, ld)
-            if not points:  # p has run: price the k-th distinct counts together
-                with contextlib.suppress(TypeError):    # a mix zip, dict or price refuses
-                    ks = [[*dict.fromkeys(col)] for col in zip(*mixes)]
-                    n = max(map(len, ks))
-                    for x in [*zip(*(k + k[:1] * (n - len(k)) for k in ks))][1:]:  # [0]: this mix
-                        with contextlib.suppress(ValueError):   # a ValidationError too
-                            adds[x[0]], muls[x[1]], divs[x[2]] = zip(price(*x), map(
-                                resources.unit_slices, CLASS_UNITS, x, [cal] * 3), map(str, x))
         points.append(new(DesignPoint, (f"{la}-{lm}-{ld}", a, m, d, total, base + sa + sm + sd)))
     return points
 

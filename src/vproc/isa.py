@@ -106,6 +106,14 @@ def _bounded(text: str) -> str:
     return text if len(text) <= MAX_DIAGNOSTIC else f"{text[:keep]} ... {text[-keep:]}"
 
 
+def _shown(fmt: str, *values) -> str:
+    """fmt.format(*values), or "" if a number is past int-to-str's digit limit."""
+    try:
+        return fmt.format(*values)
+    except ValueError:
+        return ""
+
+
 class ValidationError(ValueError):
     """Rejected input, from any module; .diagnostics lists every message."""
 
@@ -307,13 +315,13 @@ def _bad_data(entry) -> str | None:
     """Names a .data entry that is not an (address, words) pair, else its
     mistyped address, else its mistyped words."""
     if not (isinstance(entry, tuple | list) and len(entry) == 2):
-        return f".data entry {entry!r} is not an (address, words) pair"
+        return f".data entry{_shown(' {!r}', entry)} is not an (address, words) pair"
     addr, values = entry
     if not isinstance(addr, int):
         return f".data at {addr!r}: address is not an int"
     if not (isinstance(values, tuple | list)
             and all(isinstance(w, Fixed64) for w in values)):
-        return f".data at {addr}: values must be Fixed64 words"
+        return f".data{_shown(' at {}', addr)}: values must be Fixed64 words"
     return None
 
 
@@ -352,7 +360,7 @@ def validate_structure(p: Program, cfg) -> list[str]:
         if bad := _bad_data(entry):
             diags.append(bad)
         elif entry[0] < 0 or entry[0] + len(entry[1]) > words:
-            diags.append(f".data at {entry[0]} (+{len(entry[1])} words) outside "
+            diags.append(f".data{_shown(' at {}', entry[0])} (+{len(entry[1])} words) outside "
                          f"data memory of {words}")
     return diags
 
@@ -372,10 +380,6 @@ def validate_units(classes: list[OpClass], cfg) -> list[str]:
             diags.append(f"program uses {cls.name} but the configuration "
                          f"instantiates no units of that class")
         elif units > cfg.vec_len:
-            try:    # a count past int-to-str's digit limit is not printed
-                count = f" {units}"
-            except ValueError:
-                count = ""
-            diags.append(f"{cls.name} unit count{count} exceeds vector "
+            diags.append(f"{cls.name} unit count{_shown(' {}', units)} exceeds vector "
                          f"length {cfg.vec_len}")
     return diags

@@ -557,6 +557,25 @@ class TestInputFiles:
                      "--out", str(workdir / "x")]) == 1
         one_line_error(capsys, f"cannot read {workdir / name}", "utf-8")
 
+    @pytest.mark.parametrize("mark", [b"\xef", b"\xef\xbb"])
+    @pytest.mark.parametrize("name", ["kern.asm", "kern_data.csv", "core.cfg"])
+    def test_partial_byte_order_mark(self, workdir, capsys, name, mark):
+        """A file of only the first byte or two of a BOM is not empty text:
+        the text reader alone would read it as "" (an empty program, or the
+        default config)."""
+        (workdir / name).write_bytes(mark)
+        assert main(["run", str(workdir / "kern.asm"),
+                     "--config", str(workdir / "core.cfg"),
+                     "--data", str(workdir / "kern_data.csv"),
+                     "--out", str(workdir / "x")]) == 1
+        one_line_error(capsys, f"cannot read {workdir / name}: 'utf-8' codec can't "
+                               f"decode", "unexpected end of data")
+
+    @pytest.mark.parametrize("content", [b"", b"\xef\xbb\xbf"])
+    def test_empty_text(self, tmp_path, content):
+        (path := tmp_path / "empty.asm").write_bytes(content)
+        assert cli._read(str(path)) == ""
+
     @pytest.mark.parametrize("name", ["kern.asm", "kern_data.csv", "core.cfg"])
     def test_byte_order_mark_skipped(self, workdir, capsys, name):
         def report():      # Excel's "CSV UTF-8" format writes the mark
@@ -959,6 +978,8 @@ class TestGolden:
         ("example_compare.json", ["compare"]),     # takes no program
         ("example_sweep_grid.csv", ["sweep", DOCS / "kernel24.asm", "--mixes", ",".join(
             f"{a}-{m}-{d}" for a, m, d in itertools.product(DSE_UNITS, repeat=3))]),
+        ("example_sweep_asym.csv", ["sweep", DOCS / "kernel24.asm", "--mixes",
+                                    "8-8-8,24-8-8,8-24-8,8-8-24,1-2-4,4-2-1,8-8-24"]),
     ])
     def test_bytes(self, tmp_path, name, args):
         out = tmp_path / name

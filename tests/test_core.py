@@ -312,6 +312,23 @@ class TestRun:
             run(isa.assemble("HALT"), CoreConfig(), **kwargs)
         assert exc.value.diagnostics == [message]
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"observe": (10**5000, 1)}, "observe range outside data memory of 4096 words"),
+        ({"observe": (0, 10**5000)}, "observe range outside data memory of 4096 words"),
+        ({"inputs": [(10**5000, [1])]}, "initializer outside data memory"),
+        ({"observe": (10**5000,)}, "observe range is not two ints"),
+        ({"inputs": [(10**5000,)]}, "initializer is not an (address, words) pair"),
+        ({"inputs": [(10**5000, 5)]}, "initializer: words are not a list or tuple"),
+        ({"inputs": {10**5000}}, "inputs is not a list of (address, words) pairs")],
+        ids=["observe-start", "observe-length", "initializer-address",
+             "observe-not-pair", "initializer-not-pair", "initializer-words", "inputs"])
+    def test_number_too_long_to_print(self, kwargs, message):
+        """A number past Python's int-to-str digit limit is left out of its
+        message, as the unit-count check leaves out such a count."""
+        with pytest.raises(ValidationError) as exc:
+            run(isa.assemble("HALT"), CoreConfig(), **kwargs)
+        assert exc.value.diagnostics == [message]
+
     def test_timeout_carries_partial_report(self):
         p = isa.assemble("spin: JMP spin\nHALT")
         with pytest.raises(SimulationTimeout) as exc:

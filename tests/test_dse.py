@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vproc.fixedpoint as fx
-from vproc import core, isa, kernel
+from vproc import archmodels, core, isa, kernel
 from vproc.core import (CoreConfig, SimulationFault, SimulationTimeout,
                         ValidationError, cost_table, run)
 from vproc.dse import (DesignPoint, Projection, amdahl, pareto, sweep,
@@ -175,9 +175,10 @@ class TestOnePassSweep:
             == per_config_sweep(program, base, mixes, inputs=inits)
 
     def test_one_config_per_priced_term(self, bench, monkeypatch):
-        """After the no-unit base, the k-th config prices the k-th distinct
-        count of every class: six configs for the 6³ grid, two for
-        compare's two mixes."""
+        """After the no-unit base, each distinct unit count k is priced once,
+        on the core k-k-k that has k units in every class: six configs for
+        the 6³ grid, two for compare's two mixes.  A count that this core
+        rejects is priced at its own mix."""
         program, inits = bench
         builds = []
         check = CoreConfig.__post_init__
@@ -189,6 +190,24 @@ class TestOnePassSweep:
         builds.clear()
         sweep(program, self.base, [(1, 1, 1), (8, 8, 8)], inputs=inits)
         assert [cfg.mix for cfg in builds] == [(0, 0, 0), (1, 1, 1), (8, 8, 8)]
+        builds.clear()     # README's asymmetric set: one new count, 24
+        sweep(program, self.base, [(8, 8, 8), (24, 8, 8), (8, 24, 8), (8, 8, 24)],
+              inputs=inits)
+        assert [cfg.mix for cfg in builds] == [(0, 0, 0), (8, 8, 8), (24, 24, 24)]
+        vec = self.base.with_mix(8, 8, 24)      # compare under an 8-8-24 config
+        mixes = [archmodels.sequential_config(vec).mix, vec.mix]
+        builds.clear()
+        sweep(program, vec, mixes, inputs=inits)
+        assert [cfg.mix for cfg in builds] \
+            == [(0, 0, 0), (1, 1, 1), (8, 8, 8), (24, 24, 24)]
+        # No ADD op: 0-0-0 rejects the 0 of 0-8-8, which is priced on its own
+        p = isa.assemble("VMUL v1, v1, v1\nVDIV v2, v1, v1\nHALT")
+        mixes = [(8, 8, 8), (0, 8, 8), (0, 16, 16)]
+        builds.clear()
+        points = sweep(p, self.base, mixes)
+        assert [cfg.mix for cfg in builds] \
+            == [(0, 0, 0), (8, 8, 8), (0, 0, 0), (0, 8, 8), (16, 16, 16)]
+        assert points == per_config_sweep(p, self.base, mixes)
 
     def test_iterator_and_empty_mix_lists(self, bench):
         program, inits = bench
@@ -295,6 +314,16 @@ class TestOnePassSweep:
         got = outcome(sweep, program, self.base, mixes, inputs=inits,
                       max_cycles=lat[0] - 1)
         assert got[0] is SimulationTimeout and len(count_runs) == 4
+
+    def test_total_equal_to_max_cycles(self, bench, count_runs):
+        """A priced total equal to max_cycles is within the bound, as in
+        core.run: the mix is not run again."""
+        program, inits = bench
+        mixes = [(24, 24, 24), (1, 1, 1)]
+        points = sweep(program, self.base, mixes, inputs=inits)
+        assert sweep(program, self.base, mixes, inputs=inits,
+                     max_cycles=points[1].latency_cycles) == points
+        assert len(count_runs) == 2     # one per sweep
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),

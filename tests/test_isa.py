@@ -438,9 +438,12 @@ class TestValidate:
          "instr 0 (SLD): addr operand 2.0 is not an int"),
         (Program([Instruction("JMP", target=1.0)]),
          "instr 0 (JMP): label operand 1.0 is not an int"),
+        (Program([], [(10**5000, [fx.ZERO])]),     # past int-to-str's digit limit
+         ".data (+1 words) outside data memory of 4096"),
     ], ids=["missing-b", "missing-target", "missing-addr", "missing-imm",
             "int-imm", "int-data", "float-data-addr", "none-data-addr",
-            "unknown-opcode", "float-register", "float-addr", "float-target"])
+            "unknown-opcode", "float-register", "float-addr", "float-target",
+            "long-data-addr"])
     def test_library_instruction_rejected(self, program, message):
         """A library-built program the assembler could not produce gets one
         diagnostic, from validate and from core.run alike."""
@@ -458,7 +461,10 @@ class TestValidate:
         ([5], ".data entry 5 is not an (address, words) pair"),
         ([(0, [fx.ONE], 3)], ".data entry (0, [Fixed64(raw=4294967296)], 3) "
                              "is not an (address, words) pair"),
-    ], ids=["none-words", "int-words", "no-words", "bare-int", "triple"])
+        ([(10**5000,)], ".data entry is not an (address, words) pair"),
+        ([(10**5000, 5)], ".data: values must be Fixed64 words"),
+    ], ids=["none-words", "int-words", "no-words", "bare-int", "triple",
+            "long-no-words", "long-int-words"])
     def test_malformed_data_entry_rejected(self, data, message):
         """An entry that is not an (address, words) pair is a diagnostic of
         validate, core.run and disassemble, not a bare unpacking error."""
