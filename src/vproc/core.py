@@ -188,18 +188,16 @@ def run(p: Program, cfg: CoreConfig,
         diags.append("observe range" + isa._shown(" '{}:{}'", lo, length)
                      + f" outside data memory of {cfg.dmem_words} words")
     if not isinstance(max_cycles, int):
-        diags.append(f"max_cycles {max_cycles!r} is not an int")
+        diags.append(f"max_cycles{isa._shown(' {!r}', max_cycles)} is not an int")
     if not isinstance(inputs, tuple | list | None):
-        diags.append(f"inputs{isa._shown(' {!r}', inputs)} is not a list of (address, "
-                     f"words) pairs")
+        diags.append(f"inputs{isa._shown(' {!r}', inputs)} is not a list of (address, words) pairs")
     for entry in inputs if isinstance(inputs, tuple | list) else ():
         if not (isinstance(entry, tuple | list) and len(entry) == 2):
-            diags.append(f"initializer{isa._shown(' {!r}', entry)} is not an (address, "
-                         f"words) pair")
+            diags.append(f"initializer{isa._shown(' {!r}', entry)} is not an (address, words) pair")
             continue
         addr, words = entry
         if not isinstance(addr, int):
-            diags.append(f"initializer at {addr!r}: address is not an int")
+            diags.append(f"initializer{isa._shown(' at {!r}', addr)}: address is not an int")
         elif not isinstance(words, list | tuple):
             diags.append(f"initializer{isa._shown(' at {}', addr)}: words are not a list or tuple")
         elif addr < 0 or addr + len(words) > cfg.dmem_words:

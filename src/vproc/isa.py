@@ -110,8 +110,10 @@ def _shown(fmt: str, *values) -> str:
     """fmt.format(*values), or "" if a number is past int-to-str's digit limit."""
     try:
         return fmt.format(*values)
-    except ValueError:
-        return ""
+    except ValueError as exc:       # any other ValueError, say from a __repr__, propagates
+        if not str(exc).startswith("Exceeds the limit"):
+            raise
+    return ""
 
 
 class ValidationError(ValueError):
@@ -318,7 +320,7 @@ def _bad_data(entry) -> str | None:
         return f".data entry{_shown(' {!r}', entry)} is not an (address, words) pair"
     addr, values = entry
     if not isinstance(addr, int):
-        return f".data at {addr!r}: address is not an int"
+        return f".data{_shown(' at {!r}', addr)}: address is not an int"
     if not (isinstance(values, tuple | list)
             and all(isinstance(w, Fixed64) for w in values)):
         return f".data{_shown(' at {}', addr)}: values must be Fixed64 words"

@@ -319,15 +319,28 @@ class TestRun:
         ({"observe": (10**5000,)}, "observe range is not two ints"),
         ({"inputs": [(10**5000,)]}, "initializer is not an (address, words) pair"),
         ({"inputs": [(10**5000, 5)]}, "initializer: words are not a list or tuple"),
-        ({"inputs": {10**5000}}, "inputs is not a list of (address, words) pairs")],
+        ({"inputs": {10**5000}}, "inputs is not a list of (address, words) pairs"),
+        ({"inputs": [([10**5000], [1])]}, "initializer: address is not an int"),
+        ({"max_cycles": [10**5000]}, "max_cycles is not an int")],
         ids=["observe-start", "observe-length", "initializer-address",
-             "observe-not-pair", "initializer-not-pair", "initializer-words", "inputs"])
+             "observe-not-pair", "initializer-not-pair", "initializer-words", "inputs",
+             "initializer-list-address", "max-cycles"])
     def test_number_too_long_to_print(self, kwargs, message):
         """A number past Python's int-to-str digit limit is left out of its
         message, as the unit-count check leaves out such a count."""
         with pytest.raises(ValidationError) as exc:
             run(isa.assemble("HALT"), CoreConfig(), **kwargs)
         assert exc.value.diagnostics == [message]
+
+    def test_failing_repr_is_not_hidden(self):
+        """Only the digit limit's ValueError drops a value from a message; an
+        argument whose own repr raises ValueError raises it."""
+        class Broken:
+            def __repr__(self):
+                raise ValueError("broken repr")
+        with pytest.raises(ValueError, match="broken repr") as exc:
+            run(isa.assemble("HALT"), CoreConfig(), max_cycles=Broken())
+        assert not isinstance(exc.value, ValidationError)
 
     def test_timeout_carries_partial_report(self):
         p = isa.assemble("spin: JMP spin\nHALT")

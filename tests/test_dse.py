@@ -194,6 +194,18 @@ class TestOnePassSweep:
         sweep(program, self.base, [(8, 8, 8), (24, 8, 8), (8, 24, 8), (8, 8, 24)],
               inputs=inits)
         assert [cfg.mix for cfg in builds] == [(0, 0, 0), (8, 8, 8), (24, 24, 24)]
+        # Classes that bring different counts: one core per count, not per
+        # mix (the look-ahead rule built 1-2-4 and 2-4-8 here, and five cores
+        # for the asymmetric golden's list)
+        builds.clear()
+        sweep(program, self.base, [(1, 2, 4), (2, 4, 8)], inputs=inits)
+        assert [cfg.mix for cfg in builds] \
+            == [(0, 0, 0), (1, 2, 4), (2, 2, 2), (4, 4, 4), (8, 8, 8)]
+        builds.clear()
+        sweep(program, self.base, [(8, 8, 8), (24, 8, 8), (8, 24, 8), (8, 8, 24),
+                                   (1, 2, 4), (4, 2, 1), (8, 8, 24)], inputs=inits)
+        assert [cfg.mix for cfg in builds] == [(0, 0, 0), (8, 8, 8), (24, 24, 24),
+                                               (1, 1, 1), (2, 2, 2), (4, 4, 4)]
         vec = self.base.with_mix(8, 8, 24)      # compare under an 8-8-24 config
         mixes = [archmodels.sequential_config(vec).mix, vec.mix]
         builds.clear()

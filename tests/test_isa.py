@@ -463,8 +463,9 @@ class TestValidate:
                              "is not an (address, words) pair"),
         ([(10**5000,)], ".data entry is not an (address, words) pair"),
         ([(10**5000, 5)], ".data: values must be Fixed64 words"),
+        ([([10**5000], [fx.ZERO])], ".data: address is not an int"),
     ], ids=["none-words", "int-words", "no-words", "bare-int", "triple",
-            "long-no-words", "long-int-words"])
+            "long-no-words", "long-int-words", "long-list-addr"])
     def test_malformed_data_entry_rejected(self, data, message):
         """An entry that is not an (address, words) pair is a diagnostic of
         validate, core.run and disassemble, not a bare unpacking error."""

@@ -7,8 +7,8 @@ Each mutant swaps one operator of the file: + and -, * and //, << and >>,
 touched: the repository is copied to a temporary directory once, and each
 mutant is written into that copy's file and tested there with the named
 test files plus tests/test_acceptance.py (pytest -x, a fixed Hypothesis
-seed).  A mutant the tests pass survives.  Survivors listed in the known
-file (tools/equivalent_mutants.json: a list of {"file", "source",
+seed).  A mutant the tests pass survives.  Survivors listed in
+tools/equivalent_mutants.json (a list of {"file", "source",
 "mutation", "occurrence", "reason"}, as printed: "source" is the stripped
 line less its comment, "occurrence" counts the same operator on that line)
 are counted but not printed; every other survivor is printed with its line
@@ -32,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ACCEPTANCE = "tests/test_acceptance.py"
+KNOWN = ROOT / "tools" / "equivalent_mutants.json"
 FSTRING_START = getattr(tokenize, "FSTRING_START", None)   # Python 3.12 on
 FSTRING_END = getattr(tokenize, "FSTRING_END", None)
 # ast operator -> (its text, the operator it becomes)
@@ -116,11 +117,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("source", help="file to mutate, relative to the repository")
     parser.add_argument("tests", nargs="+", help="test files run against each mutant")
-    parser.add_argument("--known", default=str(ROOT / "tools" / "equivalent_mutants.json"),
-                        help="JSON list of known-equivalent mutants")
     args = parser.parse_args(argv)
     file = Path(args.source).resolve().relative_to(ROOT).as_posix()
-    known = {_key(e, e["file"]) for e in json.loads(Path(args.known).read_text())}
+    known = {_key(e, e["file"]) for e in json.loads(KNOWN.read_text())}
     tests = [*dict.fromkeys([*args.tests, ACCEPTANCE])]
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         copy = Path(tmp) / "repo"
