@@ -440,6 +440,13 @@ class TestSweepAgainstRuns:
         assert got[0] is ValidationError and got[1].startswith("config 1-1-1000")
         assert got == outcome(per_config_sweep, p, CoreConfig(), [(1, 1, 10**400)])
 
+        class Broken:       # only the digit limit's ValueError is turned into a name
+            def __repr__(self):
+                raise ValueError("broken repr")
+        with pytest.raises(ValueError, match="broken repr") as exc:
+            sweep(p, CoreConfig(), [(1, Broken())])
+        assert not isinstance(exc.value, ValidationError)
+
 
 class TestDesignPointRecord:
     point = DesignPoint("8-8-24", 8, 8, 24, 210, 41300)
