@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .core import CoreConfig
-from .isa import CLASS_LAT, ValidationError
+from .isa import CLASS_LAT, ValidationError, _shown
 from .kernel import OPS
 
 
@@ -26,7 +26,7 @@ def tiled_latency(stmts: Iterable[tuple[str, ...]], cfg: CoreConfig,
     controller, so neither replication nor issue cost appears.
     """
     if barrier_cost < 0:
-        raise ValidationError(f"barrier cost {barrier_cost} must be >= 0")
+        raise ValidationError(f"barrier cost{_shown(' {}', barrier_cost)} must be >= 0")
     finish: dict[str, int] = {}
     for dest, op, *args in stmts:
         finish[dest] = (getattr(cfg, CLASS_LAT[OPS[op][0]])

@@ -78,11 +78,8 @@ def load_config(path: str | None) -> tuple[CoreConfig, Calibration]:
 def _read(path: str) -> str:
     """The text of an input file; every input file is read here."""
     try:
-        with open(path, encoding="utf-8-sig") as f:
-            if (text := f.read()) or not f.seekable():
-                return text
-            f.seek(0)   # the text reader drops the first byte or two of a BOM at the end
-            return f.buffer.read().decode("utf-8-sig")
+        with open(path, encoding="utf-8") as f:
+            return f.read().removeprefix("\ufeff")   # a BOM, as Excel's "CSV UTF-8" writes
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}")
 

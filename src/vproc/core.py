@@ -54,15 +54,16 @@ class CoreConfig:
                 if value is None and name == "mem_port_width":
                     continue
                 raise ValidationError(f"{name} must be >= {least}" + (
-                    "" if type(value) is int else f", got {value!r}: not an int"))
+                    "" if type(value) is int else isa._shown(", got {!r}", value) + ": not an int"))
         if type(converter := self.enable_converter) is not bool:
-            raise ValidationError(f"enable_converter must be a bool, got {converter!r}")
+            raise ValidationError(f"enable_converter must be a bool"
+                                  f"{isa._shown(', got {!r}', converter)}")
         if self.dmem_words + self.n_vregs * self.vec_len + self.n_sregs > MAX_STATE_WORDS:
             raise ValidationError(f"dmem_words + n_vregs * vec_len + n_sregs must "
                                   f"be <= {MAX_STATE_WORDS} words")
         if type(clock := self.clock_mhz) not in (int, float):
-            raise ValidationError(f"clock_mhz must be finite and > 0, got {clock!r}: "
-                                  f"not an int or float")
+            raise ValidationError(f"clock_mhz must be finite and > 0"
+                                  f"{isa._shown(', got {!r}', clock)}: not an int or float")
         if not (math.isfinite(clock) and clock > 0):
             raise ValidationError(f"clock_mhz must be finite and > 0, got {clock}")
 
@@ -99,7 +100,8 @@ class SimulationTimeout(Exception):
     """max_cycles exceeded; .report carries the partial state."""
 
     def __init__(self, report: ExecReport):
-        super().__init__(f"max_cycles exceeded after {report.total_cycles} cycles")
+        super().__init__("max_cycles exceeded"
+                         + isa._shown(" after {} cycles", report.total_cycles))
         self.report = report
 
 

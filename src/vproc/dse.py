@@ -100,10 +100,9 @@ def sweep(p: Program, cfg: CoreConfig, mixes: list[tuple[int, int, int]],
                                     [str(k)] * 3)
                         (ca, sa, la), (cm, sm, lm), (cd, sd, ld) = adds[a], muls[m], divs[d]
         if sa is None:          # price this mix
-            try:    # a priced count is printable
-                la, lm, ld = map(str, mix)
-            except ValueError:      # past int-to-str's digit limit
-                raise ValidationError(f"mix {i}: a count too long to print") from None
+            if not isa._shown("{}-{}-{}", *mix):     # a priced count is printable
+                raise ValidationError(f"mix {i}: a count too long to print")
+            la, lm, ld = map(str, mix)
             ca, cm, cd = price(a, m, d)
         total = ca + cm + cd
         if total > max_cycles:      # for this mix's own timeout
@@ -138,13 +137,15 @@ def throughput_projection(latency_cycles: int, slices: int, slices_budget: int,
                           clock_mhz: float) -> Projection:
     """Replicate independent cores under a slice budget."""
     if latency_cycles < 1 or slices < 1:
-        raise ValidationError(f"latency ({latency_cycles}) and slices "
-                              f"({slices}) must be >= 1")
+        raise ValidationError(isa._shown("latency ({}) and slices ({}) must be >= 1",
+                                         latency_cycles, slices)
+                              or "latency and slices must be >= 1")
     if not (math.isfinite(clock_mhz) and clock_mhz > 0):
         raise ValidationError(f"clock {clock_mhz} MHz must be finite and > 0")
     if slices_budget < slices:
-        raise ValidationError(f"budget {slices_budget} below one core "
-                              f"({slices} slices)")
+        raise ValidationError(isa._shown("budget {} below one core ({} slices)",
+                                         slices_budget, slices)
+                              or "budget below one core")
     cores = slices_budget // slices
     try:
         calls = cores * clock_mhz * 1e6 / latency_cycles

@@ -279,7 +279,7 @@ def disassemble(p: Program) -> str:
         try:
             operands = [_SYNTAX[kind[0]][2](instr[slot])
                         for slot, kind in _OPERANDS[instr.op]]
-        except (AttributeError, KeyError, TypeError):
+        except (AttributeError, KeyError, TypeError, ValueError):   # or a long number
             raise ValidationError(f"instr {idx}{_bad_operand(instr)}") from None
         text = f"{instr.op} {', '.join(operands)}" if operands else instr.op
         lines.append(f"L{idx}: {text}" if idx in targets else text)
@@ -287,7 +287,9 @@ def disassemble(p: Program) -> str:
         if bad := _bad_data(entry):
             raise ValidationError(bad)
         addr, values = entry
-        lines.append(f".data {addr} " + " ".join(_format_value(v) for v in values))
+        if not (head := _shown(".data {} ", addr)):
+            raise ValidationError(".data: address too long to print")
+        lines.append(head + " ".join(_format_value(v) for v in values))
     return "\n".join(lines)
 
 
@@ -305,12 +307,17 @@ _CHECKS = {m: (tuple((_FIELD[k], k[0] == "v") for k in sig if k[0] in "sv"), "ad
 
 
 def _bad_operand(instr: Instruction) -> str:
-    """Names the first operand that is None or mistyped, else the opcode; no `instr <idx>`."""
-    for slot, kind in _OPERANDS.get(instr.op, ()):
+    """Names the first operand that is None or mistyped, else the first past
+    int-to-str's digit limit, else the opcode; no `instr <idx>`."""
+    operands = _OPERANDS.get(instr.op, ())
+    for slot, kind in operands:
         if not isinstance(instr[slot], Fixed64 if kind == "imm" else int):
-            return (f" ({instr.op}): {kind} operand {instr[slot]!r} is "
+            return (f" ({instr.op}): {kind} operand{_shown(' {!r}', instr[slot])} is "
                     f"not {'a Fixed64' if kind == 'imm' else 'an int'}")
-    return f": unknown opcode {instr.op!r}"
+    for slot, kind in operands:
+        if not _shown("{}", instr[slot]):
+            return f" ({instr.op}): {kind} operand too long to print"
+    return f": unknown opcode{_shown(' {!r}', instr.op)}"
 
 
 def _bad_data(entry) -> str | None:
@@ -342,14 +349,15 @@ def validate_structure(p: Program, cfg) -> list[str]:
             for f, is_vreg in regs:
                 if not 0 <= (reg := instr[f] & -1) < limits[is_vreg]:
                     bank = ("scalar", "vector")[is_vreg]
-                    faults[key].append(f" ({instr.op}): {bank} register index {reg}"
-                                       f" out of range (n_{bank[0]}regs={limits[is_vreg]})")
+                    faults[key].append(f" ({instr.op}): {bank} register index"
+                                       f"{_shown(' {}', reg)} out of range "
+                                       f"(n_{bank[0]}regs={limits[is_vreg]})")
             if has_addr and not 0 <= (addr := instr.addr & -1) <= words - spans[vector]:
-                faults[key].append(f" ({instr.op}): address {addr} "
+                faults[key].append(f" ({instr.op}): address{_shown(' {}', addr)} "
                                    f"(+{spans[vector]} words) outside data memory of {words}")
             if has_target and not 0 <= (instr.target & -1) < len(ins):
-                faults[key].append(f" ({instr.op}): branch target "
-                                   f"{instr.target} out of range")
+                faults[key].append(f" ({instr.op}): branch target"
+                                   f"{_shown(' {}', instr.target)} out of range")
             if has_imm and not isinstance(instr.imm, Fixed64):
                 raise TypeError
             if convert and not cfg.enable_converter:

@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 
 from .core import CoreConfig
-from .isa import CLASS_UNITS, OpClass, ValidationError
+from .isa import CLASS_UNITS, OpClass, ValidationError, _shown
 from .kernel import OPS
 
 
@@ -35,8 +35,8 @@ class Calibration:
     def __post_init__(self) -> None:
         for f in fields(self):
             if type(value := getattr(self, f.name)) not in (int, float):
-                raise ValidationError(f"{f.name} must be finite and non-negative, "
-                                      f"got {value!r}: not an int or float")
+                raise ValidationError(f"{f.name} must be finite and non-negative"
+                                      f"{_shown(', got {!r}', value)}: not an int or float")
         if not (self.c_mul > self.c_div > self.c_add):
             raise ValidationError("calibration requires c_mul > c_div > c_add")
         for f in fields(self):
@@ -82,7 +82,7 @@ def estimate_tiled(stmts: Iterable[tuple[str, ...]], replication: int,
                    cal: Calibration = DEFAULT_CALIBRATION) -> ResourceEstimate:
     """The barrier plus one unit per statement per replica, by class."""
     if replication < 1:
-        raise ValidationError(f"replication {replication} must be >= 1")
+        raise ValidationError(f"replication{_shown(' {}', replication)} must be >= 1")
     counts = Counter(OPS[op][0] for _, op, *_ in stmts)
     return _estimate(cal.c_tiled_barrier,
                      (replication * counts[cls] for cls in CLASS_UNITS), cal)

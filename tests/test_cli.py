@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import os
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -345,6 +346,16 @@ class TestRun:
         assert main(["run", str(prog), "--max-cycles", "50"]) == 2
         one_line_error(capsys, "max_cycles exceeded")
 
+    def test_zero_max_cycles_allowed(self, tmp_path, capsys):
+        """--max-cycles takes any count >= 0: 0 runs only a program of no cycles."""
+        prog, cfg = tmp_path / "p.asm", tmp_path / "c.cfg"
+        prog.write_text("HALT\n")
+        cfg.write_text("issue_cost = 0\n")
+        assert main(["run", str(prog), "--config", str(cfg), "--max-cycles", "0",
+                     "--out", str(tmp_path / "r.json")]) == 0
+        assert main(["run", str(prog), "--max-cycles", "0"]) == 2
+        assert capsys.readouterr().err == "error: max_cycles exceeded after 2 cycles\n"
+
     def test_zero_cost_loop_times_out(self, tmp_path, capsys):
         prog = tmp_path / "p.asm"
         prog.write_text("spin: JMP spin\nHALT\n")
@@ -587,6 +598,41 @@ class TestInputFiles:
         path = workdir / name
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert report() == plain
+
+    @pytest.mark.parametrize("content,code", [
+        (b"\xef", 1), (b"\xef\xbb", 1), (b"\xef\xbb\xbfHALT\n", 0)])
+    @pytest.mark.parametrize("command", [["asm", "--check-only"], ["run"]])
+    def test_pipe_decoded_as_a_file(self, capsys, command, content, code):
+        """A pipe cannot be read twice, and need not be: its bytes are
+        decoded as a file's are, so part of a BOM is a decode error there too."""
+        read_end, write_end = os.pipe()
+        os.write(write_end, content)
+        os.close(write_end)
+        try:
+            assert main([command[0], f"/dev/fd/{read_end}", *command[1:]]) == code
+        finally:
+            os.close(read_end)
+        if code:
+            one_line_error(capsys, "'utf-8' codec can't decode", "unexpected end of data")
+
+
+class TestTimeoutTooLongToPrint:
+    """A cycle count past the int-to-str digit limit is left out of the
+    timeout's one line, which still exits 2."""
+
+    @pytest.mark.parametrize("config,command", [
+        ("lat_div", ["run", "kern.asm"]),
+        ("lat_div", ["sweep", "kern.asm", "--mixes", "8-8-8"]),
+        ("lat_div", ["compare"]),
+        ("issue_cost", ["run", "kern.asm", "--max-cycles", "9" * 4300]),
+        ("issue_cost", ["sweep", "kern.asm", "--mixes", "8-8-8", "--max-cycles", "9" * 4300]),
+    ])
+    def test_one_line(self, workdir, capsys, config, command):
+        (workdir / "core.cfg").write_text(f"{config} = {'9' * 4300}\n")
+        args = [str(workdir / a) if a.endswith(".asm") else a for a in command]
+        assert main([*args, "--config", str(workdir / "core.cfg"),
+                     "--data", str(workdir / "kern_data.csv")]) == 2
+        assert capsys.readouterr().err == "error: max_cycles exceeded\n"
 
 
 class TestUsage:
@@ -950,6 +996,12 @@ class TestKernelGen:
                      "--data", prefix + "_data.csv"]) == 1
         one_line_error(capsys, "instr 22 (VST): address 4000 (+400 words) "
                                "outside data memory of 4096")
+
+    def test_layout_too_long_to_print(self, tmp_path, capsys):
+        """A 4,300-digit W needs a layout past the int-to-str digit limit."""
+        assert main(["kernel-gen", "--veclen", "9" * 4300,
+                     "--out-prefix", str(tmp_path / "k")]) == 1
+        assert capsys.readouterr().err == "error: layout needs more words than memory has\n"
 
     def test_out_prefix_in_missing_directory(self, tmp_path, capsys):
         assert main(["kernel-gen",

@@ -443,9 +443,10 @@ class TestSweepAgainstRuns:
         class Broken:       # only the digit limit's ValueError is turned into a name
             def __repr__(self):
                 raise ValueError("broken repr")
-        with pytest.raises(ValueError, match="broken repr") as exc:
-            sweep(p, CoreConfig(), [(1, Broken())])
-        assert not isinstance(exc.value, ValidationError)
+        for mix in [(1, Broken()), (1, 1, Broken())]:
+            with pytest.raises(ValueError, match="broken repr") as exc:
+                sweep(p, CoreConfig(), [mix])
+            assert not isinstance(exc.value, ValidationError)
 
 
 class TestDesignPointRecord:

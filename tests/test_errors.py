@@ -54,3 +54,65 @@ def test_rejected_input_raises_validation_error(trigger):
         trigger()
     assert isinstance(exc.value, ValueError)
     assert exc.value.diagnostics and str(exc.value) == "; ".join(exc.value.diagnostics)
+
+
+LONG = 10**5000     # past Python's 4,300-digit int-to-str limit
+HALT = isa.Instruction("HALT")
+
+
+@pytest.mark.parametrize("trigger,message", [
+    (lambda: isa.validate(isa.Program([isa.Instruction("SLD", d=1, addr=LONG), HALT]),
+                          CoreConfig()),
+     "instr 0 (SLD): address (+1 words) outside data memory of 4096"),
+    (lambda: core.run(isa.Program([isa.Instruction("SLD", d=1, addr=LONG), HALT]),
+                      CoreConfig()),
+     "instr 0 (SLD): address (+1 words) outside data memory of 4096"),
+    (lambda: isa.validate(isa.Program([isa.Instruction("SMOV", d=LONG, a=1), HALT]),
+                          CoreConfig()),
+     "instr 0 (SMOV): scalar register index out of range (n_sregs=16)"),
+    (lambda: isa.validate(isa.Program([isa.Instruction("JMP", target=LONG), HALT]),
+                          CoreConfig()),
+     "instr 0 (JMP): branch target out of range"),
+    (lambda: isa.validate(isa.Program([isa.Instruction("SMOV", d=[LONG], a=1), HALT]),
+                          CoreConfig()),
+     "instr 0 (SMOV): sd operand is not an int"),
+    (lambda: isa.validate(isa.Program([isa.Instruction(LONG), HALT]), CoreConfig()),
+     "instr 0: unknown opcode"),
+    (lambda: isa.disassemble(isa.Program([HALT], [(LONG, [])])),
+     ".data: address too long to print"),
+    (lambda: isa.disassemble(isa.Program([isa.Instruction("SLD", d=1, addr=LONG)])),
+     "instr 0 (SLD): addr operand too long to print"),
+    (lambda: isa.disassemble(isa.Program([isa.Instruction("SMOV", d=1, a=LONG)])),
+     "instr 0 (SMOV): sa operand too long to print"),
+    (lambda: isa.disassemble(isa.Program([isa.Instruction("JMP", target=LONG)])),
+     "instr 0 (JMP): label operand too long to print"),
+    (lambda: isa.disassemble(isa.Program([isa.Instruction("SMOV", d=[LONG], a=1)])),
+     "instr 0 (SMOV): sd operand is not an int"),
+    (lambda: CoreConfig(n_add=[LONG]), "n_add must be >= 0: not an int"),
+    (lambda: CoreConfig(enable_converter=[LONG]), "enable_converter must be a bool"),
+    (lambda: CoreConfig(clock_mhz=[LONG]),
+     "clock_mhz must be finite and > 0: not an int or float"),
+    (lambda: Calibration(c_add=[LONG]),
+     "c_add must be finite and non-negative: not an int or float"),
+    (lambda: resources.estimate_tiled(kernel.KERNEL, -LONG), "replication must be >= 1"),
+    (lambda: dse.throughput_projection(-LONG, 1, 1, 1.0), "latency and slices must be >= 1"),
+    (lambda: dse.throughput_projection(1, 1, -LONG, 1.0), "budget below one core"),
+    (lambda: tiled_latency(kernel.KERNEL, CoreConfig(), barrier_cost=-LONG),
+     "barrier cost must be >= 0"),
+    (lambda: kernel.default_layout(-LONG), "vector length must be >= 1"),
+    (lambda: kernel.checked_layout(10**4300 - 1, 4096),
+     "layout needs more words than memory has"),
+], ids=["validate-address", "run-address", "validate-register", "validate-target",
+        "validate-operand", "validate-opcode", "disassemble-data", "disassemble-address",
+        "disassemble-register", "disassemble-target", "disassemble-operand",
+        "core-field", "core-converter", "core-clock", "calibration-field",
+        "replication", "projection-latency", "projection-budget", "barrier",
+        "layout-empty", "layout-overflow"])
+def test_number_too_long_to_print_is_left_out(trigger, message):
+    """A number past the digit limit is left out of its message, which is
+    a ValidationError, never Python's bare ValueError for the digit limit."""
+    try:
+        diagnostics = trigger()     # isa.validate returns its diagnostics
+    except ValidationError as exc:
+        diagnostics = exc.diagnostics
+    assert diagnostics == [message]

@@ -367,6 +367,13 @@ class TestDisassemble:
             p = random_program(rng, cfg)
             assert isa.assemble(isa.disassemble(p)) == p
 
+    def test_word_range_ends_print_as_decimals(self):
+        """-2^31 and the largest word below 2^31 are in the range a decimal
+        immediate takes, so both print as decimals, not as raw hex."""
+        p = isa.assemble("LDI s1, -2147483648\nLDI s2, 2147483647.9999998\nHALT")
+        assert isa.disassemble(p).splitlines()[:2] == [
+            "LDI s1, -2147483648.0", "LDI s2, 2147483647.9999998"]
+
     def test_unknown_opcode_rejected(self):
         p = Program([Instruction("HALT"), Instruction("FOO")])
         with pytest.raises(ValueError, match="^instr 1: unknown opcode 'FOO'$"):
@@ -488,6 +495,25 @@ class TestValidate:
         p = isa.assemble("VLD v0, [4090]\nHALT")   # 24 words from 4090
         assert any("outside data memory" in d for d in isa.validate(p, self.cfg))
 
+    def test_memory_bounds_exact(self):
+        """The first and last words of memory are in it, and one past them is not."""
+        ok = "SLD s1, [0]\nSST [4095], s1\nVLD v0, [0]\nVST [4072], v0\n.data 0 1.0\n" \
+             ".data 4094 1.0 2.0\nHALT"
+        assert isa.validate(isa.assemble(ok), self.cfg) == []
+        bad = "SST [4096], s1\nVST [4073], v0\n.data 4095 1.0 2.0\n.data -1 1.0\nHALT"
+        assert isa.validate(isa.assemble(bad), self.cfg) == [
+            "instr 0 (SST): address 4096 (+1 words) outside data memory of 4096",
+            "instr 1 (VST): address 4073 (+24 words) outside data memory of 4096",
+            ".data at 4095 (+2 words) outside data memory of 4096",
+            ".data at -1 (+1 words) outside data memory of 4096"]
+
+    def test_branch_target_bounds_exact(self):
+        """A target is an index of the program: its last one, not its length."""
+        halt = Instruction("HALT")
+        assert isa.validate(Program([Instruction("JMP", target=1), halt]), self.cfg) == []
+        assert isa.validate(Program([Instruction("JMP", target=2), halt]), self.cfg) == [
+            "instr 0 (JMP): branch target 2 out of range"]
+
     def test_missing_units(self):
         p = isa.assemble("VDIV v0, v1, v2\nHALT")
         cfg = CoreConfig(n_div=0)
@@ -544,6 +570,17 @@ class TestValidate:
         assert isa.validate_structure(p, cfg) == ref_validate_structure(p, cfg)
         used = {isa.opclass(i.op) for i in p.instructions} & isa.CLASS_UNITS.keys()
         assert isa.unit_classes(p) == sorted(used, key=lambda c: c.value)
+
+
+class TestDiagnosticBound:
+    def test_message_of_exactly_the_bound_kept_whole(self):
+        text = "x" * isa.MAX_DIAGNOSTIC
+        assert ValidationError(text).diagnostics == [text]
+
+    def test_longer_message_keeps_both_ends(self):
+        """147 characters of each end around " ... ": 299 in all."""
+        text = "a" * 150 + "b" * 150 + "c"
+        assert ValidationError(text).diagnostics == ["a" * 147 + " ... " + "b" * 146 + "c"]
 
 
 class TestOpClasses:

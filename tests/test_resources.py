@@ -1,14 +1,15 @@
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vproc import kernel
 from vproc.core import CoreConfig
-from vproc.isa import ValidationError
+from vproc.isa import OpClass, ValidationError
 from vproc.resources import (Calibration, calibrate, estimate_sequential,
-                             estimate_tiled, estimate_vector)
+                             estimate_tiled, estimate_vector, unit_slices)
 
 CFG = CoreConfig(enable_converter=False)
 
@@ -119,6 +120,12 @@ class TestAgainstFormula:
                            match=f"slice count of '{component}' is not finite"):
             estimate_vector(CFG.with_mix(*mix), cal)
 
+    def test_largest_float_count_priced(self):
+        """A count equal to the largest finite float is a float's worth of
+        units: below 1 slice each, its term is finite."""
+        n = int(sys.float_info.max)
+        assert unit_slices(OpClass.ADD_CLASS, n, Calibration(c_add=0.5)) == round(n * 0.5)
+
     def test_non_finite_tiled_term_named(self):
         with pytest.raises(ValidationError, match="'add_units' is not finite"):
             estimate_tiled(kernel.KERNEL, 10**400)
@@ -128,6 +135,13 @@ class TestCalibration:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             Calibration(c_add=900.0, c_mul=350.0, c_div=750.0)
+
+    @pytest.mark.parametrize("costs", [{"c_div": 900.0}, {"c_div": 350.0}])
+    def test_ordering_strict(self, costs):
+        """c_div equal to c_mul, or to c_add, breaks the strict order."""
+        with pytest.raises(ValidationError) as exc:
+            Calibration(**costs)
+        assert exc.value.diagnostics == ["calibration requires c_mul > c_div > c_add"]
 
     @pytest.mark.parametrize("field,value", [
         ("c_mul", math.inf), ("base_seq", math.inf), ("base_seq", math.nan),
