@@ -61,11 +61,9 @@ class CoreConfig:
         if self.dmem_words + self.n_vregs * self.vec_len + self.n_sregs > MAX_STATE_WORDS:
             raise ValidationError(f"dmem_words + n_vregs * vec_len + n_sregs must "
                                   f"be <= {MAX_STATE_WORDS} words")
-        if type(clock := self.clock_mhz) not in (int, float):
-            raise ValidationError(f"clock_mhz must be finite and > 0"
-                                  f"{isa._shown(', got {!r}', clock)}: not an int or float")
-        if not (math.isfinite(clock) and clock > 0):
-            raise ValidationError(f"clock_mhz must be finite and > 0, got {clock}")
+        if type(clock := self.clock_mhz) not in (int, float) or not 0 < clock < math.inf:
+            raise ValidationError(f"clock_mhz must be finite and > 0{isa._shown(', got {!r}', clock)}"
+                                  + ("" if type(clock) in (int, float) else ": not an int or float"))
 
     def with_mix(self, n_add: int, n_mul: int, n_div: int) -> "CoreConfig":
         new = object.__new__(type(self))    # dataclasses.replace at a third of its cost

@@ -140,8 +140,8 @@ def throughput_projection(latency_cycles: int, slices: int, slices_budget: int,
         raise ValidationError(isa._shown("latency ({}) and slices ({}) must be >= 1",
                                          latency_cycles, slices)
                               or "latency and slices must be >= 1")
-    if not (math.isfinite(clock_mhz) and clock_mhz > 0):
-        raise ValidationError(f"clock {clock_mhz} MHz must be finite and > 0")
+    if not 0 < clock_mhz < math.inf:    # also nan
+        raise ValidationError(f"clock{isa._shown(' {}', clock_mhz)} MHz must be finite and > 0")
     if slices_budget < slices:
         raise ValidationError(isa._shown("budget {} below one core ({} slices)",
                                          slices_budget, slices)
@@ -150,10 +150,9 @@ def throughput_projection(latency_cycles: int, slices: int, slices_budget: int,
     try:
         calls = cores * clock_mhz * 1e6 / latency_cycles
     except OverflowError:       # an int beyond the float range
-        raise ValidationError("latency or core count exceeds the float "
-                              "range") from None
-    if not math.isfinite(calls):
-        raise ValidationError("the call rate exceeds the float range")
+        calls = math.inf
+    if not calls < math.inf:
+        raise ValidationError("latency, core count, clock or call rate exceeds the float range")
     return Projection(cores=cores, calls_per_second=calls)
 
 
@@ -163,10 +162,12 @@ def amdahl(fraction: float, kernel_speedup: float) -> float:
         raise ValidationError("fraction must be in [0, 1]")
     if not kernel_speedup >= 1.0:    # also rejects nan
         raise ValidationError("kernel speedup must be >= 1")
-    time = (1.0 - fraction) + fraction / kernel_speedup    # f / inf is 0.0
-    if time == 0.0:             # all of it accelerated infinitely
-        raise ValidationError("unbounded speedup of the whole application "
-                              "is undefined")
-    if (speedup := 1.0 / time) == math.inf:     # time is subnormal
+    try:
+        time = (1.0 - fraction) + fraction / kernel_speedup    # f / inf is 0.0
+    except OverflowError:       # an int speedup past the float range: f / s rounds to 0.0
+        time = 1.0 - fraction
+    if time == 0.0 and kernel_speedup == math.inf:  # all of it accelerated infinitely
+        raise ValidationError("unbounded speedup of the whole application is undefined")
+    if time == 0.0 or (speedup := 1.0 / time) == math.inf:     # time is 0 or subnormal
         raise ValidationError("overall speedup exceeds the float range")
     return speedup

@@ -7,7 +7,8 @@ a hardware status register would.  The simulator works on raw words: a lane
 with `add`/`sub`/`mul`/`div`, a list with `vadd`/`vsub`/`vmul`/`vdiv`, which
 compute the whole list flag-free and map the per-lane function, the one home
 of the flag rules, only where flags may be set.  `from_reals` converts
-columns of reals; `Fixed64`, `from_real` and `fx_*` are the single-value API.
+columns of reals, clamping any beyond the word range (an int past the float
+range too); `Fixed64`, `from_real` and `fx_*` are the single-value API.
 """
 
 from __future__ import annotations
@@ -120,21 +121,19 @@ def from_reals(xs: Sequence[float], flags: ArithFlags | None = None) -> list[int
     """Raw words of a column of finite reals: nearest Q32.32 value, ties to
     even.
 
-    Out-of-range inputs clamp to the nearest bound; only they set overflow.
-    A non-finite input is a contract violation: the first one raises.
+    Out-of-range inputs (ints past the float range too) clamp to the nearest
+    bound; only they set overflow.  The first non-finite input raises.
     """
-    if not all(map(math.isfinite, xs)):
-        bad = next(x for x in xs if not math.isfinite(x))
-        raise ValueError(f"cannot convert non-finite value {bad!r}")
     scale = float(SCALE)
-    if xs and (min(xs) < REAL_LO or max(xs) >= REAL_HI):
-        # Reals beyond 2^32 saturate anyway; clamping to it keeps the
-        # scaling by a power of two exact (no overflow to inf).
-        return [saturate(round(min(max(x, -scale), scale) * SCALE), flags)
-                for x in xs]
-    # Scaling by 2^32 is exact; float.__round__ rounds ties-to-even.  No word
-    # saturates: the largest double below 2^31 scales to 2^63 - 2^10.
-    return list(map(float.__round__, map(operator.mul, xs, repeat(scale))))
+    # min and max skip a NaN that is not first; the sum does not.  Scaling by
+    # 2^32 is exact; float.__round__ rounds ties-to-even.  No word saturates:
+    # the largest double below 2^31 scales to 2^63 - 2^10.
+    if xs and REAL_LO <= min(xs) and max(xs) < REAL_HI and not math.isnan(sum(xs)):
+        return list(map(float.__round__, map(operator.mul, xs, repeat(scale))))
+    if bad := [x for x in xs if not -math.inf < x < math.inf]:
+        raise ValueError(f"cannot convert non-finite value {bad[0]!r}")
+    # Every real beyond 2^32 saturates: clamping to it keeps the scaling exact.
+    return [saturate(round(min(max(x, -scale), scale) * SCALE), flags) for x in xs]
 
 
 def from_real(x: float, flags: ArithFlags | None = None) -> Fixed64:

@@ -309,7 +309,10 @@ _CHECKS = {m: (tuple((_FIELD[k], k[0] == "v") for k in sig if k[0] in "sv"), "ad
 def _bad_operand(instr: Instruction) -> str:
     """Names the first operand that is None or mistyped, else the first past
     int-to-str's digit limit, else the opcode; no `instr <idx>`."""
-    operands = _OPERANDS.get(instr.op, ())
+    try:
+        operands = _OPERANDS.get(instr.op, ())
+    except TypeError:           # an unhashable opcode is no mnemonic either
+        operands = ()
     for slot, kind in operands:
         if not isinstance(instr[slot], Fixed64 if kind == "imm" else int):
             return (f" ({instr.op}): {kind} operand{_shown(' {!r}', instr[slot])} is "
@@ -377,7 +380,10 @@ def validate_structure(p: Program, cfg) -> list[str]:
 
 def unit_classes(p: Program) -> list[OpClass]:
     """The arithmetic classes a program uses, in diagnostic order."""
-    used = {OPCODES[op][0] for op in {i.op for i in p.instructions} & OPCODES.keys()}
+    try:
+        used = {OPCODES[op][0] for op in {i.op for i in p.instructions} & OPCODES.keys()}
+    except TypeError:           # an unhashable opcode, which validate_structure names
+        used = {OPCODES[i.op][0] for i in p.instructions if type(i.op) is str and i.op in OPCODES}
     return sorted(used & CLASS_UNITS.keys(), key=lambda c: c.value)
 
 

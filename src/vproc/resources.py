@@ -56,7 +56,7 @@ def unit_slices(cls: OpClass, n: int, cal: Calibration) -> int:
     """round(n × c_<class>): one unit class's term of every slice count."""
     cost = getattr(cal, "c_" + cls.value)
     term = n * cost if n <= sys.float_info.max else math.inf
-    if not math.isfinite(term):
+    if not term <= sys.float_info.max:
         raise ValidationError(f"slice count of '{cls.value}_units' is not finite: the unit "
                               f"count or its product with c_{cls.value} overflows a float")
     return round(term)

@@ -98,6 +98,14 @@ class TestCoreConfig:
     def test_int_clock_accepted(self):
         assert CoreConfig(clock_mhz=100).clock_mhz == 100
 
+    def test_int_clock_past_float_range_accepted(self):
+        assert CoreConfig(clock_mhz=10**400).clock_mhz == 10**400
+
+    def test_clock_too_long_to_print_left_out(self):
+        with pytest.raises(ValidationError) as exc:
+            CoreConfig(clock_mhz=-10**5000)
+        assert exc.value.diagnostics == ["clock_mhz must be finite and > 0"]
+
     def test_no_scalar_registers_runs_vector_program(self):
         p = isa.assemble("VADD v1, v1, v1\nHALT")
         assert run(p, CoreConfig(n_sregs=0)).instr_count == 2

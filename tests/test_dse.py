@@ -535,6 +535,18 @@ class TestThroughputProjection:
         with pytest.raises(ValueError, match="must be finite and > 0"):
             throughput_projection(*self.point, 200000, clock)
 
+    def test_int_clock_past_float_range_rejected(self):
+        """The clock CoreConfig accepts gives a rate past the float range."""
+        with pytest.raises(ValidationError) as exc:
+            throughput_projection(*self.point, 200000, CoreConfig(clock_mhz=10**400).clock_mhz)
+        assert exc.value.diagnostics == [
+            "latency, core count, clock or call rate exceeds the float range"]
+
+    def test_clock_too_long_to_print_left_out(self):
+        with pytest.raises(ValidationError) as exc:
+            throughput_projection(*self.point, 200000, -10**5000)
+        assert exc.value.diagnostics == ["clock MHz must be finite and > 0"]
+
     def test_cores_fit_budget(self):
         rng = random.Random(8)
         for _ in range(50):
@@ -558,6 +570,21 @@ class TestAmdahl:
     def test_undefined_case(self):
         with pytest.raises(ValueError):
             amdahl(1.0, math.inf)
+
+    @pytest.mark.parametrize("fraction,speedup,message", [
+        (1.0, math.inf, "unbounded speedup of the whole application is undefined"),
+        (1.0, 10**400, "overall speedup exceeds the float range"),
+        (1, 10**400, "overall speedup exceeds the float range")],
+        ids=["inf", "int", "int-over-int"])
+    def test_whole_application_accelerated_message(self, fraction, speedup, message):
+        """Past the float range, an int speedup s of all of it gives s itself."""
+        with pytest.raises(ValidationError) as exc:
+            amdahl(fraction, speedup)
+        assert exc.value.diagnostics == [message]
+
+    def test_int_speedup_past_float_range_is_infinite(self):
+        assert amdahl(0.5, 10**400) == amdahl(0.5, math.inf) == 2.0
+        assert amdahl(0.0, 10**400) == 1.0
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

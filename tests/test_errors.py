@@ -116,3 +116,37 @@ def test_number_too_long_to_print_is_left_out(trigger, message):
     except ValidationError as exc:
         diagnostics = exc.diagnostics
     assert diagnostics == [message]
+
+
+BIG = 10**400       # an int past the float range, within the digit limit
+BIG_MUL = Calibration(c_mul=BIG)
+LIST_OP = isa.Program([isa.Instruction(["x"]), HALT])
+SLICES = ("slice count of 'mul_units' is not finite: the unit count or its product "
+          "with c_mul overflows a float")
+
+
+@pytest.mark.parametrize("trigger,message", [
+    (lambda: dse.throughput_projection(1, 1, 1, BIG),
+     "latency, core count, clock or call rate exceeds the float range"),
+    (lambda: resources.estimate_vector(CoreConfig(), BIG_MUL), SLICES),
+    (lambda: resources.estimate_sequential(BIG_MUL), SLICES),
+    (lambda: resources.estimate_tiled(kernel.KERNEL, 1, BIG_MUL), SLICES),
+    (lambda: dse.sweep(kernel.emit_program(24), CoreConfig(), [(1, 1, 1)], BIG_MUL), SLICES),
+    (lambda: dse.amdahl(1.0, BIG), "overall speedup exceeds the float range"),
+    (lambda: core.run(LIST_OP, CoreConfig()), "instr 0: unknown opcode ['x']"),
+    (lambda: isa.validate(LIST_OP, CoreConfig()), "instr 0: unknown opcode ['x']"),
+    (lambda: isa.disassemble(LIST_OP), "instr 0: unknown opcode ['x']"),
+    (lambda: dse.sweep(LIST_OP, CoreConfig(), [(1, 1, 1)]),
+     "config 1-1-1: instr 0: unknown opcode ['x']"),
+], ids=["projection-clock", "vector-slices", "sequential-slices", "tiled-slices",
+        "sweep-slices", "amdahl", "run-opcode", "validate-opcode",
+        "disassemble-opcode", "sweep-opcode"])
+def test_int_past_float_range_or_unhashable_opcode_is_one_message(trigger, message):
+    """A range check compares, so an int past the float range is judged as
+    any number is, and an opcode of any type that is not a mnemonic is an
+    unknown opcode: never a bare OverflowError or TypeError."""
+    try:
+        diagnostics = trigger()     # isa.validate returns its diagnostics
+    except ValidationError as exc:
+        diagnostics = exc.diagnostics
+    assert diagnostics == [message]

@@ -109,6 +109,19 @@ class TestFromRealsAgainstReference:
         assert str(got.value) == str(want.value) == \
             f"cannot convert non-finite value {bad!r}"
 
+    @pytest.mark.parametrize("xs", [[1.0, math.nan], [math.nan, 1.0], [2.0, math.nan, 0.5]])
+    def test_nan_that_min_and_max_skip_raises(self, xs):
+        with pytest.raises(ValueError, match="^cannot convert non-finite value nan$"):
+            fx.from_reals(xs)
+
+    @pytest.mark.parametrize("x,word", [(10**400, RAW_MAX), (-10**400, RAW_MIN)],
+                             ids=["positive", "negative"])
+    def test_int_past_float_range_clamps(self, x, word):
+        """Such an int is a finite real beyond the word range."""
+        flags = ArithFlags()
+        assert fx.from_reals([x, 1.0], flags) == [word, SCALE]
+        assert flags.overflow
+
 
 class TestArithmetic:
     def test_add(self):

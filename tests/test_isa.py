@@ -519,6 +519,15 @@ class TestValidate:
         cfg = CoreConfig(n_div=0)
         assert any("no units" in d for d in isa.validate(p, cfg))
 
+    def test_unhashable_opcode_leaves_unit_checks(self):
+        """A list opcode is one unknown opcode; the unit checks still judge
+        the program's other instructions."""
+        p = Program([Instruction(["x"]), *isa.assemble("VDIV v0, v1, v2\nHALT").instructions])
+        assert isa.unit_classes(p) == [OpClass.DIV_CLASS]
+        assert isa.validate(p, CoreConfig(n_div=0)) == [
+            "instr 0: unknown opcode ['x']", "program uses DIV_CLASS but the "
+            "configuration instantiates no units of that class"]
+
     def test_units_beyond_vector_length(self):
         p = isa.assemble("VADD v0, v1, v2\nHALT")
         cfg = CoreConfig(vec_len=8, n_add=9)

@@ -51,6 +51,9 @@ class TestEmitProgram:
         assert tally[OpClass.MEM] == 11
         assert tally[OpClass.CONTROL] == 2
 
+    def test_int_constant_past_float_range_clamps(self):
+        assert kernel.emit_program(24, s_k=10**400) == kernel.emit_program(24, s_k=2.0**40)
+
     def test_roundtrips_through_assembler(self):
         p = kernel.emit_program(24, s_k=1.375)
         assert isa.assemble(isa.disassemble(p)) == p

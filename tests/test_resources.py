@@ -126,6 +126,11 @@ class TestAgainstFormula:
         n = int(sys.float_info.max)
         assert unit_slices(OpClass.ADD_CLASS, n, Calibration(c_add=0.5)) == round(n * 0.5)
 
+    def test_largest_float_term_priced(self):
+        """A term equal to the largest finite float still fits a float."""
+        assert unit_slices(OpClass.MUL_CLASS, 1, Calibration(c_mul=sys.float_info.max)) \
+            == round(sys.float_info.max)
+
     def test_non_finite_tiled_term_named(self):
         with pytest.raises(ValidationError, match="'add_units' is not finite"):
             estimate_tiled(kernel.KERNEL, 10**400)
