@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .core import CoreConfig
-from .isa import CLASS_LAT, ValidationError, _shown
+from .isa import CLASS_LAT, REAL, ValidationError, _shown
 from .kernel import OPS
 
 
@@ -25,8 +25,8 @@ def tiled_latency(stmts: Iterable[tuple[str, ...]], cfg: CoreConfig,
     ready at time 0.  Replicas run in parallel and the circuit has no
     controller, so neither replication nor issue cost appears.
     """
-    if barrier_cost < 0:
-        raise ValidationError(f"barrier cost{_shown(' {}', barrier_cost)} must be >= 0")
+    if type(barrier_cost) not in REAL or not barrier_cost >= 0:
+        raise ValidationError(f"barrier cost{_shown(' {!r}', barrier_cost)} must be >= 0")
     finish: dict[str, int] = {}
     for dest, op, *args in stmts:
         finish[dest] = (getattr(cfg, CLASS_LAT[OPS[op][0]])

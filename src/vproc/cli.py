@@ -84,16 +84,11 @@ def _read(path: str) -> str:
         raise ValidationError(f"cannot read {path}: {exc}")
 
 
-def _write_csv(path: str, rows: list[list[str]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        csv.writer(f).writerows(rows)
-
-
 def write_data_csv(path: str, inputs: kernel.KernelInputs) -> None:
     names = kernel.INPUT_NAMES
-    _write_csv(path, [[*names, "s_k"]] + [
+    _write_out(path, "".join(",".join(row) + "\r\n" for row in [[*names, "s_k"]] + [
         [repr(inputs.vectors[n][i]) for n in names]
-        + [repr(inputs.s_k) if i == 0 else ""] for i in range(inputs.vec_len)])
+        + [repr(inputs.s_k) if i == 0 else ""] for i in range(inputs.vec_len)]))
 
 
 def read_data_csv(path: str) -> kernel.KernelInputs:
@@ -163,8 +158,9 @@ def _report_dict(report: core.ExecReport) -> dict:
 
 
 def _write_out(path: str | None, text: str) -> None:
+    """The one writer of output files; newline="" keeps the text's own line ends."""
     with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
-          else open(path, "w", encoding="utf-8")) as f:
+          else open(path, "w", encoding="utf-8", newline="")) as f:
         f.write(text if text.endswith("\n") else text + "\n")
 
 
@@ -336,10 +332,10 @@ def cmd_kernel_gen(args) -> int:
     kernel.checked_layout(args.veclen, core.MAX_STATE_WORDS)
     inputs = kernel.generate_inputs(args.veclen, args.seed)
     program = kernel.emit_program(args.veclen, s_k=inputs.s_k)
-    expected = [["out"]] + [[repr(x)] for x in kernel.oracle(inputs)]
     _write_out(args.out_prefix + ".asm", isa.disassemble(program))
     write_data_csv(args.out_prefix + "_data.csv", inputs)
-    _write_csv(args.out_prefix + "_expected.csv", expected)
+    _write_out(args.out_prefix + "_expected.csv",
+               "".join(f"{x}\r\n" for x in ["out", *map(repr, kernel.oracle(inputs))]))
     return 0
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import fixedpoint as fx
 from .fixedpoint import ArithFlags, Fixed64
 from . import isa
-from .isa import (CLASS_LAT, CLASS_UNITS, Instruction, OpClass, Program,
+from .isa import (CLASS_LAT, CLASS_UNITS, REAL, Instruction, OpClass, Program,
                   ValidationError)
 
 MAX_CYCLES = 10_000_000     # default cycle budget of one run
@@ -61,9 +61,9 @@ class CoreConfig:
         if self.dmem_words + self.n_vregs * self.vec_len + self.n_sregs > MAX_STATE_WORDS:
             raise ValidationError(f"dmem_words + n_vregs * vec_len + n_sregs must "
                                   f"be <= {MAX_STATE_WORDS} words")
-        if type(clock := self.clock_mhz) not in (int, float) or not 0 < clock < math.inf:
+        if type(clock := self.clock_mhz) not in REAL or not 0 < clock < math.inf:
             raise ValidationError(f"clock_mhz must be finite and > 0{isa._shown(', got {!r}', clock)}"
-                                  + ("" if type(clock) in (int, float) else ": not an int or float"))
+                                  + ("" if type(clock) in REAL else ": not an int or float"))
 
     def with_mix(self, n_add: int, n_mul: int, n_div: int) -> "CoreConfig":
         new = object.__new__(type(self))    # dataclasses.replace at a third of its cost
@@ -105,7 +105,7 @@ class SimulationTimeout(Exception):
 
 def waves(v: int, k: int) -> int:
     """Scheduling rounds to push V elements through K units."""
-    if v < 1 or k < 1:
+    if not (type(v) in REAL and type(k) in REAL and v >= 1 and k >= 1):
         raise ValidationError("waves() requires positive element and unit counts")
     return -(-v // k)
 

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import core, isa, resources
 from .core import CoreConfig
-from .isa import CLASS_UNITS, OpClass, Program, ValidationError
+from .isa import CLASS_UNITS, REAL, OpClass, Program, ValidationError
 from .resources import Calibration, DEFAULT_CALIBRATION
 
 
@@ -22,8 +21,7 @@ class DesignPoint(NamedTuple):
     slices: int
 
 
-@dataclass(frozen=True)
-class Projection:
+class Projection(NamedTuple):
     cores: int
     calls_per_second: float
 
@@ -136,14 +134,15 @@ def pareto(points: list[DesignPoint]) -> list[DesignPoint]:
 def throughput_projection(latency_cycles: int, slices: int, slices_budget: int,
                           clock_mhz: float) -> Projection:
     """Replicate independent cores under a slice budget."""
-    if latency_cycles < 1 or slices < 1:
-        raise ValidationError(isa._shown("latency ({}) and slices ({}) must be >= 1",
+    if not (type(latency_cycles) in REAL and type(slices) in REAL
+            and latency_cycles >= 1 and slices >= 1):
+        raise ValidationError(isa._shown("latency ({!r}) and slices ({!r}) must be >= 1",
                                          latency_cycles, slices)
                               or "latency and slices must be >= 1")
-    if not 0 < clock_mhz < math.inf:    # also nan
-        raise ValidationError(f"clock{isa._shown(' {}', clock_mhz)} MHz must be finite and > 0")
-    if slices_budget < slices:
-        raise ValidationError(isa._shown("budget {} below one core ({} slices)",
+    if type(clock_mhz) not in REAL or not 0 < clock_mhz < math.inf:    # also nan
+        raise ValidationError(f"clock{isa._shown(' {!r}', clock_mhz)} MHz must be finite and > 0")
+    if type(slices_budget) not in REAL or not slices_budget >= slices:
+        raise ValidationError(isa._shown("budget {!r} below one core ({} slices)",
                                          slices_budget, slices)
                               or "budget below one core")
     cores = slices_budget // slices
@@ -158,9 +157,9 @@ def throughput_projection(latency_cycles: int, slices: int, slices_budget: int,
 
 def amdahl(fraction: float, kernel_speedup: float) -> float:
     """Whole-application speedup when `fraction` of time is accelerated."""
-    if not 0.0 <= fraction <= 1.0:
+    if type(fraction) not in REAL or not 0.0 <= fraction <= 1.0:
         raise ValidationError("fraction must be in [0, 1]")
-    if not kernel_speedup >= 1.0:    # also rejects nan
+    if type(kernel_speedup) not in REAL or not kernel_speedup >= 1.0:    # also rejects nan
         raise ValidationError("kernel speedup must be >= 1")
     try:
         time = (1.0 - fraction) + fraction / kernel_speedup    # f / inf is 0.0

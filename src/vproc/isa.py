@@ -99,6 +99,7 @@ class Program:
 
 
 MAX_DIAGNOSTIC = 300   # characters; a longer message keeps both ends (the reason)
+REAL = (int, float)     # the exact types of a library number; a bool is not one
 
 
 def _bounded(text: str) -> str:
@@ -309,10 +310,7 @@ _CHECKS = {m: (tuple((_FIELD[k], k[0] == "v") for k in sig if k[0] in "sv"), "ad
 def _bad_operand(instr: Instruction) -> str:
     """Names the first operand that is None or mistyped, else the first past
     int-to-str's digit limit, else the opcode; no `instr <idx>`."""
-    try:
-        operands = _OPERANDS.get(instr.op, ())
-    except TypeError:           # an unhashable opcode is no mnemonic either
-        operands = ()
+    operands = _OPERANDS.get(instr.op, ()) if isinstance(instr.op, str) else ()
     for slot, kind in operands:
         if not isinstance(instr[slot], Fixed64 if kind == "imm" else int):
             return (f" ({instr.op}): {kind} operand{_shown(' {!r}', instr[slot])} is "

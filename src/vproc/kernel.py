@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import fixedpoint as fx
 from .core import CoreConfig
-from .isa import Instruction, OpClass, Program, ValidationError, _shown, opclass
+from .isa import REAL, Instruction, OpClass, Program, ValidationError, _shown, opclass
 
 # (result, op, operands...) per element, in evaluation order, over the input
 # vectors and the scalar constant sk; the last result is stored.
@@ -52,15 +52,16 @@ class KernelInputs:
 
 def default_layout(vec_len: int) -> dict[str, int]:
     """Contiguous W-word regions, W >= 1: inputs in order, then the output."""
-    if vec_len < 1:
-        raise ValidationError(f"vector length{_shown(' {}', vec_len)} must be >= 1")
+    if type(vec_len) not in REAL or not vec_len >= 1:
+        raise ValidationError(f"vector length{_shown(' {!r}', vec_len)} must be >= 1")
     return {name: i * vec_len for i, name in enumerate((*INPUT_NAMES, "out"))}
 
 
 def checked_layout(vec_len: int, dmem_words: int) -> None:
     """ValidationError unless the default layout fits in dmem_words words."""
-    if (end := default_layout(vec_len)["out"] + vec_len) > dmem_words:
-        raise ValidationError(_shown("layout needs {} words, memory has {}", end, dmem_words)
+    end = default_layout(vec_len)["out"] + vec_len
+    if type(dmem_words) not in REAL or not end <= dmem_words:
+        raise ValidationError(_shown("layout needs {} words, memory has {!r}", end, dmem_words)
                               or "layout needs more words than memory has")
 
 

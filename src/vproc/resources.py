@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 
 from .core import CoreConfig
-from .isa import CLASS_UNITS, OpClass, ValidationError, _shown
+from .isa import CLASS_UNITS, REAL, OpClass, ValidationError, _shown
 from .kernel import OPS
 
 
@@ -34,7 +34,7 @@ class Calibration:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if type(value := getattr(self, f.name)) not in (int, float):
+            if type(value := getattr(self, f.name)) not in REAL:
                 raise ValidationError(f"{f.name} must be finite and non-negative"
                                       f"{_shown(', got {!r}', value)}: not an int or float")
         if not (self.c_mul > self.c_div > self.c_add):
@@ -81,8 +81,8 @@ def estimate_sequential(cal: Calibration = DEFAULT_CALIBRATION) -> ResourceEstim
 def estimate_tiled(stmts: Iterable[tuple[str, ...]], replication: int,
                    cal: Calibration = DEFAULT_CALIBRATION) -> ResourceEstimate:
     """The barrier plus one unit per statement per replica, by class."""
-    if replication < 1:
-        raise ValidationError(f"replication{_shown(' {}', replication)} must be >= 1")
+    if type(replication) not in REAL or not replication >= 1:
+        raise ValidationError(f"replication{_shown(' {!r}', replication)} must be >= 1")
     counts = Counter(OPS[op][0] for _, op, *_ in stmts)
     return _estimate(cal.c_tiled_barrier,
                      (replication * counts[cls] for cls in CLASS_UNITS), cal)

@@ -150,3 +150,45 @@ def test_int_past_float_range_or_unhashable_opcode_is_one_message(trigger, messa
     except ValidationError as exc:
         diagnostics = exc.diagnostics
     assert diagnostics == [message]
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("trigger,message", [
+    (lambda: dse.throughput_projection(1, 1, 1, "100"), "clock '100' MHz must be finite and > 0"),
+    (lambda: dse.throughput_projection(1, 1, 1, None), "clock None MHz must be finite and > 0"),
+    (lambda: dse.throughput_projection("2", 1, 1, 1.0),
+     "latency ('2') and slices (1) must be >= 1"),
+    (lambda: dse.throughput_projection(NAN, 1, 1, 1.0),
+     "latency (nan) and slices (1) must be >= 1"),
+    (lambda: dse.throughput_projection(1, NAN, 1, 1.0),
+     "latency (1) and slices (nan) must be >= 1"),
+    (lambda: dse.throughput_projection(True, 1, 1, 1.0),
+     "latency (True) and slices (1) must be >= 1"),
+    (lambda: dse.throughput_projection(1, 1, "9", 1.0), "budget '9' below one core (1 slices)"),
+    (lambda: dse.throughput_projection(1, 1, NAN, 1.0), "budget nan below one core (1 slices)"),
+    (lambda: dse.amdahl("0.5", 2), "fraction must be in [0, 1]"),
+    (lambda: dse.amdahl(0.5, None), "kernel speedup must be >= 1"),
+    (lambda: core.waves("a", 1), "waves() requires positive element and unit counts"),
+    (lambda: kernel.default_layout("a"), "vector length 'a' must be >= 1"),
+    (lambda: kernel.checked_layout(24, "4096"), "layout needs 264 words, memory has '4096'"),
+    (lambda: tiled_latency(kernel.KERNEL, CoreConfig(), barrier_cost="1"),
+     "barrier cost '1' must be >= 0"),
+    (lambda: resources.estimate_tiled(kernel.KERNEL, "2"), "replication '2' must be >= 1"),
+], ids=["projection-clock-str", "projection-clock-none", "projection-latency-str",
+        "projection-latency-nan", "projection-slices-nan", "projection-latency-bool",
+        "projection-budget-str", "projection-budget-nan", "amdahl-fraction",
+        "amdahl-speedup", "waves", "layout-length", "layout-memory", "barrier",
+        "replication"])
+def test_non_number_or_nan_gets_its_range_error(trigger, message):
+    """A library number is a real, an int or a float but not a bool; any
+    other value, or a NaN, fails that argument's range test, never with a
+    bare TypeError."""
+    with pytest.raises(ValidationError) as exc:
+        trigger()
+    assert exc.value.diagnostics == [message]
+
+
+def test_float_counts_stay_accepted():
+    assert core.waves(2.5, 1) == 3.0
